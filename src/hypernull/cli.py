@@ -7,7 +7,8 @@ endings and floats at 12 significant digits, and emits a JSON run manifest
 recording the command line, input hashes, seed, versions, per-output
 checksums, and wall-clock timings.  Output files are byte-identical across
 re-runs with the same inputs and seed; the manifest differs only in its
-timings.  NUDHY_THREADS overrides --threads.
+timings.  A sample directory's manifest lists its samples: commands that read
+the directory take exactly those files and reject one whose checksum differs.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import platform
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from hypernull.affinity import CategoryPartition, affinity_report
 from hypernull.contagion import SISConfig, load_thresholds
 from hypernull.contagion import run_quasi_stationary, run_stationary
 from hypernull.core import (
+    SIDES,
     DirectedHypergraph,
     ParseError,
     compute_joint,
@@ -62,8 +62,6 @@ from hypernull.structure import (
     structural_entropy,
 )
 
-SIDES = ("head", "tail")
-
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
@@ -93,28 +91,6 @@ def _write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(cell) for cell in row])
-
-
-def _resolve_threads(requested) -> int:
-    env = os.environ.get("NUDHY_THREADS")
-    if env is not None:
-        value = int(env)
-    elif requested is not None:
-        value = requested
-    else:
-        value = os.cpu_count() or 1
-    if value < 1:
-        raise ValueError(f"thread count must be >= 1, got {value}")
-    return value
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    """Order-preserving map over a worker pool (sequential when threads=1)."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _mean_std(values):
@@ -150,8 +126,32 @@ def _load_undirected(path):
 
 
 def _sample_files(directory) -> list:
-    """sample_<i>.dhg files by index, else every .dhg file by name."""
+    """The samples of a directory.
+
+    A directory written by `sample` holds manifest.json, whose sample list is
+    the truth: each listed file must be present with its recorded sha256, and
+    files it does not list are ignored.  Without a manifest: sample_<i>.dhg
+    files by index, else every .dhg file by name.
+    """
     directory = Path(directory)
+    manifest = directory / "manifest.json"
+    if manifest.is_file():
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        try:
+            records = [(r["file"], r["sha256"]) for r in payload["invariants"]["samples"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{manifest} has no list of samples") from exc
+        if not records:
+            raise ValueError(f"{manifest} lists no samples")
+        paths = []
+        for name, digest in records:
+            path = directory / name
+            if not path.is_file():
+                raise ValueError(f"{path} is listed in {manifest} but missing")
+            if _hash_file(path) != digest:
+                raise ValueError(f"{path} differs from its sha256 in {manifest}")
+            paths.append(path)
+        return paths
     indexed = []
     for path in directory.glob("sample_*.dhg"):
         suffix = path.name[len("sample_") : -len(".dhg")]
@@ -352,33 +352,17 @@ def cmd_converge(args, manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_observed_and_samples(args):
-    H = _load_directed(args.input)
-    samples = (
-        [_load_directed(p) for p in _sample_files(args.samples)]
-        if args.samples
-        else []
-    )
-    return H, samples
-
-
-def _metric_reciprocity(args, threads):
-    H, samples = _load_observed_and_samples(args)
+def _metric_reciprocity(args, H, samples):
     observed = hypergraph_reciprocity(H).value
-    values = _parallel_map(lambda S: hypergraph_reciprocity(S).value, samples, threads)
+    values = [hypergraph_reciprocity(S).value for S in samples]
     mean, std = _mean_std(values)
     header = ("observed", "sample_mean", "sample_std", "samples", "ratio")
     return header, [(observed, mean, std, len(values), _ratio(observed, mean))]
 
 
-def _metric_coreness(args, threads):
-    H, samples = _load_observed_and_samples(args)
+def _metric_coreness(args, H, samples):
     observed = hyper_core_decomposition(H, args.side).hypercoreness
-    profiles = _parallel_map(
-        lambda S: hyper_core_decomposition(S, args.side).hypercoreness,
-        samples,
-        threads,
-    )
+    profiles = [hyper_core_decomposition(S, args.side).hypercoreness for S in samples]
     rows = []
     for v in range(H.num_nodes):
         mean, std = _mean_std([p[v] for p in profiles])
@@ -389,8 +373,7 @@ def _metric_coreness(args, threads):
     return header, rows
 
 
-def _metric_entropy(args, threads):
-    H, samples = _load_observed_and_samples(args)
+def _metric_entropy(args, H, samples):
     if not samples:
         raise ValueError("entropy needs --samples: it measures the ensemble")
     entropy = structural_entropy(H, samples, args.group_size, args.side)
@@ -409,10 +392,9 @@ def _node_centralities(H: DirectedHypergraph):
     return scores, hubs[:n], authorities[:n]
 
 
-def _metric_centrality(args, threads):
-    H, samples = _load_observed_and_samples(args)
+def _metric_centrality(args, H, samples):
     pr, hub, auth = _node_centralities(H)
-    sampled = _parallel_map(_node_centralities, samples, threads)
+    sampled = [_node_centralities(S) for S in samples]
     rows = []
     for v in range(H.num_nodes):
         pr_mean, pr_std = _mean_std([s[0][v] for s in sampled])
@@ -435,10 +417,9 @@ def _metric_centrality(args, threads):
     return header, rows
 
 
-def _metric_spectrum(args, threads):
-    H, samples = _load_observed_and_samples(args)
+def _metric_spectrum(args, H, samples):
     observed = laplacian_spectrum(H, k=args.k)
-    spectra = _parallel_map(lambda S: laplacian_spectrum(S, k=args.k), samples, threads)
+    spectra = [laplacian_spectrum(S, k=args.k) for S in samples]
     rows = []
     for i, value in enumerate(observed):
         mean, std = _mean_std([s[i] for s in spectra])
@@ -457,12 +438,12 @@ _METRICS = {
 
 
 def cmd_metric(args, manifest: RunManifest) -> int:
-    threads = _resolve_threads(args.threads)
-    header, rows = _METRICS[args.metric](args, threads)
+    H = _load_directed(args.input)
+    paths = _sample_files(args.samples) if args.samples else []
+    header, rows = _METRICS[args.metric](args, H, [_load_directed(p) for p in paths])
     manifest.add_input(args.input)
-    if args.samples:
-        for path in _sample_files(args.samples):
-            manifest.add_input(path)
+    for path in paths:
+        manifest.add_input(path)
     _write_csv(args.output, header, rows)
     manifest.add_output(args.output)
     manifest.destination = _manifest_path_for(args.output)
@@ -582,19 +563,15 @@ def _country_scores(H: DirectedHypergraph):
 
 
 def cmd_econ_compare(args, manifest: RunManifest) -> int:
-    threads = _resolve_threads(args.threads)
     H = _load_directed(args.observed)
     manifest.add_input(args.observed)
     countries, observed = _country_scores(H)
     samples = {}
     for model, paths in _parse_model_dirs(args.samples).items():
+        vectors = {score: [] for score in observed}
         for path in paths:
             manifest.add_input(path)
-        results = _parallel_map(
-            lambda p: _country_scores(_load_directed(p)), paths, threads
-        )
-        vectors = {score: [] for score in observed}
-        for sample_countries, scored in results:
+            sample_countries, scored = _country_scores(_load_directed(path))
             if sample_countries != countries:
                 raise ValueError(
                     f"sample country set differs from observed in {model!r}"
@@ -636,7 +613,6 @@ def _lambda_c_for(args, thresholds, nu: float):
 
 
 def cmd_contagion(args, manifest: RunManifest) -> int:
-    threads = _resolve_threads(args.threads)
     manifest.add_input(args.input)
     sources = [("observed", "", _load_undirected(args.input))]
     for model, paths in _parse_model_dirs(args.samples).items():
@@ -652,7 +628,7 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
     runner = (
         run_stationary if args.method == "stationary" else run_quasi_stationary
     )
-    tasks = []
+    rows = []
     for sampler, sample_id, substrate in sources:
         for nu in args.nu:
             lambda_c = _lambda_c_for(args, thresholds, nu)
@@ -671,18 +647,12 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
                         args.seed, f"contagion:{sampler}:{sample_id}:{nu!r}", index
                     ),
                 )
-                tasks.append((sampler, sample_id, nu, lam, lambda_c, cfg, substrate))
-
-    def run_task(task):
-        sampler, sample_id, nu, lam, lambda_c, cfg, substrate = task
-        result = runner(substrate, cfg)
-        rescaled = lam / lambda_c if lambda_c else None
-        return (
-            args.dataset, sampler, sample_id, nu, lam, rescaled,
-            result.mean, result.std, args.method,
-        )
-
-    rows = _parallel_map(run_task, tasks, threads)
+                result = runner(substrate, cfg)
+                rescaled = lam / lambda_c if lambda_c else None
+                rows.append((
+                    args.dataset, sampler, sample_id, nu, lam, rescaled,
+                    result.mean, result.std, args.method,
+                ))
     header = (
         "dataset", "sampler", "sampleId", "nu", "lambda",
         "lambdaOverLambdaC", "rhoMean", "rhoStd", "method",
@@ -698,15 +668,6 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
-
-
-def _add_threads(parser):
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker pool size (default: logical cores; NUDHY_THREADS overrides)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -739,7 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the post-write invariant verification",
     )
-    _add_threads(sample)
     sample.set_defaults(func=cmd_sample)
 
     converge = commands.add_parser(
@@ -771,7 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--group-size", type=int, default=2)
         if name == "spectrum":
             sub.add_argument("--k", type=int, default=6)
-        _add_threads(sub)
         sub.set_defaults(func=cmd_metric)
 
     affinity = commands.add_parser(
@@ -812,7 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", action="append", default=[], metavar="MODEL=DIR", required=True
     )
     compare.add_argument("--output", required=True)
-    _add_threads(compare)
     compare.set_defaults(func=cmd_econ_compare)
 
     contagion = commands.add_parser(
@@ -852,7 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
     contagion.add_argument("--qs-history", type=int, default=50)
     contagion.add_argument("--snapshot-interval", type=float, default=1.0)
     contagion.add_argument("--output", required=True)
-    _add_threads(contagion)
     contagion.set_defaults(func=cmd_contagion)
 
     return parser
@@ -869,7 +826,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args, manifest)
-    except (ParseError, ValueError, OSError, RuntimeError, KeyError) as exc:
+    except (ParseError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     manifest.timings["total_s"] = time.perf_counter() - started

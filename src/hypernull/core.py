@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
+SIDES = ("head", "tail")
+
 
 class ParseError(ValueError):
     """Raised when an input file does not conform to the expected text format."""

@@ -16,16 +16,8 @@ from dataclasses import dataclass
 
 from scipy.stats import chi2
 
-from hypernull.core import DirectedHypergraph, to_bipartite, to_hypergraph
-from hypernull.sampling import (
-    derive_seed,
-    make_chain_state,
-    nudhy_degs_mh_step,
-    nudhy_degs_step,
-    nudhy_joint_step,
-)
-
-SIDES = ("head", "tail")
+from hypernull.core import SIDES, DirectedHypergraph, to_bipartite, to_hypergraph
+from hypernull.sampling import STEP_FUNCTIONS, derive_seed, make_chain_state
 
 
 @dataclass(frozen=True)
@@ -140,13 +132,6 @@ def arsd(observed: TransactionDB, sample: TransactionDB, fi: FrequentItemsetSet)
     return total / len(fi.itemsets)
 
 
-_TRACE_STEPS = {
-    "degs": nudhy_degs_step,
-    "joint": nudhy_joint_step,
-    "degs-mh": nudhy_degs_mh_step,
-}
-
-
 def arsd_trace(
     H: DirectedHypergraph,
     model: str = "degs",
@@ -162,12 +147,12 @@ def arsd_trace(
     Returns {side: [(k, arsd), ...]} with a side present only when the
     observed database yields at least one frequent itemset at (f, l).
     """
-    if model not in _TRACE_STEPS:
-        raise ValueError(f"model must be one of {sorted(_TRACE_STEPS)}, got {model!r}")
+    if model not in STEP_FUNCTIONS:
+        raise ValueError(f"model must be one of {sorted(STEP_FUNCTIONS)}, got {model!r}")
     observed = {side: transaction_db(H, side) for side in SIDES}
     mined = {side: mine_top_frequent(observed[side], f, l) for side in SIDES}
     sides = [side for side in SIDES if mined[side].itemsets]
-    step = _TRACE_STEPS[model]
+    step = STEP_FUNCTIONS[model]
     G = to_bipartite(H)
     w = G.plus_edges() + G.minus_edges()
     state = make_chain_state(

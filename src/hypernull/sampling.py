@@ -1,12 +1,26 @@
 """Edge-swap Markov chains over directed hypergraphs.
 
-Two uniform samplers operate on the bipartite digraph: the degree-preserving
-chain (model "degs") keeps all four degree sequences fixed via parity swaps,
-and the joint-preserving chain (model "joint") keeps the full joint degree
-tensor fixed via restricted parity swaps between vertices of equal degree
-class.  A Metropolis-Hastings variant ("degs-mh") targets the degree ensemble
-through uniform edge-pair proposals corrected by the exact count of applicable
-swaps.  The "null" model keeps only the head/tail size sequences.
+The bipartite digraph is two independent bipartite graphs, its slices: the +1
+arcs (left_out/right_in, head memberships) and the -1 arcs (left_in/right_out,
+tail memberships).  Every chain move is a parity swap inside one slice: arcs
+(u, a) and (v, b) become (u, b) and (v, a).  A swap keeps all four degree
+sequences and never touches the other slice.
+
+One kernel runs every step of the degree-preserving chain (model "degs") and
+of the joint-preserving chain (model "joint").  A biased coin picks the slice;
+a pair source on one side of it gives two distinct vertices x, y; a uniform
+draw from each of N(x) - N(y) and N(y) - N(x) gives the crossed endpoints.
+The models differ only in their pair sources:
+
+- "degs" draws a uniform pair among the vertices that send the slice's arcs:
+  left vertices for +1 arcs, right vertices for -1 arcs;
+- "joint" flips a fair coin for the side and draws a pair inside one (in, out)
+  degree class, classes weighted by their pair counts.  Degree classes never
+  change, so the swap also keeps the full joint degree tensor.
+
+A Metropolis-Hastings variant ("degs-mh") targets the degree ensemble through
+uniform arc-pair proposals over both slices, corrected by the exact count of
+applicable swaps.  The "null" model keeps only the head/tail size sequences.
 """
 
 from __future__ import annotations
@@ -16,7 +30,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from hypernull.core import (
     BipartiteDigraph,
@@ -27,6 +41,14 @@ from hypernull.core import (
 )
 
 MODELS = ("degs", "joint", "degs-mh", "null")
+
+LEFT, RIGHT = 0, 1  # the two sides of a slice
+
+# Arc direction -> (left view, right view, side whose vertices send the arcs).
+_SLICE_LAYOUT = {
+    +1: ("left_out", "right_in", LEFT),
+    -1: ("left_in", "right_out", RIGHT),
+}
 
 
 class FrozenEnsembleError(RuntimeError):
@@ -92,165 +114,8 @@ class ChainConfig:
         return self.steps
 
 
-class _ClassFamily:
-    """Degree classes of one vertex family with cumulative pair-count tables.
-
-    Sampling draws a class with probability proportional to C(|class|, 2) via
-    binary search, then a uniform ordered pair inside the class.  Classes are
-    invariant under restricted swaps, so the tables are built once.
-    """
-
-    def __init__(self, groups: dict):
-        self.members = []
-        self.cumulative = []
-        total = 0
-        for key in sorted(groups):
-            size = len(groups[key])
-            weight = size * (size - 1) // 2
-            if weight == 0:
-                continue
-            total += weight
-            self.members.append(sorted(groups[key]))
-            self.cumulative.append(total)
-        self.total = total
-
-    def sample_pair(self, rng):
-        """A uniform ordered pair of distinct vertices from a weight-picked class."""
-        if self.total == 0:
-            return None
-        draw = rng.randrange(self.total)
-        members = self.members[bisect_right(self.cumulative, draw)]
-        i = rng.randrange(len(members))
-        j = rng.randrange(len(members) - 1)
-        if j >= i:
-            j += 1
-        return members[i], members[j]
-
-
-@dataclass
-class DegreeClasses:
-    left_plus: _ClassFamily   # left vertices with out-degree >= 1, keyed (in, out)
-    left_minus: _ClassFamily  # left vertices with in-degree >= 1
-    right_plus: _ClassFamily  # right vertices with non-empty tail
-    right_minus: _ClassFamily  # right vertices with non-empty head
-
-
-def _build_degree_classes(G: BipartiteDigraph) -> DegreeClasses:
-    left_plus, left_minus, right_plus, right_minus = {}, {}, {}, {}
-    for v in range(G.left_count):
-        i, j = len(G.left_in[v]), len(G.left_out[v])
-        if j >= 1:
-            left_plus.setdefault((i, j), []).append(v)
-        if i >= 1:
-            left_minus.setdefault((i, j), []).append(v)
-    for a in range(G.right_count):
-        k, l = len(G.right_in[a]), len(G.right_out[a])
-        if l >= 1:
-            right_plus.setdefault((k, l), []).append(a)
-        if k >= 1:
-            right_minus.setdefault((k, l), []).append(a)
-    return DegreeClasses(
-        _ClassFamily(left_plus),
-        _ClassFamily(left_minus),
-        _ClassFamily(right_plus),
-        _ClassFamily(right_minus),
-    )
-
-
-@dataclass
-class ChainState:
-    """Mutable sampler state: the graph plus the per-model static indexes."""
-
-    graph: BipartiteDigraph
-    rng: random.Random
-    heads_prob: float
-    positive_out_left: list
-    positive_out_right: list
-    degree_classes: DegreeClasses | None = None
-    swap_count: int | None = None
-    edge_list: list | None = None
-    debug: bool = False
-
-
-def make_chain_state(
-    G: BipartiteDigraph,
-    seed: int,
-    model: str = "degs",
-    heads_prob: float | None = None,
-    debug: bool = False,
-) -> ChainState:
-    """Initialize a chain on G (owned by the chain and mutated in place)."""
-    m_plus, m_minus = G.plus_edges(), G.minus_edges()
-    total = m_plus + m_minus
-    if heads_prob is None:
-        heads_prob = m_plus / total if total else 0.5
-    state = ChainState(
-        graph=G,
-        rng=random.Random(seed),
-        heads_prob=heads_prob,
-        positive_out_left=[v for v in range(G.left_count) if G.left_out[v]],
-        positive_out_right=[a for a in range(G.right_count) if G.right_out[a]],
-        debug=debug,
-    )
-    if model == "joint":
-        state.degree_classes = _build_degree_classes(G)
-    elif model == "degs-mh":
-        state.swap_count = state_degree_pso(G)
-        state.edge_list = sorted(G.edges())
-    return state
-
-
 # ---------------------------------------------------------------------------
-# Swap operations
-# ---------------------------------------------------------------------------
-
-
-def apply_pso(G: BipartiteDigraph, p: SwapProposal) -> None:
-    """Apply a parity swap in place; all four degree sequences are unchanged."""
-    u, a, v, b = p.left1, p.right1, p.left2, p.right2
-    assert u != v and a != b, "swap endpoints must be distinct"
-    if p.direction == +1:
-        assert a in G.left_out[u] and b in G.left_out[v], "swapped arcs must exist"
-        assert b not in G.left_out[u] and a not in G.left_out[v], "crossed arcs must be absent"
-        G.left_out[u].remove(a)
-        G.left_out[u].add(b)
-        G.left_out[v].remove(b)
-        G.left_out[v].add(a)
-        G.right_in[a].remove(u)
-        G.right_in[a].add(v)
-        G.right_in[b].remove(v)
-        G.right_in[b].add(u)
-    else:
-        assert a in G.left_in[u] and b in G.left_in[v], "swapped arcs must exist"
-        assert b not in G.left_in[u] and a not in G.left_in[v], "crossed arcs must be absent"
-        G.left_in[u].remove(a)
-        G.left_in[u].add(b)
-        G.left_in[v].remove(b)
-        G.left_in[v].add(a)
-        G.right_out[a].remove(u)
-        G.right_out[a].add(v)
-        G.right_out[b].remove(v)
-        G.right_out[b].add(u)
-
-
-def apply_rpso(G: BipartiteDigraph, p: SwapProposal) -> None:
-    """Apply a restricted parity swap; the joint tensor is unchanged.
-
-    On top of the plain-swap preconditions, the two left endpoints must share
-    their (in, out) degree pair, or the two right endpoints must share theirs.
-    """
-    u, a, v, b = p.left1, p.right1, p.left2, p.right2
-    left_match = (len(G.left_in[u]), len(G.left_out[u])) == (len(G.left_in[v]), len(G.left_out[v]))
-    right_match = (len(G.right_in[a]), len(G.right_out[a])) == (
-        len(G.right_in[b]),
-        len(G.right_out[b]),
-    )
-    assert left_match or right_match, "restricted swap needs matching degree classes"
-    apply_pso(G, p)
-
-
-# ---------------------------------------------------------------------------
-# Chain steps
+# Slices and their pair sources
 # ---------------------------------------------------------------------------
 
 
@@ -261,6 +126,171 @@ def _pick_pair(rng, pool):
     if j >= i:
         j += 1
     return pool[i], pool[j]
+
+
+class _ClassPairs:
+    """Pairs of distinct same-class vertices on one side of a slice.
+
+    Only vertices with an arc in the slice take part.  A class is drawn with
+    probability proportional to C(|class|, 2) by binary search, then a uniform
+    ordered pair inside it, so each unordered same-class pair has probability
+    1/total.  Classes are invariant under the swaps, so the tables are built
+    once.
+    """
+
+    def __init__(self, view, classes):
+        groups = {}
+        for x, neighbors in enumerate(view):
+            if neighbors:
+                groups.setdefault(classes[x], []).append(x)
+        self.class_of = {x: k for k, members in groups.items() for x in members}
+        self.members = []
+        self.cumulative = []
+        total = 0
+        for k in sorted(groups):
+            size = len(groups[k])
+            weight = size * (size - 1) // 2
+            if weight == 0:
+                continue
+            total += weight
+            self.members.append(groups[k])
+            self.cumulative.append(total)
+        self.total = total
+
+    def holds(self, x, y) -> bool:
+        """Whether {x, y} is one of the pairs this source draws."""
+        classes = self.class_of
+        return x != y and x in classes and y in classes and classes[x] == classes[y]
+
+    def sample_pair(self, rng):
+        """A uniform ordered pair from a weight-picked class, or None."""
+        if self.total == 0:
+            return None
+        draw = rng.randrange(self.total)
+        return _pick_pair(rng, self.members[bisect_right(self.cumulative, draw)])
+
+
+class _Pool(_ClassPairs):
+    """Every vertex with an arc in the slice as one class, drawn without a
+    class draw: the "degs" source."""
+
+    def __init__(self, view):
+        super().__init__(view, [None] * len(view))
+
+    def sample_pair(self, rng):
+        if self.total == 0:
+            return None
+        return _pick_pair(rng, self.members[0])
+
+
+@dataclass(frozen=True)
+class Slice:
+    """The arcs of one direction, a bipartite graph of their own.
+
+    views[LEFT][v] is the set of right vertices joined to left vertex v and
+    views[RIGHT][a] the set of left vertices joined to right vertex a; both
+    are the graph's own adjacency lists, so a swap through them updates it.
+    sources lists the (side, pair source) routes a chain step may take.
+    """
+
+    direction: int
+    views: tuple
+    sources: tuple = ()
+
+
+def _views(G: BipartiteDigraph, direction: int) -> tuple:
+    left, right, _ = _SLICE_LAYOUT[direction]
+    return getattr(G, left), getattr(G, right)
+
+
+def _slices(G: BipartiteDigraph, model: str) -> dict:
+    """{direction: Slice} of G, with the pair sources the model draws from."""
+    degree_classes = (  # (in, out) degree pair of every left and every right vertex
+        list(zip(map(len, G.left_in), map(len, G.left_out))),
+        list(zip(map(len, G.right_in), map(len, G.right_out))),
+    )
+    slices = {}
+    for direction, (_, _, sender) in _SLICE_LAYOUT.items():
+        views = _views(G, direction)
+        if model == "degs":
+            sources = ((sender, _Pool(views[sender])),)
+        elif model == "joint":
+            sources = tuple(
+                (side, _ClassPairs(views[side], degree_classes[side])) for side in (LEFT, RIGHT)
+            )
+        else:
+            sources = ()
+        slices[direction] = Slice(direction, views, sources)
+    return slices
+
+
+@dataclass
+class ChainState:
+    """Mutable sampler state: the graph plus the per-model static indexes."""
+
+    graph: BipartiteDigraph
+    rng: random.Random
+    heads_prob: float
+    slices: dict
+    swap_count: int | None = None
+    edge_list: list | None = None
+    debug: bool = False
+
+
+def _default_heads_prob(G: BipartiteDigraph) -> float:
+    total = G.plus_edges() + G.minus_edges()
+    return G.plus_edges() / total if total else 0.5
+
+
+def make_chain_state(
+    G: BipartiteDigraph,
+    seed: int,
+    model: str = "degs",
+    heads_prob: float | None = None,
+    debug: bool = False,
+) -> ChainState:
+    """Initialize a chain on G (owned by the chain and mutated in place)."""
+    state = ChainState(
+        graph=G,
+        rng=random.Random(seed),
+        heads_prob=_default_heads_prob(G) if heads_prob is None else heads_prob,
+        slices=_slices(G, model),
+        debug=debug,
+    )
+    if model == "degs-mh":
+        state.swap_count = state_degree_pso(G)
+        state.edge_list = sorted(G.edges())
+    return state
+
+
+# ---------------------------------------------------------------------------
+# Swap application and the slice kernel
+# ---------------------------------------------------------------------------
+
+
+def _swap(near, far, x, x_end, y, y_end) -> None:
+    """Swap arcs (x, x_end), (y, y_end) of one slice to (x, y_end), (y, x_end).
+
+    near holds the neighbor sets of x and y, far those of x_end and y_end; the
+    operation is the same whichever side x and y lie on.
+    """
+    assert x != y and x_end != y_end, "swap endpoints must be distinct"
+    assert x_end in near[x] and y_end in near[y], "swapped arcs must exist"
+    assert y_end not in near[x] and x_end not in near[y], "crossed arcs must be absent"
+    near[x].remove(x_end)
+    near[x].add(y_end)
+    near[y].remove(y_end)
+    near[y].add(x_end)
+    far[x_end].remove(x)
+    far[x_end].add(y)
+    far[y_end].remove(y)
+    far[y_end].add(x)
+
+
+def apply_pso(G: BipartiteDigraph, p: SwapProposal) -> None:
+    """Apply a parity swap in place; all four degree sequences are unchanged."""
+    left, right = _views(G, p.direction)
+    _swap(left, right, p.left1, p.right1, p.left2, p.right2)
 
 
 def _pick_diff(rng, first: set, second: set):
@@ -275,99 +305,67 @@ def _pick_diff(rng, first: set, second: set):
     return candidates[rng.randrange(len(candidates))]
 
 
-def nudhy_degs_step(state: ChainState) -> bool:
-    """One degree-preserving chain step; returns True when a swap was applied.
+def _slice_step(state: ChainState) -> bool:
+    """One "degs" or "joint" step; returns True when a swap was applied.
 
-    A biased coin picks the arc direction (heads probability |D+|/|D| unless
-    overridden), a uniform vertex pair is drawn from the positive-out-degree
-    pool of the matching side, and a uniform crossed pair from the
-    out-neighborhood differences completes the swap.  Any shortage — pool
-    smaller than two, empty difference — is a self-loop of the chain.
+    The direction coin (heads probability |D+|/|D| unless overridden) picks
+    the slice; when the slice has two routes a fair coin picks the side.  Any
+    shortage (no pair to draw, an empty crossed set) is a self-loop.
     """
-    G, rng = state.graph, state.rng
-    if rng.random() < state.heads_prob:
-        pool = state.positive_out_left
-        if len(pool) < 2:
-            return False
-        u, v = _pick_pair(rng, pool)
-        a = _pick_diff(rng, G.left_out[u], G.left_out[v])
-        b = _pick_diff(rng, G.left_out[v], G.left_out[u])
-        if a is None or b is None:
-            return False
-        proposal = SwapProposal(u, a, v, b, +1)
-    else:
-        pool = state.positive_out_right
-        if len(pool) < 2:
-            return False
-        a, b = _pick_pair(rng, pool)
-        u = _pick_diff(rng, G.right_out[a], G.right_out[b])
-        v = _pick_diff(rng, G.right_out[b], G.right_out[a])
-        if u is None or v is None:
-            return False
-        proposal = SwapProposal(u, a, v, b, -1)
-    apply_pso(G, proposal)
+    rng, slices = state.rng, state.slices
+    piece = slices[+1] if rng.random() < state.heads_prob else slices[-1]
+    routes = piece.sources
+    side, pairs = routes[0] if len(routes) == 1 or rng.random() < 0.5 else routes[1]
+    pair = pairs.sample_pair(rng)
+    if pair is None:
+        return False
+    x, y = pair
+    near = piece.views[side]
+    x_end = _pick_diff(rng, near[x], near[y])
+    y_end = _pick_diff(rng, near[y], near[x])
+    if x_end is None or y_end is None:
+        return False
+    _swap(near, piece.views[1 - side], x, x_end, y, y_end)
     if state.debug:
-        G.validate()
+        state.graph.validate()
     return True
+
+
+def nudhy_degs_step(state: ChainState) -> bool:
+    """One degree-preserving chain step on a state made with model="degs";
+    returns True when a swap was applied."""
+    return _slice_step(state)
 
 
 def nudhy_joint_step(state: ChainState) -> bool:
-    """One joint-preserving chain step; returns True when a swap was applied.
+    """One joint-preserving chain step on a state made with model="joint";
+    returns True when a swap was applied."""
+    return _slice_step(state)
 
-    The direction coin works as in the degree chain; a second fair coin picks
-    which side's degree classes to sample.  A class is drawn with probability
-    proportional to its number of vertex pairs, a uniform pair inside it, and
-    a uniform crossed pair from the corresponding neighborhood differences.
+
+def step_probability(
+    G: BipartiteDigraph, p: SwapProposal, model: str, heads_prob: float | None = None
+) -> float:
+    """Probability that one "degs" or "joint" step on G proposes the swap p.
+
+    Reads the kernel's own slice tables and sums over the routes that can
+    draw p's endpoint pair.
     """
-    G, rng, classes = state.graph, state.rng, state.degree_classes
-    plus_direction = rng.random() < state.heads_prob
-    left_side = rng.random() < 0.5
-    if plus_direction:
-        if left_side:
-            pair = classes.left_plus.sample_pair(rng)
-            if pair is None:
-                return False
-            u, v = pair
-            a = _pick_diff(rng, G.left_out[u], G.left_out[v])
-            b = _pick_diff(rng, G.left_out[v], G.left_out[u])
-            if a is None or b is None:
-                return False
-            proposal = SwapProposal(u, a, v, b, +1)
-        else:
-            pair = classes.right_minus.sample_pair(rng)
-            if pair is None:
-                return False
-            a, b = pair
-            u = _pick_diff(rng, G.right_in[a], G.right_in[b])
-            v = _pick_diff(rng, G.right_in[b], G.right_in[a])
-            if u is None or v is None:
-                return False
-            proposal = SwapProposal(u, a, v, b, +1)
-    else:
-        if left_side:
-            pair = classes.left_minus.sample_pair(rng)
-            if pair is None:
-                return False
-            u, v = pair
-            a = _pick_diff(rng, G.left_in[u], G.left_in[v])
-            b = _pick_diff(rng, G.left_in[v], G.left_in[u])
-            if a is None or b is None:
-                return False
-            proposal = SwapProposal(u, a, v, b, -1)
-        else:
-            pair = classes.right_plus.sample_pair(rng)
-            if pair is None:
-                return False
-            a, b = pair
-            u = _pick_diff(rng, G.right_out[a], G.right_out[b])
-            v = _pick_diff(rng, G.right_out[b], G.right_out[a])
-            if u is None or v is None:
-                return False
-            proposal = SwapProposal(u, a, v, b, -1)
-    apply_rpso(G, proposal)
-    if state.debug:
-        G.validate()
-    return True
+    if model not in ("degs", "joint"):
+        raise ValueError(f"model must be 'degs' or 'joint', got {model!r}")
+    piece = _slices(G, model)[p.direction]
+    if heads_prob is None:
+        heads_prob = _default_heads_prob(G)
+    coin = heads_prob if p.direction == +1 else 1.0 - heads_prob
+    ends = ((p.left1, p.left2), (p.right1, p.right2))
+    probability = 0.0
+    for side, pairs in piece.sources:
+        x, y = ends[side]
+        near = piece.views[side]
+        crossed = len(near[x] - near[y]) * len(near[y] - near[x])
+        if crossed and pairs.holds(x, y):
+            probability += coin / len(piece.sources) / (pairs.total * crossed)
+    return probability
 
 
 # ---------------------------------------------------------------------------
@@ -375,53 +373,40 @@ def nudhy_joint_step(state: ChainState) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def state_degree_pso(G: BipartiteDigraph) -> int:
-    """Exact number of applicable parity swaps in G.
+def _slice_swap_count(left: list, right: list) -> int:
+    """Applicable swaps inside one slice.
 
-    Counted as disjoint same-direction arc pairs, minus pairs blocked by one
-    crossing arc (three-arc paths), plus twice the complete 2x2 bicliques that
-    the path count double-subtracts.
+    Counted as disjoint arc pairs, minus pairs blocked by one crossing arc
+    (three-arc paths), plus twice the complete 2x2 bicliques that the path
+    count double-subtracts.
     """
-    li = [len(s) for s in G.left_in]
-    lo = [len(s) for s in G.left_out]
-    ri = [len(s) for s in G.right_in]
-    ro = [len(s) for s in G.right_out]
-    m_plus = sum(lo)
-    m_minus = sum(li)
-
-    disjoint = (
-        m_plus * (m_plus + 1) - sum(x * x for x in lo) - sum(x * x for x in ri)
-    ) // 2 + (
-        m_minus * (m_minus + 1) - sum(x * x for x in li) - sum(x * x for x in ro)
-    ) // 2
-
+    lo = [len(s) for s in left]
+    ri = [len(s) for s in right]
+    m = sum(lo)
+    disjoint = (m * (m + 1) - sum(x * x for x in lo) - sum(x * x for x in ri)) // 2
     paths = 0
-    for v in range(G.left_count):
-        for a in G.left_out[v]:
+    for v, neighbors in enumerate(left):
+        for a in neighbors:
             paths += (lo[v] - 1) * (ri[a] - 1)
-        for a in G.left_in[v]:
-            paths += (li[v] - 1) * (ro[a] - 1)
-
-    bicliques = 0
-    for sides in (G.right_in, G.right_out):
-        pair_counts = Counter()
-        for members in sides:
-            ordered = sorted(members)
-            for x in range(len(ordered)):
-                for y in range(x + 1, len(ordered)):
-                    pair_counts[(ordered[x], ordered[y])] += 1
-        bicliques += sum(c * (c - 1) // 2 for c in pair_counts.values())
-
+    pair_counts = Counter()
+    for members in right:
+        ordered = sorted(members)
+        for x in range(len(ordered)):
+            for y in range(x + 1, len(ordered)):
+                pair_counts[(ordered[x], ordered[y])] += 1
+    bicliques = sum(c * (c - 1) // 2 for c in pair_counts.values())
     return disjoint - paths + 2 * bicliques
+
+
+def state_degree_pso(G: BipartiteDigraph) -> int:
+    """Exact number of applicable parity swaps in G, summed over its slices."""
+    return sum(_slice_swap_count(*_views(G, d)) for d in _SLICE_LAYOUT)
 
 
 def delta_state_degree_pso(G: BipartiteDigraph, p: SwapProposal) -> int:
     """Change in state_degree_pso if p were applied, from local counts only."""
     u, a, v, b = p.left1, p.right1, p.left2, p.right2
-    if p.direction == +1:
-        left_adj, right_adj = G.left_out, G.right_in
-    else:
-        left_adj, right_adj = G.left_in, G.right_out
+    left_adj, right_adj = _views(G, p.direction)
     d_paths = (len(left_adj[u]) - len(left_adj[v])) * (len(right_adj[b]) - len(right_adj[a]))
     d_bicliques = 0
     for w in right_adj[b] - right_adj[a]:
@@ -456,12 +441,9 @@ def nudhy_degs_mh_step(state: ChainState) -> bool:
         v, b, d2 = edges[j]
         if d1 != d2 or u == v or a == b:
             continue
-        if d1 == +1:
-            if b in G.left_out[u] or a in G.left_out[v]:
-                continue
-        else:
-            if b in G.left_in[u] or a in G.left_in[v]:
-                continue
+        left = state.slices[d1].views[LEFT]
+        if b in left[u] or a in left[v]:
+            continue
         proposal = SwapProposal(u, a, v, b, d1)
         break
     delta = delta_state_degree_pso(G, proposal)
@@ -500,9 +482,10 @@ def null_sample(H: DirectedHypergraph, seed: int) -> DirectedHypergraph:
     return DirectedHypergraph(edges, n, labels)
 
 
-_STEP_FUNCTIONS = {
-    "degs": nudhy_degs_step,
-    "joint": nudhy_joint_step,
+# The chain step of every swap model.
+STEP_FUNCTIONS = {
+    "degs": _slice_step,
+    "joint": _slice_step,
     "degs-mh": nudhy_degs_mh_step,
 }
 
@@ -522,7 +505,7 @@ def run_chain(H: DirectedHypergraph, config: ChainConfig):
         return
     G0 = to_bipartite(H)
     steps = config.resolved_steps(G0)
-    step = _STEP_FUNCTIONS[config.model]
+    step = STEP_FUNCTIONS[config.model]
     thinning = config.thinning if config.thinning is not None else steps
     if thinning == steps:
         for index in range(config.sample_count):
@@ -545,67 +528,3 @@ def run_chain(H: DirectedHypergraph, config: ChainConfig):
             for _ in range(thinning):
                 step(state)
             yield to_hypergraph(state.graph)
-
-
-# ---------------------------------------------------------------------------
-# Transition probabilities (used by the symmetry property tests)
-# ---------------------------------------------------------------------------
-
-
-def degs_step_probability(G: BipartiteDigraph, p: SwapProposal, heads_prob=None) -> float:
-    """Probability that one degree-chain step proposes exactly the swap p."""
-    m_plus, m_minus = G.plus_edges(), G.minus_edges()
-    total = m_plus + m_minus
-    u, a, v, b = p.left1, p.right1, p.left2, p.right2
-    if p.direction == +1:
-        direction_prob = heads_prob if heads_prob is not None else m_plus / total
-        pool = sum(1 for s in G.left_out if s)
-        diff = len(G.left_out[u] - G.left_out[v]) * len(G.left_out[v] - G.left_out[u])
-    else:
-        direction_prob = (
-            (1.0 - heads_prob) if heads_prob is not None else m_minus / total
-        )
-        pool = sum(1 for s in G.right_out if s)
-        diff = len(G.right_out[a] - G.right_out[b]) * len(G.right_out[b] - G.right_out[a])
-    pairs = pool * (pool - 1) // 2
-    if pairs == 0 or diff == 0:
-        return 0.0
-    return direction_prob / pairs / diff
-
-
-def joint_step_probability(G: BipartiteDigraph, p: SwapProposal) -> float:
-    """Probability that one joint-chain step proposes exactly the swap p.
-
-    Sums the left-class and right-class sampling routes; a route contributes
-    only when its endpoint pair shares a degree class.
-    """
-    li = [len(s) for s in G.left_in]
-    lo = [len(s) for s in G.left_out]
-    ri = [len(s) for s in G.right_in]
-    ro = [len(s) for s in G.right_out]
-    m_plus, m_minus = sum(lo), sum(li)
-    total_arcs = m_plus + m_minus
-    classes = _build_degree_classes(G)
-    u, a, v, b = p.left1, p.right1, p.left2, p.right2
-    probability = 0.0
-    if p.direction == +1:
-        direction_prob = m_plus / total_arcs
-        if (li[u], lo[u]) == (li[v], lo[v]) and classes.left_plus.total:
-            diff = len(G.left_out[u] - G.left_out[v]) * len(G.left_out[v] - G.left_out[u])
-            if diff:
-                probability += direction_prob * 0.5 / (classes.left_plus.total * diff)
-        if (ri[a], ro[a]) == (ri[b], ro[b]) and classes.right_minus.total:
-            diff = len(G.right_in[a] - G.right_in[b]) * len(G.right_in[b] - G.right_in[a])
-            if diff:
-                probability += direction_prob * 0.5 / (classes.right_minus.total * diff)
-    else:
-        direction_prob = m_minus / total_arcs
-        if (li[u], lo[u]) == (li[v], lo[v]) and classes.left_minus.total:
-            diff = len(G.left_in[u] - G.left_in[v]) * len(G.left_in[v] - G.left_in[u])
-            if diff:
-                probability += direction_prob * 0.5 / (classes.left_minus.total * diff)
-        if (ri[a], ro[a]) == (ri[b], ro[b]) and classes.right_plus.total:
-            diff = len(G.right_out[a] - G.right_out[b]) * len(G.right_out[b] - G.right_out[a])
-            if diff:
-                probability += direction_prob * 0.5 / (classes.right_plus.total * diff)
-    return probability

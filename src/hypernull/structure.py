@@ -22,9 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BipartiteDigraph, DirectedHypergraph, Hyperedge, UndirectedHypergraph, merge_to_undirected
-
-SIDES = ("head", "tail")
+from .core import SIDES, BipartiteDigraph, DirectedHypergraph, Hyperedge, UndirectedHypergraph, merge_to_undirected
 
 
 def _check_side(side: str) -> None:

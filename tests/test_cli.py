@@ -8,13 +8,8 @@ import json
 
 import pytest
 
-from hypernull.cli import (
-    _fmt,
-    _parallel_map,
-    _parse_model_dirs,
-    _resolve_threads,
-    main,
-)
+import hypernull.cli
+from hypernull.cli import _fmt, _parse_model_dirs, main
 from hypernull.core import (
     format_hypergraph,
     merge_to_undirected,
@@ -496,27 +491,6 @@ class TestHelpers:
         assert _fmt(5) == "5"
         assert _fmt(2.0) == "2"
 
-    def test_resolve_threads_prefers_env(self, monkeypatch):
-        monkeypatch.setenv("NUDHY_THREADS", "3")
-        assert _resolve_threads(8) == 3
-        monkeypatch.delenv("NUDHY_THREADS")
-        assert _resolve_threads(8) == 8
-        assert _resolve_threads(None) >= 1
-
-    def test_resolve_threads_rejects_nonpositive(self, monkeypatch):
-        monkeypatch.setenv("NUDHY_THREADS", "0")
-        with pytest.raises(ValueError):
-            _resolve_threads(None)
-
-    def test_parallel_map_preserves_order(self):
-        items = list(range(40))
-        assert _parallel_map(lambda x: x * x, items, 4) == [
-            x * x for x in items
-        ]
-        assert _parallel_map(lambda x: x + 1, items, 1) == [
-            x + 1 for x in items
-        ]
-
     def test_parse_model_dirs_rejects_bad_entries(self, tmp_path):
         with pytest.raises(ValueError, match="MODEL=DIR"):
             _parse_model_dirs(["degs"])
@@ -542,13 +516,34 @@ class TestHelpers:
         with pytest.raises(ValueError, match="no .dhg sample files"):
             _parse_model_dirs([f"m={d}"])
 
-    def test_threads_flag_does_not_change_output(self, tmp_path, toy,
-                                                 sample_dir, monkeypatch):
-        outs = []
-        for threads in (1, 4):
-            out = tmp_path / f"spec_{threads}.csv"
-            assert run(["metric", "spectrum", "--input", toy, "--samples",
-                        sample_dir, "--k", 3, "--threads", threads,
-                        "--output", out]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+    def test_manifest_is_the_sample_list(self, tmp_path, toy):
+        # A smaller run into the same directory leaves sample_1/2.dhg behind;
+        # only the sample its manifest lists is read.
+        out = tmp_path / "s"
+        for count in (3, 1):
+            assert run(["sample", "--input", toy, "--samples", count,
+                        "--seed", count, "--output-dir", out]) == 0
+        assert (out / "sample_2.dhg").exists()
+        rec = tmp_path / "rec.csv"
+        assert run(["metric", "reciprocity", "--input", toy, "--samples", out,
+                    "--output", rec]) == 0
+        _, rows = read_rows(rec)
+        assert rows[0][3] == "1"
+
+    def test_sample_not_matching_manifest_is_rejected(self, sample_dir):
+        (sample_dir / "sample_1.dhg").write_text(TOY, encoding="utf-8")
+        with pytest.raises(ValueError, match="sample_1.dhg differs"):
+            _parse_model_dirs([f"m={sample_dir}"])
+        (sample_dir / "sample_1.dhg").unlink()
+        with pytest.raises(ValueError, match="sample_1.dhg is listed"):
+            _parse_model_dirs([f"m={sample_dir}"])
+
+    def test_programming_error_is_not_a_user_error(self, tmp_path, toy,
+                                                   monkeypatch):
+        def broken(args, manifest):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(hypernull.cli, "cmd_convert", broken)
+        with pytest.raises(KeyError):
+            run(["convert", "--input", toy, "--to", "directed",
+                 "--output", tmp_path / "x.dhg"])

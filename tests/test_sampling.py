@@ -22,12 +22,10 @@ from hypernull.sampling import (
     ChainConfig,
     FrozenEnsembleError,
     SwapProposal,
+    LEFT,
     apply_pso,
-    apply_rpso,
-    degs_step_probability,
     delta_state_degree_pso,
     derive_seed,
-    joint_step_probability,
     make_chain_state,
     null_sample,
     nudhy_degs_mh_step,
@@ -35,6 +33,7 @@ from hypernull.sampling import (
     nudhy_joint_step,
     run_chain,
     state_degree_pso,
+    step_probability,
 )
 
 TOY = "1|2,6\n3|4\n6|3,5\n"
@@ -219,39 +218,27 @@ class TestApplyPso:
 
 
 class TestApplyRpso:
+    """Restricted parity swaps: apply_pso on a pair that shares its degree
+    class keeps the joint tensor."""
+
     def test_toy_tail_swap_preserves_joint(self):
         H = parse_hypergraph(TOY)
         G = to_bipartite(H)
         J0 = compute_joint(G)
         u = H.labels.index(2)
         v = H.labels.index(5)
-        apply_rpso(G, SwapProposal(u, 0, v, 2, -1))
+        apply_pso(G, SwapProposal(u, 0, v, 2, -1))
         assert to_hypergraph(G) == parse_hypergraph("1|5,6\n3|4\n6|2,3")
         assert compute_joint(G) == J0
-
-    def test_degree_condition_enforced(self):
-        G = to_bipartite(parse_hypergraph("1|2\n2,3|4\n"))
-        li = [len(s) for s in G.left_in]
-        lo = [len(s) for s in G.left_out]
-        ri = [len(s) for s in G.right_in]
-        ro = [len(s) for s in G.right_out]
-        unrestricted = [
-            p
-            for p in find_valid_proposals(G)
-            if (li[p.left1], lo[p.left1]) != (li[p.left2], lo[p.left2])
-            and (ri[p.right1], ro[p.right1]) != (ri[p.right2], ro[p.right2])
-        ]
-        assert unrestricted, "fixture must admit a plain swap that is not restricted"
-        for p in unrestricted:
-            with pytest.raises(AssertionError):
-                apply_rpso(G.copy(), p)
 
     def test_reversible(self):
         H = parse_hypergraph(TOY)
         G = to_bipartite(H)
+        J0 = compute_joint(G)
         p = SwapProposal(H.labels.index(2), 0, H.labels.index(5), 2, -1)
-        apply_rpso(G, p)
-        apply_rpso(G, p.reverse())
+        apply_pso(G, p)
+        assert compute_joint(G) == J0
+        apply_pso(G, p.reverse())
         assert to_hypergraph(G) == H
 
 
@@ -301,14 +288,15 @@ class TestDegsStep:
         assert p_value > 0.001
 
     def test_heads_prob_override_freezes_tails(self):
+        # The direction coin is shared by both slice-kernel models.
         H = parse_hypergraph("1,2|3,4\n3,4|1,2\n1,3|2,4\n")
-        G = to_bipartite(H)
-        tails_before = [frozenset(t) for t in G.right_out]
-        state = make_chain_state(G, seed=5, model="degs", heads_prob=1.0)
-        for _ in range(500):
-            nudhy_degs_step(state)
-        assert [frozenset(t) for t in G.right_out] == tails_before
-        assert degree_profile(G) == degree_profile(to_bipartite(H))
+        for model, step in (("degs", nudhy_degs_step), ("joint", nudhy_joint_step)):
+            G = to_bipartite(H)
+            tails_before = [frozenset(t) for t in G.right_out]
+            state = make_chain_state(G, seed=5, model=model, heads_prob=1.0)
+            assert sum(step(state) for _ in range(500)) > 0
+            assert [frozenset(t) for t in G.right_out] == tails_before
+            assert degree_profile(G) == degree_profile(to_bipartite(H))
 
 
 class TestJointStep:
@@ -321,7 +309,8 @@ class TestJointStep:
     def test_class_weights_normalize(self):
         G = to_bipartite(DEGS_ENSEMBLE)
         state = make_chain_state(G, seed=1, model="joint")
-        fam = state.degree_classes.left_plus
+        side, fam = state.slices[+1].sources[0]
+        assert side == LEFT
         # Three left vertices share (in=0, out=1); one has (0, 2).
         assert fam.total == math.comb(3, 2)
         assert fam.cumulative[-1] == fam.total
@@ -606,10 +595,10 @@ class TestStepProbabilities:
             if not proposals:
                 continue
             p = proposals[rng.randrange(len(proposals))]
-            forward = degs_step_probability(G, p)
+            forward = step_probability(G, p, "degs")
             assert forward > 0
             apply_pso(G, p)
-            backward = degs_step_probability(G, p.reverse())
+            backward = step_probability(G, p.reverse(), "degs")
             assert forward == pytest.approx(backward)
             checked += 1
 
@@ -617,10 +606,10 @@ class TestStepProbabilities:
         H = parse_hypergraph(TOY)
         G = to_bipartite(H)
         p = SwapProposal(H.labels.index(2), 0, H.labels.index(5), 2, -1)
-        forward = joint_step_probability(G, p)
+        forward = step_probability(G, p, "joint")
         assert forward > 0
-        apply_rpso(G, p)
-        assert joint_step_probability(G, p.reverse()) == pytest.approx(forward)
+        apply_pso(G, p)
+        assert step_probability(G, p.reverse(), "joint") == pytest.approx(forward)
 
     def test_joint_two_routes_add(self):
         # Two heads {0,1} and {2,3}: the swap endpoints share degree classes on
@@ -635,10 +624,10 @@ class TestStepProbabilities:
         G = to_bipartite(H)
         p = SwapProposal(0, 0, 2, 1, +1)
         # Left route: 1/2 * 1/C(4,2) * 1/(1*1); right route: 1/2 * 1/C(2,2) * 1/(2*2).
-        assert joint_step_probability(G, p) == pytest.approx(1 / 12 + 1 / 8)
+        assert step_probability(G, p, "joint") == pytest.approx(1 / 12 + 1 / 8)
 
     def test_degs_probability_value(self):
         # Two disjoint head-only edges: one pair, both crossed sets singletons.
         G = to_bipartite(parse_hypergraph("1|\n2|"))
         (p,) = find_valid_proposals(G)
-        assert degs_step_probability(G, p) == pytest.approx(1.0)
+        assert step_probability(G, p, "degs") == pytest.approx(1.0)

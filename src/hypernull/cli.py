@@ -21,6 +21,7 @@ import platform
 import statistics
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -255,25 +256,31 @@ def cmd_convert(args, manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _invariant_summary(H: DirectedHypergraph, model: str):
-    """The structure a sampler must preserve, in JSON-ready canonical form.
+def _invariants(H: DirectedHypergraph, model: str):
+    """The structure a sampler must preserve, as directly comparable values.
 
     Edge copies carry no identity across serialization, so sizes are compared
-    as a sorted multiset of (head size, tail size) pairs; node degrees align
-    by external id because swaps never change any node's degree.
+    as a multiset of (head size, tail size) pairs; node degrees align by
+    external id because swaps never change any node's degree.
     """
-    profile = degree_profile(to_bipartite(H))
-    sizes = sorted(zip(profile.right_in, profile.right_out))
-    if model in ("degs", "degs-mh"):
-        return [
-            list(profile.left_in),
-            list(profile.left_out),
-            [list(pair) for pair in sizes],
-        ]
+    G = to_bipartite(H)
     if model == "joint":
-        joint = compute_joint(to_bipartite(H))
-        return sorted([list(key), count] for key, count in joint.counts.items())
-    return [list(pair) for pair in sizes]
+        return compute_joint(G).counts
+    profile = degree_profile(G)
+    sizes = Counter(zip(profile.right_in, profile.right_out))
+    if model in ("degs", "degs-mh"):
+        return profile.left_in, profile.left_out, sizes
+    return sizes
+
+
+def _canonical(invariants, model: str):
+    """JSON-ready canonical form of _invariants(H, model)."""
+    if model == "joint":
+        return sorted([list(key), count] for key, count in invariants.items())
+    if model in ("degs", "degs-mh"):
+        left_in, left_out, sizes = invariants
+        return [left_in, left_out, _canonical(sizes, "null")]
+    return [list(pair) for pair in sorted(invariants.elements())]
 
 
 def cmd_sample(args, manifest: RunManifest) -> int:
@@ -287,7 +294,10 @@ def cmd_sample(args, manifest: RunManifest) -> int:
         sample_count=args.samples,
         thinning=args.thinning,
     )
-    expected = _invariant_summary(H, args.model)
+    expected = _invariants(H, args.model)
+    expected_sha256 = _sha256(
+        json.dumps(_canonical(expected, args.model), sort_keys=True).encode()
+    )
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
@@ -296,18 +306,16 @@ def cmd_sample(args, manifest: RunManifest) -> int:
         path.write_text(format_hypergraph(sample), encoding="utf-8")
         record = {"file": path.name, "sha256": _hash_file(path)}
         if not args.no_verify:
-            written = _invariant_summary(_load_directed(path), args.model)
+            written = _invariants(_load_directed(path), args.model)
             if written != expected:
                 print(
                     f"invariant verification failed for {path}\n"
-                    f"expected: {json.dumps(expected)}\n"
-                    f"found:    {json.dumps(written)}",
+                    f"expected: {json.dumps(_canonical(expected, args.model))}\n"
+                    f"found:    {json.dumps(_canonical(written, args.model))}",
                     file=sys.stderr,
                 )
                 return 1
-            record["invariant_sha256"] = _sha256(
-                json.dumps(written, sort_keys=True).encode()
-            )
+            record["invariant_sha256"] = expected_sha256
         records.append(record)
     manifest.seed = args.seed
     manifest.invariants["model"] = args.model

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.stats import chi2
-
 from hypernull.core import SIDES, DirectedHypergraph, to_bipartite, to_hypergraph
 from hypernull.sampling import STEP_FUNCTIONS, derive_seed, make_chain_state
 
@@ -329,4 +327,6 @@ def chi_square_uniformity(visit_counts) -> float:
             f"expected count per state is {expected:.2f} < 5; run more steps"
         )
     statistic = sum((c - expected) ** 2 / expected for c in counts)
+    from scipy.stats import chi2  # imported here: scipy.stats costs every CLI process ~1 s
+
     return float(chi2.sf(statistic, k - 1))

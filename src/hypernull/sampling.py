@@ -18,6 +18,18 @@ The models differ only in their pair sources:
   degree class, classes weighted by their pair counts.  Degree classes never
   change, so the swap also keeps the full joint degree tensor.
 
+The crossed endpoints are drawn by rejection, never by building the set
+difference.  The chain state keeps a draw list per vertex, per side and per
+slice, made as sorted(N(x)) the first time x is drawn from: a uniform position
+of x's list is accepted when its element is not in N(y).  After _DRAW_TRIES
+rejections the draw falls back to the exact difference, scanned in list
+order, so every element of N(x) - N(y) has the same probability and each
+step proposes each swap with the same probability as a draw from the sorted
+difference.  A swap keeps every neighbour set's size, so the near-side lists
+of x and y are updated in place at the drawn positions; the far-side lists of
+the two endpoints are dropped and rebuilt at their next draw (only "joint"
+draws from both sides).
+
 A Metropolis-Hastings variant ("degs-mh") targets the degree ensemble through
 uniform arc-pair proposals over both slices, corrected by the exact count of
 applicable swaps.  The "null" model keeps only the head/tail size sequences.
@@ -49,6 +61,9 @@ _SLICE_LAYOUT = {
     +1: ("left_out", "right_in", LEFT),
     -1: ("left_in", "right_out", RIGHT),
 }
+
+# Uniform positions tried before a draw scans the exact difference.
+_DRAW_TRIES = 8
 
 
 class FrozenEnsembleError(RuntimeError):
@@ -226,12 +241,18 @@ def _slices(G: BipartiteDigraph, model: str) -> dict:
 
 @dataclass
 class ChainState:
-    """Mutable sampler state: the graph plus the per-model static indexes."""
+    """Mutable sampler state: the graph plus the per-model static indexes.
+
+    order[direction][side][v] is v's draw list: None until the kernel first
+    draws from v, then a permutation of slices[direction].views[side][v] that
+    the kernel keeps current.
+    """
 
     graph: BipartiteDigraph
     rng: random.Random
     heads_prob: float
     slices: dict
+    order: dict
     swap_count: int | None = None
     edge_list: list | None = None
     debug: bool = False
@@ -250,11 +271,13 @@ def make_chain_state(
     debug: bool = False,
 ) -> ChainState:
     """Initialize a chain on G (owned by the chain and mutated in place)."""
+    slices = _slices(G, model)
     state = ChainState(
         graph=G,
         rng=random.Random(seed),
         heads_prob=_default_heads_prob(G) if heads_prob is None else heads_prob,
-        slices=_slices(G, model),
+        slices=slices,
+        order={d: tuple([None] * len(view) for view in s.views) for d, s in slices.items()},
         debug=debug,
     )
     if model == "degs-mh":
@@ -293,16 +316,35 @@ def apply_pso(G: BipartiteDigraph, p: SwapProposal) -> None:
     _swap(left, right, p.left1, p.right1, p.left2, p.right2)
 
 
-def _pick_diff(rng, first: set, second: set):
-    """Uniform element of first - second, or None if the difference is empty.
+def _draw_diff(rng, order: list, v: int, first: set, second: set):
+    """(position, element) of a uniform element of first - second in v's
+    draw list order[v], or None if the difference is empty.
 
-    Sorted before drawing so the choice depends only on the rng stream, not on
-    set iteration order.
+    first is v's neighbour set; its list is built sorted on first use, so the
+    draw depends only on the rng stream, not on set iteration order.
     """
-    candidates = sorted(first - second)
-    if not candidates:
+    listed = order[v]
+    if listed is None:
+        listed = order[v] = sorted(first)
+    for _ in range(_DRAW_TRIES):
+        position = rng.randrange(len(listed))
+        if listed[position] not in second:
+            return position, listed[position]
+    positions = [i for i, element in enumerate(listed) if element not in second]
+    if not positions:
         return None
-    return candidates[rng.randrange(len(candidates))]
+    position = positions[rng.randrange(len(positions))]
+    return position, listed[position]
+
+
+def _check_order(state: ChainState) -> None:
+    """Assert that every built draw list is a permutation of its set."""
+    for direction, piece in state.slices.items():
+        for view, lists in zip(piece.views, state.order[direction]):
+            for v, listed in enumerate(lists):
+                assert listed is None or (
+                    len(listed) == len(view[v]) and set(listed) == view[v]
+                ), "draw list out of step with its neighbour set"
 
 
 def _slice_step(state: ChainState) -> bool:
@@ -320,14 +362,22 @@ def _slice_step(state: ChainState) -> bool:
     if pair is None:
         return False
     x, y = pair
-    near = piece.views[side]
-    x_end = _pick_diff(rng, near[x], near[y])
-    y_end = _pick_diff(rng, near[y], near[x])
-    if x_end is None or y_end is None:
+    near, order = piece.views[side], state.order[piece.direction][side]
+    x_draw = _draw_diff(rng, order, x, near[x], near[y])
+    if x_draw is None:
         return False
+    y_draw = _draw_diff(rng, order, y, near[y], near[x])
+    if y_draw is None:
+        return False
+    (x_position, x_end), (y_position, y_end) = x_draw, y_draw
     _swap(near, piece.views[1 - side], x, x_end, y, y_end)
+    order[x][x_position] = y_end
+    order[y][y_position] = x_end
+    far_order = state.order[piece.direction][1 - side]
+    far_order[x_end] = far_order[y_end] = None
     if state.debug:
         state.graph.validate()
+        _check_order(state)
     return True
 
 

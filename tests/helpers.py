@@ -1,5 +1,6 @@
-"""Shared test helpers: deterministic random generators and brute-force recount
-oracles used to cross-check the package implementations."""
+"""Shared test helpers: deterministic random generators, brute-force recount
+oracles used to cross-check the package implementations, and the thinned
+visit counter of the chain uniformity tests."""
 
 from collections import Counter
 
@@ -54,3 +55,25 @@ def recount_joint(G):
     for v, a, d in G.edges():
         counts[(li[v], lo[v], ri[a], ro[a], d)] += 1
     return dict(counts)
+
+
+# Chain states between two recorded visits of thinned_visits.
+VISIT_THINNING = 10
+
+
+def thinned_visits(step, state, key, steps):
+    """Counts of key(state.graph) over every VISIT_THINNING-th state of a
+    steps-step walk.
+
+    Consecutive states of a swap chain are autocorrelated: self-loops and
+    back-swaps repeat the state before, so a chi-square test that counts every
+    state as an independent draw overstates its evidence and fails unbiased
+    chains at some seeds.  Every 10th state of the enumerable test ensembles
+    is close enough to independent for the test's p > 0.001 threshold.
+    """
+    visits = Counter()
+    for t in range(1, steps + 1):
+        step(state)
+        if t % VISIT_THINNING == 0:
+            visits[key(state.graph)] += 1
+    return visits

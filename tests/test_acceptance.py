@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import random_hypergraph
+from helpers import random_hypergraph, thinned_visits
 from hypernull.cli import main
 from hypernull.contagion import (
     DEFAULT_THRESHOLDS,
@@ -357,11 +357,8 @@ class TestUniformityAtDeskScale:
         assert 1 < len(states) <= 200
         G = to_bipartite(DESK_INSTANCE)
         state = make_chain_state(G, seed=42, model="degs")
-        visits = Counter()
         started = time.perf_counter()
-        for _ in range(1_000_000):
-            nudhy_degs_step(state)
-            visits[bipartite_key(G)] += 1
+        visits = thinned_visits(nudhy_degs_step, state, bipartite_key, 1_000_000)
         assert set(visits) == set(states)
         _, p_value = stats.chisquare(list(visits.values()))
         assert p_value > 0.001
@@ -378,11 +375,8 @@ class TestUniformityAtDeskScale:
         assert 1 < len(subensemble) < len(states)
         G = to_bipartite(DESK_INSTANCE)
         state = make_chain_state(G, seed=43, model="joint")
-        visits = Counter()
         started = time.perf_counter()
-        for _ in range(1_000_000):
-            nudhy_joint_step(state)
-            visits[bipartite_key(G)] += 1
+        visits = thinned_visits(nudhy_joint_step, state, bipartite_key, 1_000_000)
         assert set(visits) == subensemble
         _, p_value = stats.chisquare(list(visits.values()))
         assert p_value > 0.001

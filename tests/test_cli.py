@@ -5,6 +5,10 @@ output, the run manifest, exit codes, and byte-for-byte determinism.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -547,3 +551,13 @@ class TestHelpers:
         with pytest.raises(KeyError):
             run(["convert", "--input", toy, "--to", "directed",
                  "--output", tmp_path / "x.dhg"])
+
+    def test_import_leaves_scipy_out(self):
+        # scipy.stats takes about a second to import, and only the chi-square
+        # uniformity test needs it, so no subcommand should pay for it.
+        src = Path(hypernull.cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import sys, hypernull.cli; print('scipy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True, timeout=120)
+        assert result.stdout.strip() == "False"

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from scipy import stats
 
-from helpers import random_hypergraph
+from helpers import random_hypergraph, thinned_visits
 from hypernull.core import (
     DirectedHypergraph,
     Hyperedge,
@@ -21,8 +21,10 @@ from hypernull.core import (
 from hypernull.sampling import (
     ChainConfig,
     FrozenEnsembleError,
+    STEP_FUNCTIONS,
     SwapProposal,
     LEFT,
+    _draw_diff,
     apply_pso,
     delta_state_degree_pso,
     derive_seed,
@@ -247,6 +249,57 @@ class TestApplyRpso:
 # ---------------------------------------------------------------------------
 
 
+class TestDrawDiff:
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (set(range(20)), set(range(10, 30))),  # half of first accepted
+            (set(range(100)), set(range(3, 100))),  # 3 of 100: mostly the fallback scan
+        ],
+        ids=["rejection", "fallback"],
+    )
+    def test_uniform_over_difference(self, first, second):
+        rng = random.Random(79)
+        order = [None]
+        counts = Counter()
+        for _ in range(30_000):
+            position, element = _draw_diff(rng, order, 0, first, second)
+            assert order[0][position] == element
+            counts[element] += 1
+        assert set(counts) == first - second
+        _, p_value = stats.chisquare(list(counts.values()))
+        assert p_value > 0.001
+        assert sorted(order[0]) == sorted(first)
+
+    def test_empty_difference_is_none(self):
+        assert _draw_diff(random.Random(1), [None], 0, {1, 2}, {1, 2, 3}) is None
+
+    @pytest.mark.parametrize("model", ["degs", "joint"])
+    def test_draw_lists_stay_permutations(self, model):
+        # Every node is in 3 heads and 2 tails: one degree class per side, so
+        # "joint" draws from, and swaps on, both sides of both slices.
+        H = DirectedHypergraph(
+            [
+                Hyperedge(frozenset({i, (i + 1) % 10, (i + 2) % 10}),
+                          frozenset({(i + 4) % 10, (i + 5) % 10}))
+                for i in range(10)
+            ],
+            10,
+        )
+        G = to_bipartite(H)
+        state = make_chain_state(G, seed=1, model=model, debug=True)
+        step = STEP_FUNCTIONS[model]
+        assert sum(step(state) for _ in range(10_000)) > 0
+        built = 0
+        for direction, piece in state.slices.items():
+            for view, lists in zip(piece.views, state.order[direction]):
+                for v, listed in enumerate(lists):
+                    if listed is not None:
+                        assert sorted(listed) == sorted(view[v])
+                        built += 1
+        assert built > 0
+
+
 class TestDegsStep:
     def test_single_edge_always_self_loops(self):
         G = to_bipartite(parse_hypergraph("1|2"))
@@ -279,10 +332,7 @@ class TestDegsStep:
         assert len(expected_states) == 12
         G = to_bipartite(DEGS_ENSEMBLE)
         state = make_chain_state(G, seed=7, model="degs")
-        visits = Counter()
-        for _ in range(100_000):
-            nudhy_degs_step(state)
-            visits[state_key(G)] += 1
+        visits = thinned_visits(nudhy_degs_step, state, state_key, 100_000)
         assert set(visits) == expected_states
         _, p_value = stats.chisquare(list(visits.values()))
         assert p_value > 0.001
@@ -338,10 +388,7 @@ class TestJointStep:
                 same_joint.add(key)
         assert len(same_joint) == 6
         state = make_chain_state(G0, seed=11, model="joint")
-        visits = Counter()
-        for _ in range(100_000):
-            nudhy_joint_step(state)
-            visits[state_key(G0)] += 1
+        visits = thinned_visits(nudhy_joint_step, state, state_key, 100_000)
         assert set(visits) == same_joint
         _, p_value = stats.chisquare(list(visits.values()))
         assert p_value > 0.001
@@ -442,10 +489,7 @@ class TestMhStep:
         expected_states = enumerate_margin_states(to_bipartite(DEGS_ENSEMBLE))
         G = to_bipartite(DEGS_ENSEMBLE)
         state = make_chain_state(G, seed=13, model="degs-mh")
-        visits = Counter()
-        for _ in range(100_000):
-            nudhy_degs_mh_step(state)
-            visits[state_key(G)] += 1
+        visits = thinned_visits(nudhy_degs_mh_step, state, state_key, 100_000)
         assert set(visits) == expected_states
         _, p_value = stats.chisquare(list(visits.values()))
         assert p_value > 0.001

@@ -34,15 +34,9 @@ from hypernull.core import (
 )
 from hypernull.affinity import (
     CategoryPartition,
-    HomophilyResult,
-    MeanRatio,
     affinity,
     affinity_baseline,
     affinity_head1,
-    affinity_report,
-    edge_homophily_mass,
-    homophily,
-    mean_affinity_ratio,
 )
 from hypernull.diagnostics import (
     FrequentItemsetSet,
@@ -52,9 +46,7 @@ from hypernull.diagnostics import (
     chi_square_uniformity,
     kendall_tau,
     mine_top_frequent,
-    ndcg,
     plateau_checkpoint,
-    ranking_from_scores,
     spearman,
     transaction_db,
 )
@@ -79,12 +71,10 @@ from hypernull.contagion import (
     SISConfig,
     SISState,
     StationaryResult,
-    SweepPoint,
     Thresholds,
     gillespie_step,
     load_thresholds,
     make_sis_state,
-    phase_sweep,
     run_quasi_stationary,
     run_stationary,
 )
@@ -96,7 +86,6 @@ from hypernull.econ import (
     RcaMatrix,
     TradeRecord,
     TradeTable,
-    build_biadjacency,
     complexity_scores,
     eci_pci,
     fitness_quality,
@@ -123,7 +112,6 @@ from hypernull.structure import (
     pagerank,
     project_weighted,
     search_reciprocal_set,
-    spectral_distance,
     structural_entropy,
 )
 

@@ -1,24 +1,20 @@
-"""Group affinity and homophily for labeled directed hypergraphs.
+"""Group affinity for labeled directed hypergraphs.
 
 The (alpha, beta, k)-affinity of a class measures how often its members sit in
 the tail of a size-k hyperedge whose size-beta head contains exactly alpha
-class members.  Observed scores are compared against the mean over randomized
-samples and against a closed-form hypergeometric baseline.  The single-head
-special case (one sponsor, many co-sponsors) gets dedicated helpers, including
-the per-sponsor homophily mass.
+class members.  Every function here measures one hypergraph, or the
+closed-form hypergeometric baseline of a partition; comparing the observed
+value against randomized samples is the `affinity` subcommand's job.  The
+single-head special case (one sponsor, many co-sponsors) has its own, faster
+function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import fmean, pstdev
-from typing import NamedTuple
 
 from hypernull.core import DirectedHypergraph
-
-DEFAULT_SIZE_RANGE = tuple(range(2, 15))
-
 
 @dataclass(frozen=True)
 class CategoryPartition:
@@ -45,17 +41,6 @@ class CategoryPartition:
         if size == 0:
             raise ValueError(f"unknown category {category!r}")
         return size
-
-
-class MeanRatio(NamedTuple):
-    value: float
-    skipped: tuple
-
-
-class HomophilyResult(NamedTuple):
-    value: float | None
-    observed: float
-    sample_mean: float
 
 
 def _check_category(P: CategoryPartition, Xi) -> None:
@@ -133,117 +118,3 @@ def affinity_head1(H: DirectedHypergraph, P: CategoryPartition, Xi, k: int) -> f
     if denominator == 0:
         return None
     return numerator / denominator
-
-
-def _sample_mean_affinity(samples, P, Xi, k):
-    values = [affinity_head1(S, P, Xi, k) for S in samples]
-    defined = [v for v in values if v is not None]
-    if not defined:
-        return None
-    return fmean(defined)
-
-
-def mean_affinity_ratio(
-    H: DirectedHypergraph,
-    P: CategoryPartition,
-    Xi,
-    samples=None,
-    k_range=None,
-    use_baseline: bool = False,
-) -> MeanRatio:
-    """Mean over k of the observed single-sponsor affinity divided by its
-    reference: the sample mean, or the hypergeometric baseline.
-
-    Sizes where either term is undefined (or the reference is zero) are
-    skipped and reported in the result; all sizes undefined is an error.
-    """
-    if use_baseline == (samples is not None):
-        raise ValueError("provide samples or set use_baseline, not both")
-    if k_range is None:
-        k_range = DEFAULT_SIZE_RANGE
-    ratios = []
-    skipped = []
-    for k in k_range:
-        observed = affinity_head1(H, P, Xi, k)
-        if use_baseline:
-            reference = affinity_baseline(P, Xi, 1, 1, k)
-        else:
-            reference = _sample_mean_affinity(samples, P, Xi, k)
-        if observed is None or reference is None or reference == 0:
-            skipped.append(k)
-            continue
-        ratios.append(observed / reference)
-    if not ratios:
-        raise ValueError("affinity undefined for every hyperedge size in range")
-    return MeanRatio(fmean(ratios), tuple(skipped))
-
-
-def edge_homophily_mass(H: DirectedHypergraph, P: CategoryPartition, Xi) -> float:
-    """Total same-class tail fraction over hyperedges sponsored by class Xi.
-
-    Each single-head hyperedge whose sponsor is in Xi contributes the fraction
-    of its tail belonging to Xi; empty tails contribute nothing.
-    """
-    _check_category(P, Xi)
-    total = 0.0
-    for e in H.expanded_edges():
-        if len(e.head) != 1:
-            raise ValueError("homophily requires single-node heads")
-        (sponsor,) = e.head
-        if P.assignments[sponsor] != Xi or not e.tail:
-            continue
-        total += sum(1 for v in e.tail if P.assignments[v] == Xi) / len(e.tail)
-    return total
-
-
-def homophily(H: DirectedHypergraph, P: CategoryPartition, Xi, samples) -> HomophilyResult:
-    """Observed homophily mass over its mean across samples.
-
-    The ratio is None (undefined) when the sample mean vanishes; the observed
-    mass and sample mean are always reported alongside.
-    """
-    observed = edge_homophily_mass(H, P, Xi)
-    sample_mean = fmean([edge_homophily_mass(S, P, Xi) for S in samples])
-    if sample_mean == 0:
-        return HomophilyResult(None, observed, sample_mean)
-    return HomophilyResult(observed / sample_mean, observed, sample_mean)
-
-
-def affinity_report(
-    H: DirectedHypergraph, P: CategoryPartition, samples_by_model: dict, k_range=None
-) -> list:
-    """Per (category, k) single-sponsor affinity rows: observed value,
-    hypergeometric baseline, and mean/std/ratio per sampler model.
-
-    Undefined quantities are carried as None so downstream serialization can
-    mark them explicitly rather than coercing to zero.
-    """
-    if k_range is None:
-        k_range = DEFAULT_SIZE_RANGE
-    rows = []
-    for category in P.categories:
-        for k in k_range:
-            observed = affinity_head1(H, P, category, k)
-            models = {}
-            for model, samples in samples_by_model.items():
-                values = [affinity_head1(S, P, category, k) for S in samples]
-                defined = [v for v in values if v is not None]
-                if not defined:
-                    models[model] = {"mean": None, "std": None, "ratio": None}
-                    continue
-                mean = fmean(defined)
-                std = pstdev(defined)
-                ratio = None
-                if observed is not None and mean > 0:
-                    ratio = observed / mean
-                models[model] = {"mean": mean, "std": std, "ratio": ratio}
-            rows.append(
-                {
-                    "category": category,
-                    "k": k,
-                    "observed": observed,
-                    "baseline": affinity_baseline(P, category, 1, 1, k) if k >= 1 else None,
-                    "models": models,
-                }
-            )
-    return rows

@@ -9,6 +9,11 @@ checksums, and wall-clock timings.  Output files are byte-identical across
 re-runs with the same inputs and seed; the manifest differs only in its
 timings.  A sample directory's manifest lists its samples: commands that read
 the directory take exactly those files and reject one whose checksum differs.
+
+Every comparison of the observed hypergraph with its samples goes through one
+reducer, _reduce: a subcommand computes one statistic per row on each
+hypergraph, and each row reports the observed value with the mean, standard
+deviation and observed/mean ratio of the defined sample values.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import platform
 import statistics
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import hypernull
-from hypernull.affinity import CategoryPartition, affinity_report
+from hypernull.affinity import CategoryPartition, affinity_baseline, affinity_head1
 from hypernull.contagion import SISConfig, load_thresholds
 from hypernull.contagion import run_quasi_stationary, run_stationary
 from hypernull.core import (
@@ -94,16 +100,31 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(cell) for cell in row])
 
 
-def _mean_std(values):
-    if not values:
-        return None, None
-    return statistics.fmean(values), statistics.pstdev(values)
+def _reduce(observed, values):
+    """(mean, std, ratio) of the sample values of one statistic against its
+    observed value.
+
+    Undefined (None) sample values are dropped first; with none left every
+    field is None, and the ratio is None when the observed value is undefined
+    or the mean is zero.
+    """
+    defined = [value for value in values if value is not None]
+    if not defined:
+        return None, None, None
+    mean = statistics.fmean(defined)
+    ratio = None if observed is None or mean == 0 else observed / mean
+    return mean, statistics.pstdev(defined), ratio
 
 
-def _ratio(observed, mean):
-    if observed is None or mean is None or mean == 0:
-        return None
-    return observed / mean
+def _compare(measure, H, samples) -> list:
+    """(key, observed, mean, std, ratio) for each key of measure(H), a dict
+    of one hypergraph's values, reduced over the same key of every sample."""
+    observed = measure(H)
+    sampled = [measure(S) for S in samples]
+    return [
+        (key, value, *_reduce(value, [s[key] for s in sampled]))
+        for key, value in observed.items()
+    ]
 
 
 def _load_directed(path) -> DirectedHypergraph:
@@ -179,6 +200,15 @@ def _parse_model_dirs(entries) -> dict:
     return out
 
 
+def _load_samples(manifest, paths_by_model: dict, load=_load_directed):
+    """Yield (model, index, graph) for each file of {model: [paths]}, loading
+    one file at a time and recording it as an input of the run."""
+    for model, paths in paths_by_model.items():
+        for index, path in enumerate(paths):
+            manifest.add_input(path)
+            yield model, index, load(path)
+
+
 @dataclass
 class RunManifest:
     """Reproducibility record emitted by every subcommand: the exact command
@@ -218,8 +248,14 @@ class RunManifest:
         )
 
 
-def _manifest_path_for(output) -> Path:
-    return Path(str(output) + ".manifest.json")
+def _finish(manifest: RunManifest, *outputs, destination=None) -> int:
+    """Record the written files in the manifest, which goes to destination or
+    beside the first file, and report them."""
+    for path in outputs:
+        manifest.add_output(path)
+    manifest.destination = destination or Path(str(outputs[0]) + ".manifest.json")
+    print("wrote " + " and ".join(str(path) for path in outputs))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +281,7 @@ def cmd_convert(args, manifest: RunManifest) -> int:
             else format_hypergraph(undirected_to_directed(U))
         )
     Path(args.output).write_text(out, encoding="utf-8")
-    manifest.add_output(args.output)
-    manifest.destination = _manifest_path_for(args.output)
-    print(f"wrote {args.output}")
-    return 0
+    return _finish(manifest, args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +350,6 @@ def cmd_sample(args, manifest: RunManifest) -> int:
                 return 1
             record["invariant_sha256"] = expected_sha256
         records.append(record)
-    manifest.seed = args.seed
     manifest.invariants["model"] = args.model
     manifest.invariants["samples"] = records
     manifest.destination = out_dir / "manifest.json"
@@ -348,11 +380,7 @@ def cmd_converge(args, manifest: RunManifest) -> int:
         for k, value in trace[side]
     ]
     _write_csv(args.output, ("model", "side", "k", "arsd"), rows)
-    manifest.seed = args.seed
-    manifest.add_output(args.output)
-    manifest.destination = _manifest_path_for(args.output)
-    print(f"wrote {args.output}")
-    return 0
+    return _finish(manifest, args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +391,19 @@ def cmd_converge(args, manifest: RunManifest) -> int:
 def _metric_reciprocity(args, H, samples):
     observed = hypergraph_reciprocity(H).value
     values = [hypergraph_reciprocity(S).value for S in samples]
-    mean, std = _mean_std(values)
+    mean, std, ratio = _reduce(observed, values)
     header = ("observed", "sample_mean", "sample_std", "samples", "ratio")
-    return header, [(observed, mean, std, len(values), _ratio(observed, mean))]
+    return header, [(observed, mean, std, len(values), ratio)]
 
 
 def _metric_coreness(args, H, samples):
-    observed = hyper_core_decomposition(H, args.side).hypercoreness
-    profiles = [hyper_core_decomposition(S, args.side).hypercoreness for S in samples]
-    rows = []
-    for v in range(H.num_nodes):
-        mean, std = _mean_std([p[v] for p in profiles])
-        rows.append(
-            (H.label_of(v), observed[v], mean, std, _ratio(observed[v], mean))
-        )
+    rows = _compare(
+        lambda G: dict(enumerate(hyper_core_decomposition(G, args.side).hypercoreness)),
+        H,
+        samples,
+    )
     header = ("node", "observed", "sample_mean", "sample_std", "ratio")
-    return header, rows
+    return header, [(H.label_of(v), *fields) for v, *fields in rows]
 
 
 def _metric_entropy(args, H, samples):
@@ -393,29 +418,23 @@ def _metric_entropy(args, H, samples):
     return ("group", "entropy"), rows
 
 
-def _node_centralities(H: DirectedHypergraph):
+def _node_centralities(H: DirectedHypergraph) -> dict:
+    """{(node, 0/1/2): PageRank / hub / authority score}."""
     scores = pagerank(project_weighted(H))
     hubs, authorities = hits(to_bipartite(H))
-    n = H.num_nodes
-    return scores, hubs[:n], authorities[:n]
+    return {
+        (v, i): vector[v]
+        for i, vector in enumerate((scores, hubs, authorities))
+        for v in range(H.num_nodes)
+    }
 
 
 def _metric_centrality(args, H, samples):
-    pr, hub, auth = _node_centralities(H)
-    sampled = [_node_centralities(S) for S in samples]
-    rows = []
-    for v in range(H.num_nodes):
-        pr_mean, pr_std = _mean_std([s[0][v] for s in sampled])
-        hub_mean, hub_std = _mean_std([s[1][v] for s in sampled])
-        auth_mean, auth_std = _mean_std([s[2][v] for s in sampled])
-        rows.append(
-            (
-                H.label_of(v),
-                pr[v], pr_mean, pr_std,
-                hub[v], hub_mean, hub_std,
-                auth[v], auth_mean, auth_std,
-            )
-        )
+    compared = {key: fields for key, *fields in _compare(_node_centralities, H, samples)}
+    rows = [
+        (H.label_of(v), *(f for i in range(3) for f in compared[(v, i)][:3]))
+        for v in range(H.num_nodes)
+    ]
     header = (
         "node",
         "pagerank", "pagerank_mean", "pagerank_std",
@@ -426,12 +445,7 @@ def _metric_centrality(args, H, samples):
 
 
 def _metric_spectrum(args, H, samples):
-    observed = laplacian_spectrum(H, k=args.k)
-    spectra = [laplacian_spectrum(S, k=args.k) for S in samples]
-    rows = []
-    for i, value in enumerate(observed):
-        mean, std = _mean_std([s[i] for s in spectra])
-        rows.append((i, value, mean, std, _ratio(value, mean)))
+    rows = _compare(lambda G: dict(enumerate(laplacian_spectrum(G, k=args.k))), H, samples)
     header = ("index", "observed", "sample_mean", "sample_std", "ratio")
     return header, rows
 
@@ -447,16 +461,12 @@ _METRICS = {
 
 def cmd_metric(args, manifest: RunManifest) -> int:
     H = _load_directed(args.input)
-    paths = _sample_files(args.samples) if args.samples else []
-    header, rows = _METRICS[args.metric](args, H, [_load_directed(p) for p in paths])
     manifest.add_input(args.input)
-    for path in paths:
-        manifest.add_input(path)
+    paths = {"": _sample_files(args.samples) if args.samples else []}
+    samples = [S for _, _, S in _load_samples(manifest, paths)]
+    header, rows = _METRICS[args.metric](args, H, samples)
     _write_csv(args.output, header, rows)
-    manifest.add_output(args.output)
-    manifest.destination = _manifest_path_for(args.output)
-    print(f"wrote {args.output}")
-    return 0
+    return _finish(manifest, args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -475,39 +485,46 @@ def _partition_for(H: DirectedHypergraph, labels_path) -> CategoryPartition:
     return CategoryPartition(tuple(assignments))
 
 
+# Single-sponsor hyperedge sizes reported when --k-min/--k-max are not given.
+_AFFINITY_SIZES = range(2, 15)
+
+
 def cmd_affinity(args, manifest: RunManifest) -> int:
     H = _load_directed(args.input)
     manifest.add_input(args.input)
     manifest.add_input(args.labels)
     partition = _partition_for(H, args.labels)
-    samples_by_model = {}
-    for model, paths in _parse_model_dirs(args.samples).items():
-        samples_by_model[model] = [_load_directed(p) for p in paths]
-        for path in paths:
-            manifest.add_input(path)
-    k_range = None
+    sizes = _AFFINITY_SIZES
     if args.k_min is not None or args.k_max is not None:
         if args.k_min is None or args.k_max is None:
             raise ValueError("--k-min and --k-max must be given together")
-        k_range = range(args.k_min, args.k_max + 1)
+        if args.k_min > args.k_max:
+            raise ValueError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
+        sizes = range(args.k_min, args.k_max + 1)
+    keys = [(category, k) for category in partition.categories for k in sizes]
+
+    def measure(G):
+        return {key: affinity_head1(G, partition, *key) for key in keys}
+
+    observed = measure(H)
+    sampled = {}
+    for model, _, S in _load_samples(manifest, _parse_model_dirs(args.samples)):
+        sampled.setdefault(model, []).append(measure(S))
     rows = []
-    for row in affinity_report(H, partition, samples_by_model, k_range):
-        for model in sorted(row["models"]):
-            stats = row["models"][model]
-            rows.append(
-                (
-                    row["category"], row["k"], row["observed"], row["baseline"],
-                    model, stats["mean"], stats["std"], stats["ratio"],
-                )
-            )
+    for key in keys:
+        category, k = key
+        value = observed[key]
+        baseline = affinity_baseline(partition, category, 1, 1, k) if k >= 1 else None
+        if not sampled:
+            rows.append((category, k, value, baseline, None, None, None, None))
+        for model in sorted(sampled):
+            reduced = _reduce(value, [s[key] for s in sampled[model]])
+            rows.append((category, k, value, baseline, model, *reduced))
     header = (
         "category", "k", "observed", "baseline", "model", "mean", "std", "ratio"
     )
     _write_csv(args.output, header, rows)
-    manifest.add_output(args.output)
-    manifest.destination = _manifest_path_for(args.output)
-    print(f"wrote {args.output}")
-    return 0
+    return _finish(manifest, args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +546,7 @@ def cmd_econ_build(args, manifest: RunManifest) -> int:
         ("node_id", "label"),
         [(v, H.label_of(v)) for v in range(H.num_nodes)],
     )
-    manifest.add_output(args.output)
-    manifest.add_output(labels_path)
-    manifest.destination = _manifest_path_for(args.output)
-    print(f"wrote {args.output} and {labels_path}")
-    return 0
+    return _finish(manifest, args.output, labels_path)
 
 
 def cmd_econ_scores(args, manifest: RunManifest) -> int:
@@ -554,11 +567,7 @@ def cmd_econ_scores(args, manifest: RunManifest) -> int:
         ("product", "pci", "quality"),
         list(zip(scores.products, scores.pci, scores.quality)),
     )
-    manifest.add_output(country_path)
-    manifest.add_output(product_path)
-    manifest.destination = out_dir / "manifest.json"
-    print(f"wrote {country_path} and {product_path}")
-    return 0
+    return _finish(manifest, country_path, product_path, destination=out_dir / "manifest.json")
 
 
 def _country_scores(H: DirectedHypergraph):
@@ -575,18 +584,13 @@ def cmd_econ_compare(args, manifest: RunManifest) -> int:
     manifest.add_input(args.observed)
     countries, observed = _country_scores(H)
     samples = {}
-    for model, paths in _parse_model_dirs(args.samples).items():
-        vectors = {score: [] for score in observed}
-        for path in paths:
-            manifest.add_input(path)
-            sample_countries, scored = _country_scores(_load_directed(path))
-            if sample_countries != countries:
-                raise ValueError(
-                    f"sample country set differs from observed in {model!r}"
-                )
-            for score, vector in scored.items():
-                vectors[score].append(vector)
-        samples[model] = vectors
+    for model, _, S in _load_samples(manifest, _parse_model_dirs(args.samples)):
+        sample_countries, scored = _country_scores(S)
+        if sample_countries != countries:
+            raise ValueError(f"sample country set differs from observed in {model!r}")
+        vectors = samples.setdefault(model, {score: [] for score in observed})
+        for score, vector in scored.items():
+            vectors[score].append(vector)
     rows = [
         (
             row["sampler"], row["score"], row["samples"],
@@ -600,10 +604,7 @@ def cmd_econ_compare(args, manifest: RunManifest) -> int:
         "spearman_mean", "spearman_std", "kendall_mean", "kendall_std",
     )
     _write_csv(args.output, header, rows)
-    manifest.add_output(args.output)
-    manifest.destination = _manifest_path_for(args.output)
-    print(f"wrote {args.output}")
-    return 0
+    return _finish(manifest, args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -622,11 +623,8 @@ def _lambda_c_for(args, thresholds, nu: float):
 
 def cmd_contagion(args, manifest: RunManifest) -> int:
     manifest.add_input(args.input)
-    sources = [("observed", "", _load_undirected(args.input))]
-    for model, paths in _parse_model_dirs(args.samples).items():
-        for index, path in enumerate(paths):
-            manifest.add_input(path)
-            sources.append((model, str(index), _load_undirected(path)))
+    observed = [("observed", "", _load_undirected(args.input))]
+    paths = _parse_model_dirs(args.samples)
     thresholds = load_thresholds(args.thresholds)
     if args.thresholds:
         manifest.add_input(args.thresholds)
@@ -637,7 +635,8 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
         run_stationary if args.method == "stationary" else run_quasi_stationary
     )
     rows = []
-    for sampler, sample_id, substrate in sources:
+    samples = _load_samples(manifest, paths, _load_undirected)
+    for sampler, sample_id, substrate in itertools.chain(observed, samples):
         for nu in args.nu:
             lambda_c = _lambda_c_for(args, thresholds, nu)
             for index, lam in enumerate(grid):
@@ -666,11 +665,7 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
         "lambdaOverLambdaC", "rhoMean", "rhoStd", "method",
     )
     _write_csv(args.output, header, rows)
-    manifest.seed = args.seed
-    manifest.add_output(args.output)
-    manifest.destination = _manifest_path_for(args.output)
-    print(f"wrote {args.output}")
-    return 0
+    return _finish(manifest, args.output)
 
 
 # ---------------------------------------------------------------------------

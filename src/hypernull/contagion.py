@@ -18,13 +18,10 @@ import math
 import random
 import statistics
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from hypernull.core import UndirectedHypergraph
-from hypernull.sampling import derive_seed
-
-METHODS = ("stationary", "quasi-stationary")
 
 # Events between full recomputations of the per-edge counters and rate tree.
 RESYNC_EVERY = 100_000
@@ -36,7 +33,7 @@ DRIFT_TOLERANCE = 0.01
 
 class Thresholds(NamedTuple):
     """Invasion thresholds (linear and super-linear regime) and bistability
-    threshold of a dataset, consumed as inputs when rescaling sweep output."""
+    threshold of a dataset, consumed as inputs when rescaling `contagion` output."""
 
     lambda_linear: float
     lambda_superlinear: float
@@ -121,19 +118,6 @@ class StationaryResult(NamedTuple):
 
     mean: float
     std: float
-    absorbed: bool
-
-
-class SweepPoint(NamedTuple):
-    """One phase-diagram point: infection rate, rate over the supplied
-    invasion threshold (None when no threshold was given), density mean and
-    standard deviation, estimation method, and the absorption flag."""
-
-    lam: float
-    rescaled: float | None
-    rho_mean: float
-    rho_std: float
-    method: str
     absorbed: bool
 
 
@@ -400,49 +384,3 @@ def run_quasi_stationary(
     falls back to its initial condition.  The absorbed flag reports whether
     any revival happened (a sub-threshold signature)."""
     return _run(H, cfg, quasi_stationary=True)
-
-
-def phase_sweep(
-    H: UndirectedHypergraph,
-    lambda_grid,
-    cfg: SISConfig,
-    method="stationary",
-    lambda_c: float | None = None,
-) -> list:
-    """One stationary estimate per infection rate in lambda_grid.
-
-    method is a single name or one name per grid point ("stationary" or
-    "quasi-stationary"); each point runs on its own sub-seed derived from
-    cfg.seed, so the curve is reproducible and points are independent.
-    lambda_c fills the rescaled column (lam / lambda_c) when supplied.
-    """
-    grid = [float(lam) for lam in lambda_grid]
-    if isinstance(method, str):
-        methods = [method] * len(grid)
-    else:
-        methods = list(method)
-        if len(methods) != len(grid):
-            raise ValueError(
-                f"{len(grid)} grid points but {len(methods)} method entries"
-            )
-    unknown = set(methods) - set(METHODS)
-    if unknown:
-        raise ValueError(f"unknown method(s): {sorted(unknown)}")
-    curve = []
-    for index, (lam, name) in enumerate(zip(grid, methods)):
-        point_cfg = replace(
-            cfg, lam=lam, seed=derive_seed(cfg.seed or 0, "sweep", index)
-        )
-        runner = run_stationary if name == "stationary" else run_quasi_stationary
-        result = runner(H, point_cfg)
-        curve.append(
-            SweepPoint(
-                lam,
-                lam / lambda_c if lambda_c else None,
-                result.mean,
-                result.std,
-                name,
-                result.absorbed,
-            )
-        )
-    return curve

@@ -116,8 +116,8 @@ class BipartiteDigraph:
     right_in[a]  -- the head of right vertex a
     right_out[a] -- the tail of right vertex a
 
-    The two views are redundant on purpose: swaps update both, and validate()
-    cross-checks them.  A chain owns its graph exclusively while running.
+    The two views are redundant on purpose: swaps update both, and the tests
+    cross-check them.  A chain owns its graph exclusively while running.
     """
 
     left_out: list
@@ -158,34 +158,6 @@ class BipartiteDigraph:
             [set(s) for s in self.right_out],
             labels=None if self.labels is None else list(self.labels),
         )
-
-    def validate(self):
-        """Raise ValueError if the four adjacency arrays disagree."""
-        if len(self.left_out) != len(self.left_in):
-            raise ValueError("left adjacency arrays differ in length")
-        if len(self.right_in) != len(self.right_out):
-            raise ValueError("right adjacency arrays differ in length")
-        n, r = self.left_count, self.right_count
-        for v, outs in enumerate(self.left_out):
-            for a in outs:
-                if not 0 <= a < r or v not in self.right_in[a]:
-                    raise ValueError(f"arc ({v},{a},+1) missing from right view")
-        for v, ins in enumerate(self.left_in):
-            for a in ins:
-                if not 0 <= a < r or v not in self.right_out[a]:
-                    raise ValueError(f"arc ({v},{a},-1) missing from right view")
-        if sum(len(s) for s in self.right_in) != self.plus_edges():
-            raise ValueError("+1 arc count mismatch between views")
-        if sum(len(s) for s in self.right_out) != self.minus_edges():
-            raise ValueError("-1 arc count mismatch between views")
-        for a, head in enumerate(self.right_in):
-            for v in head:
-                if not 0 <= v < n or a not in self.left_out[v]:
-                    raise ValueError(f"arc ({v},{a},+1) missing from left view")
-        for a, tail in enumerate(self.right_out):
-            for v in tail:
-                if not 0 <= v < n or a not in self.left_in[v]:
-                    raise ValueError(f"arc ({v},{a},-1) missing from left view")
 
 
 @dataclass

@@ -5,7 +5,7 @@ hypergraph form a transaction database, and the average relative support
 difference (ARSD) of the observed graph's top frequent itemsets measures how
 far a randomized sample has drifted.  A chain has mixed once its ARSD trace
 flattens.  The module also provides the rank statistics used to compare
-observed and randomized metric rankings (Spearman, Kendall's tau-b, nDCG) and
+observed and randomized metric rankings (Spearman, Kendall's tau-b) and
 a chi-square uniformity test for sampler validation.
 """
 
@@ -137,7 +137,6 @@ def arsd_trace(
     f: int = 20,
     l: int = 3,
     max_multiplier: int = 50,
-    heads_prob: float | None = None,
 ) -> dict:
     """ARSD of one continuously-run chain, checkpointed at s = ceil(k*w) for
     k = 0..max_multiplier, where w is the number of bipartite arcs.
@@ -153,9 +152,7 @@ def arsd_trace(
     step = STEP_FUNCTIONS[model]
     G = to_bipartite(H)
     w = G.plus_edges() + G.minus_edges()
-    state = make_chain_state(
-        G.copy(), derive_seed(seed, "chain", 0), model, heads_prob=heads_prob
-    )
+    state = make_chain_state(G.copy(), derive_seed(seed, "chain", 0), model)
     trace = {side: [] for side in sides}
     steps_done = 0
     for k in range(max_multiplier + 1):
@@ -280,34 +277,6 @@ def kendall_tau(x, y) -> float:
         return math.nan
     numerator = n0 - ties_x - ties_y + ties_both - 2 * discordant
     return numerator / math.sqrt(denominator)
-
-
-def ranking_from_scores(scores: dict) -> list:
-    """Nodes ordered best-first: descending score, ties broken by node id."""
-    return sorted(scores, key=lambda v: (-scores[v], v))
-
-
-def ndcg(observed_ranking, sample_scores: dict) -> float:
-    """Normalized discounted cumulative gain of the sample-induced ordering
-    against the observed ranking.
-
-    The node at observed rank r (1-based) has gain n - r; position p in the
-    sample ordering is discounted by 1/log2(p + 1); the observed ordering
-    itself is the normalizer.  A single node is trivially aligned (1.0).
-    """
-    nodes = list(observed_ranking)
-    n = len(nodes)
-    if n == 0:
-        raise ValueError("empty ranking")
-    if set(sample_scores) != set(nodes):
-        raise ValueError("rankings must cover the same node set")
-    if n == 1:
-        return 1.0
-    gain = {v: n - rank for rank, v in enumerate(nodes, start=1)}
-    sample_order = ranking_from_scores(sample_scores)
-    dcg = sum(gain[v] / math.log2(pos + 1) for pos, v in enumerate(sample_order, start=1))
-    ideal = sum(gain[v] / math.log2(pos + 1) for pos, v in enumerate(nodes, start=1))
-    return dcg / ideal
 
 
 def chi_square_uniformity(visit_counts) -> float:

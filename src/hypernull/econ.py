@@ -1,13 +1,14 @@
 """Economic-complexity pipeline on country-product trade data.
 
-From a table of yearly export/import values: Balassa specialization ratios,
-the thresholded country-product biadjacency (with the standard population
-and trade floors), the country proximity matrix, and three country scores --
-ECI (spectral form of the coupled averaging equations), Fitness (non-linear
-iteration), and GENEPY (top-2 eigenpairs of the proximity matrix).  The
-trade data also encodes as a directed hypergraph, one hyperedge per
-product, specialized exporters in the head and specialized importers in the
-tail, so null-model samples can rerank countries for comparison.
+From a table of yearly export/import values: Balassa specialization ratios
+and the trade hypergraph, one hyperedge per product with specialized
+exporters in the head and specialized importers in the tail (countries below
+the standard population and trade floors left out).  On a trade hypergraph
+or any null-model sample of it: the country-product biadjacency of its
+heads, the country proximity matrix, and three country scores -- ECI
+(spectral form of the coupled averaging equations), Fitness (non-linear
+iteration), and GENEPY (top-2 eigenpairs of the proximity matrix) -- so
+samples can rerank countries for comparison.
 """
 
 import csv
@@ -163,42 +164,6 @@ def _passes_filters(country: str, metadata: dict | None) -> bool:
     if meta is None:
         return False
     return meta.population > POPULATION_FLOOR and meta.avg_trade > TRADE_FLOOR
-
-
-def build_biadjacency(
-    rca_matrix: RcaMatrix, threshold: float = 1.0, metadata: dict | None = None
-) -> Biadjacency:
-    """Mask the RCA matrix at the threshold (inclusive), keep only countries
-    above the population and trade floors, and drop the rows and columns
-    that end up empty (logged)."""
-    mask = (rca_matrix.values >= threshold).astype(float)
-    excluded = [
-        i for i, c in enumerate(rca_matrix.countries) if not _passes_filters(c, metadata)
-    ]
-    if excluded:
-        logger.info(
-            "country filters dropped %s",
-            [rca_matrix.countries[i] for i in excluded],
-        )
-        mask[excluded, :] = 0.0
-    keep_rows = [i for i in range(mask.shape[0]) if mask[i].any()]
-    keep_cols = [j for j in range(mask.shape[1]) if mask[:, j].any()]
-    dropped_rows = sorted(set(range(mask.shape[0])) - set(keep_rows) - set(excluded))
-    dropped_cols = sorted(set(range(mask.shape[1])) - set(keep_cols))
-    if dropped_rows or dropped_cols:
-        logger.info(
-            "dropped empty rows %s and columns %s",
-            [rca_matrix.countries[i] for i in dropped_rows],
-            [rca_matrix.products[j] for j in dropped_cols],
-        )
-    result = Biadjacency(
-        tuple(rca_matrix.countries[i] for i in keep_rows),
-        tuple(rca_matrix.products[j] for j in keep_cols),
-        mask[np.ix_(keep_rows, keep_cols)],
-    )
-    if result.matrix.size == 0:
-        logger.error("biadjacency is empty after thresholding and filters")
-    return result
 
 
 def hypergraph_biadjacency(H: DirectedHypergraph) -> Biadjacency:

@@ -111,7 +111,6 @@ class ChainConfig:
     seed: int = 0
     sample_count: int = 1
     thinning: int | None = None
-    heads_prob: float | None = None
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -120,8 +119,6 @@ class ChainConfig:
             raise ValueError("steps must be 'auto' or a non-negative integer")
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
-        if self.heads_prob is not None and not 0.0 <= self.heads_prob <= 1.0:
-            raise ValueError("heads_prob must lie in [0, 1]")
 
     def resolved_steps(self, G: BipartiteDigraph) -> int:
         if self.steps == "auto":
@@ -255,7 +252,6 @@ class ChainState:
     order: dict
     swap_count: int | None = None
     edge_list: list | None = None
-    debug: bool = False
 
 
 def _default_heads_prob(G: BipartiteDigraph) -> float:
@@ -268,7 +264,6 @@ def make_chain_state(
     seed: int,
     model: str = "degs",
     heads_prob: float | None = None,
-    debug: bool = False,
 ) -> ChainState:
     """Initialize a chain on G (owned by the chain and mutated in place)."""
     slices = _slices(G, model)
@@ -278,7 +273,6 @@ def make_chain_state(
         heads_prob=_default_heads_prob(G) if heads_prob is None else heads_prob,
         slices=slices,
         order={d: tuple([None] * len(view) for view in s.views) for d, s in slices.items()},
-        debug=debug,
     )
     if model == "degs-mh":
         state.swap_count = state_degree_pso(G)
@@ -337,16 +331,6 @@ def _draw_diff(rng, order: list, v: int, first: set, second: set):
     return position, listed[position]
 
 
-def _check_order(state: ChainState) -> None:
-    """Assert that every built draw list is a permutation of its set."""
-    for direction, piece in state.slices.items():
-        for view, lists in zip(piece.views, state.order[direction]):
-            for v, listed in enumerate(lists):
-                assert listed is None or (
-                    len(listed) == len(view[v]) and set(listed) == view[v]
-                ), "draw list out of step with its neighbour set"
-
-
 def _slice_step(state: ChainState) -> bool:
     """One "degs" or "joint" step; returns True when a swap was applied.
 
@@ -375,9 +359,6 @@ def _slice_step(state: ChainState) -> bool:
     order[y][y_position] = x_end
     far_order = state.order[piece.direction][1 - side]
     far_order[x_end] = far_order[y_end] = None
-    if state.debug:
-        state.graph.validate()
-        _check_order(state)
     return True
 
 
@@ -393,9 +374,7 @@ def nudhy_joint_step(state: ChainState) -> bool:
     return _slice_step(state)
 
 
-def step_probability(
-    G: BipartiteDigraph, p: SwapProposal, model: str, heads_prob: float | None = None
-) -> float:
+def step_probability(G: BipartiteDigraph, p: SwapProposal, model: str) -> float:
     """Probability that one "degs" or "joint" step on G proposes the swap p.
 
     Reads the kernel's own slice tables and sums over the routes that can
@@ -404,8 +383,7 @@ def step_probability(
     if model not in ("degs", "joint"):
         raise ValueError(f"model must be 'degs' or 'joint', got {model!r}")
     piece = _slices(G, model)[p.direction]
-    if heads_prob is None:
-        heads_prob = _default_heads_prob(G)
+    heads_prob = _default_heads_prob(G)
     coin = heads_prob if p.direction == +1 else 1.0 - heads_prob
     ends = ((p.left1, p.left2), (p.right1, p.right2))
     probability = 0.0
@@ -505,9 +483,6 @@ def nudhy_degs_mh_step(state: ChainState) -> bool:
     edges[i] = edges[i]._replace(right=b)
     edges[j] = edges[j]._replace(right=a)
     state.swap_count = new_count
-    if state.debug:
-        G.validate()
-        assert state.swap_count == state_degree_pso(G)
     return True
 
 
@@ -560,17 +535,13 @@ def run_chain(H: DirectedHypergraph, config: ChainConfig):
     if thinning == steps:
         for index in range(config.sample_count):
             state = make_chain_state(
-                G0.copy(), derive_seed(config.seed, "chain", index), config.model,
-                heads_prob=config.heads_prob,
+                G0.copy(), derive_seed(config.seed, "chain", index), config.model
             )
             for _ in range(steps):
                 step(state)
             yield to_hypergraph(state.graph)
     else:
-        state = make_chain_state(
-            G0.copy(), derive_seed(config.seed, "chain", 0), config.model,
-            heads_prob=config.heads_prob,
-        )
+        state = make_chain_state(G0.copy(), derive_seed(config.seed, "chain", 0), config.model)
         for _ in range(steps):
             step(state)
         yield to_hypergraph(state.graph)

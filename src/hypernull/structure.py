@@ -411,46 +411,11 @@ def multi_order_laplacian(
     return laplacian
 
 
-def laplacian_spectrum(
-    H: DirectedHypergraph,
-    k: int = 6,
-    D: int | None = None,
-    weights=None,
-    order_is_size_minus_one: bool = False,
-):
-    """The k smallest multi-order Laplacian eigenvalues, ascending."""
+def laplacian_spectrum(H: DirectedHypergraph, k: int = 6):
+    """The k smallest eigenvalues of the default multi-order Laplacian of H's
+    undirected merge, ascending."""
     if k < 1:
         raise ValueError("k must be at least 1")
     U = merge_to_undirected(H)
-    L = multi_order_laplacian(U, D=D, weights=weights, order_is_size_minus_one=order_is_size_minus_one)
-    values = np.linalg.eigvalsh(L)
+    values = np.linalg.eigvalsh(multi_order_laplacian(U))
     return tuple(float(x) for x in values[: min(k, U.num_nodes)])
-
-
-def spectral_distance(
-    H1: DirectedHypergraph,
-    H2: DirectedHypergraph,
-    k: int = 6,
-    weights=None,
-    order_is_size_minus_one: bool = False,
-) -> float:
-    """Mean L2 gap between the k smallest multi-order eigenvalues of two
-    hypergraphs on the same node set, with the order cutoff shared."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if H1.num_nodes != H2.num_nodes:
-        raise ValueError("spectral distance needs matching node counts")
-    U1, U2 = merge_to_undirected(H1), merge_to_undirected(H2)
-    orders = [
-        len(m) - 1 if order_is_size_minus_one else len(m)
-        for U in (U1, U2)
-        for m in U.edges
-    ]
-    D = min(8, max(orders, default=0))
-    spectra = []
-    for U in (U1, U2):
-        L = multi_order_laplacian(U, D=D, weights=weights, order_is_size_minus_one=order_is_size_minus_one)
-        spectra.append(np.linalg.eigvalsh(L))
-    k_eff = min(k, H1.num_nodes)
-    diff = spectra[0][:k_eff] - spectra[1][:k_eff]
-    return float(np.linalg.norm(diff) / k_eff)

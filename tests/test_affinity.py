@@ -1,4 +1,4 @@
-"""Tests for group affinity, the combinatorial baseline, and homophily.
+"""Tests for group affinity and its combinatorial baseline.
 
 Oracle: a literal per-node, per-hyperedge tally of the two in-degree counts,
 written independently of the implementation's edge-order aggregation.
@@ -15,10 +15,6 @@ from hypernull.affinity import (
     affinity,
     affinity_baseline,
     affinity_head1,
-    affinity_report,
-    edge_homophily_mass,
-    homophily,
-    mean_affinity_ratio,
 )
 from hypernull.core import DirectedHypergraph, Hyperedge, parse_hypergraph
 
@@ -203,107 +199,3 @@ class TestAffinityHead1:
         H = parse_hypergraph("1,2|3\n4|5\n")
         P = CategoryPartition(("A", "A", "A", "A", "A"))
         assert affinity_head1(H, P, "A", 2) == 1.0
-
-
-class TestMeanAffinityRatio:
-    def test_identity_samples_give_one(self):
-        H = parse_hypergraph("1|2,3\n2|1\n3|1,2\n")
-        P = CategoryPartition(("A", "A", "B"))
-        result = mean_affinity_ratio(H, P, "A", samples=[H, H, H], k_range=(2, 3))
-        assert result.value == pytest.approx(1.0)
-        assert result.skipped == ()
-
-    def test_undefined_k_skipped_and_reported(self):
-        H = parse_hypergraph("1|2,3\n")
-        P = CategoryPartition(("A", "A", "A"))
-        result = mean_affinity_ratio(H, P, "A", samples=[H], k_range=(2, 3, 4))
-        assert result.value == pytest.approx(1.0)
-        assert result.skipped == (2, 4)
-
-    def test_all_undefined_rejected(self):
-        H = parse_hypergraph("1|2,3\n")
-        P = CategoryPartition(("A", "A", "A"))
-        with pytest.raises(ValueError):
-            mean_affinity_ratio(H, P, "A", samples=[H], k_range=(5, 6))
-
-    def test_baseline_reference(self):
-        # One size-2 edge headed by A with an A tail: A_2 = 1, B_2 = |A|/n.
-        H = parse_hypergraph("1|2\n")
-        P = CategoryPartition(("A", "A", "B", "B"))
-        result = mean_affinity_ratio(H, P, "A", use_baseline=True, k_range=(2,))
-        assert result.value == pytest.approx(1.0 / (2.0 / 4.0))
-
-    def test_default_k_range(self):
-        H = parse_hypergraph("1|2,3\n")
-        P = CategoryPartition(("A", "A", "A"))
-        result = mean_affinity_ratio(H, P, "A", samples=[H])
-        assert result.skipped == tuple(k for k in range(2, 15) if k != 3)
-
-
-class TestHomophily:
-    def test_hand_tally(self):
-        H = parse_hypergraph("1|2,3\n2|1,3\n3|1,2\n")
-        P = CategoryPartition(("A", "A", "B"))
-        # Edges headed by A: tails {2,3} and {1,3}, each with one A member of two.
-        assert edge_homophily_mass(H, P, "A") == pytest.approx(1.0)
-        # Edge headed by B: tail {1,2} entirely A.
-        assert edge_homophily_mass(H, P, "B") == pytest.approx(0.0)
-
-    def test_identity_samples_give_one(self):
-        H = parse_hypergraph("1|2,3\n2|1,3\n3|1,2\n")
-        P = CategoryPartition(("A", "A", "B"))
-        result = homophily(H, P, "A", samples=[H, H])
-        assert result.value == pytest.approx(1.0)
-        assert result.observed == pytest.approx(1.0)
-        assert result.sample_mean == pytest.approx(1.0)
-
-    def test_zero_sample_mean_is_undefined(self):
-        H = parse_hypergraph("1|2,3\n")
-        P = CategoryPartition(("A", "A", "B"))
-        # Sample whose one A-headed edge has a tail entirely outside A.
-        S = DirectedHypergraph([Hyperedge(frozenset({0}), frozenset({2}))], 3)
-        result = homophily(H, P, "A", samples=[S])
-        assert result.value is None
-        assert result.observed > 0.0
-
-    def test_wide_head_rejected(self):
-        H = parse_hypergraph("1,2|3\n")
-        P = CategoryPartition(("A", "A", "A"))
-        with pytest.raises(ValueError):
-            homophily(H, P, "A", samples=[H])
-
-    def test_multiplicity_counts(self):
-        H = parse_hypergraph("1|2\n1|2\n")
-        P = CategoryPartition(("A", "A"))
-        assert edge_homophily_mass(H, P, "A") == pytest.approx(2.0)
-
-    def test_empty_tail_contributes_nothing(self):
-        H = parse_hypergraph("1|\n1|2\n")
-        P = CategoryPartition(("A", "A"))
-        assert edge_homophily_mass(H, P, "A") == pytest.approx(1.0)
-
-
-class TestAffinityReport:
-    def test_identity_report(self):
-        H = parse_hypergraph("1|2,3\n2|3\n3|1,2\n")
-        P = CategoryPartition(("A", "A", "B"))
-        rows = affinity_report(H, P, {"degs": [H], "joint": [H, H]}, k_range=(2, 3))
-        assert {(r["category"], r["k"]) for r in rows} == {
-            ("A", 2), ("A", 3), ("B", 2), ("B", 3),
-        }
-        ratios = []
-        for row in rows:
-            for stats in row["models"].values():
-                if stats["ratio"] is not None:
-                    ratios.append(stats["ratio"])
-                    assert stats["std"] == pytest.approx(0.0)
-        assert ratios
-        assert all(r == pytest.approx(1.0) for r in ratios)
-
-    def test_baseline_column(self):
-        H = parse_hypergraph("1|2\n")
-        P = CategoryPartition(("A", "B"))
-        rows = affinity_report(H, P, {}, k_range=(2,))
-        by_cat = {r["category"]: r for r in rows}
-        assert by_cat["A"]["baseline"] == pytest.approx(0.5)
-        assert by_cat["A"]["observed"] is None or 0 <= by_cat["A"]["observed"] <= 1

@@ -355,6 +355,81 @@ class TestAffinity:
         assert code == 1
         assert "--k-min and --k-max" in capsys.readouterr().err
 
+    def test_inverted_k_range_is_rejected(self, tmp_path, sponsor, labels,
+                                          capsys):
+        code = run(["affinity", "--input", sponsor, "--labels", labels,
+                    "--k-min", 3, "--k-max", 2, "--output", tmp_path / "aff.csv"])
+        assert code == 1
+        assert "error: --k-min 3 exceeds --k-max 2" in capsys.readouterr().err
+
+    def test_without_samples_one_row_per_category_and_size(self, tmp_path,
+                                                          sponsor, labels):
+        out = tmp_path / "aff.csv"
+        assert run(["affinity", "--input", sponsor, "--labels", labels,
+                    "--k-min", 2, "--k-max", 3, "--output", out]) == 0
+        _, rows = read_rows(out)
+        assert [(row[0], row[1]) for row in rows] == [
+            ("blue", "2"), ("blue", "3"), ("red", "2"), ("red", "3"),
+        ]
+        for row in rows:
+            assert row[3] == "0.5"
+            assert row[4:] == ["", "", "", ""]
+        # Node 1 (red) sponsors 1|0,2: one of its two co-sponsors is red.
+        assert rows[3][2] == "1"
+
+    def test_baseline_column(self, tmp_path):
+        graph = tmp_path / "one.dhg"
+        graph.write_text("0|1\n", encoding="utf-8")
+        labels = tmp_path / "two.csv"
+        labels.write_text("node_id,category\n0,A\n1,B\n", encoding="utf-8")
+        out = tmp_path / "aff.csv"
+        assert run(["affinity", "--input", graph, "--labels", labels,
+                    "--k-min", 2, "--k-max", 2, "--output", out]) == 0
+        _, rows = read_rows(out)
+        by_category = {row[0]: row for row in rows}
+        # One of two nodes is in each class: a one-node head holds it with
+        # probability 1/2.  B's tail member has a sponsor outside B.
+        assert by_category["A"][3] == "0.5" and by_category["B"][3] == "0.5"
+        assert by_category["A"][2] == "" and by_category["B"][2] == "0"
+
+
+class TestObservedVsEnsemble:
+    @pytest.mark.parametrize(
+        "command",
+        [("metric", "reciprocity"), ("metric", "coreness"), ("metric", "spectrum"),
+         ("affinity",)],
+        ids=["reciprocity", "coreness", "spectrum", "affinity"],
+    )
+    def test_mirror_samples_give_zero_std_and_unit_ratio(self, tmp_path,
+                                                         command):
+        observed = tmp_path / "sponsor.dhg"
+        observed.write_text(SPONSOR, encoding="utf-8")
+        mirrors = []
+        for copies in (1, 2):
+            mirror = tmp_path / f"mirror{copies}"
+            mirror.mkdir()
+            for index in range(copies):
+                (mirror / f"sample_{index}.dhg").write_text(SPONSOR, encoding="utf-8")
+            mirrors.append(mirror)
+        out = tmp_path / "out.csv"
+        if command[0] == "metric":
+            options = ["--samples", mirrors[1]]
+        else:
+            labels = tmp_path / "labels.csv"
+            labels.write_text(LABELS, encoding="utf-8")
+            options = ["--labels", labels, "--samples", f"one={mirrors[0]}",
+                       "--samples", f"two={mirrors[1]}"]
+        assert run([*command, "--input", observed, *options, "--output", out]) == 0
+        header, rows = read_rows(out)
+        mean = header.index("sample_mean" if command[0] == "metric" else "mean")
+        defined = [row for row in rows if row[header.index("ratio")] != ""]
+        assert defined
+        for row in rows:
+            assert row[mean + 1] in ("", "0")
+        for row in defined:
+            assert row[mean] == row[header.index("observed")]
+            assert row[header.index("ratio")] == "1"
+
 
 class TestEcon:
     @pytest.fixture

@@ -1,6 +1,6 @@
 """Tests for nonlinear hypergraph SIS dynamics: the Gillespie engine, the
-sum-tree rate index, stationary and quasi-stationary density estimation,
-and the phase sweep.
+sum-tree rate index, and stationary and quasi-stationary density
+estimation.
 
 Oracles: hand-computed per-edge infection rates and event probabilities on a
 frozen three-node state, brute-force recounts of per-edge infected totals
@@ -23,7 +23,6 @@ from hypernull.contagion import (
     gillespie_step,
     load_thresholds,
     make_sis_state,
-    phase_sweep,
     run_quasi_stationary,
     run_stationary,
 )
@@ -379,78 +378,6 @@ class TestRunQuasiStationary:
             lam=0.4, nu=2.0, rho0=0.2, burn_in=10.0, sample_count=80, seed=12
         )
         assert run_quasi_stationary(H, cfg) == run_quasi_stationary(H, cfg)
-
-
-class TestPhaseSweep:
-    def test_zero_grid_gives_zeros(self):
-        rng = random.Random(2)
-        H = random_undirected(rng, num_nodes=10, num_edges=15)
-        cfg = SISConfig(lam=0.0, nu=1.0, rho0=0.2, seed=10)
-        curve = phase_sweep(H, [0.0], cfg)
-        assert len(curve) == 1
-        point = curve[0]
-        assert point.lam == 0.0
-        assert point.rho_mean == 0.0
-        assert point.rho_std == 0.0
-        assert point.method == "stationary"
-        assert point.absorbed is True
-        assert point.rescaled is None
-
-    def test_rescaled_column_and_per_point_methods(self):
-        rng = random.Random(7)
-        H = random_undirected(rng, num_nodes=10, num_edges=15)
-        cfg = SISConfig(
-            lam=0.0, nu=1.0, rho0=0.3, burn_in=2.0, sample_count=10, seed=21
-        )
-        curve = phase_sweep(
-            H,
-            [0.1, 0.2],
-            cfg,
-            method=["stationary", "quasi-stationary"],
-            lambda_c=0.05,
-        )
-        assert [p.rescaled for p in curve] == pytest.approx([2.0, 4.0])
-        assert [p.method for p in curve] == ["stationary", "quasi-stationary"]
-
-    @pytest.mark.filterwarnings("ignore:infected density:RuntimeWarning")
-    def test_monotone_in_lambda_for_linear_contagion(self):
-        # ceteris paribus a higher infection rate cannot lower the stationary
-        # density; allow 2 sigma of sampling slack between neighbours.
-        rng = random.Random(37)
-        H = random_undirected(rng, num_nodes=25, num_edges=90)
-        cfg = SISConfig(
-            lam=0.0, nu=1.0, rho0=0.3, burn_in=20.0, sample_count=200, seed=60
-        )
-        curve = phase_sweep(
-            H, [0.5, 1.0, 2.0, 4.0], cfg, method="quasi-stationary"
-        )
-        for low, high in zip(curve, curve[1:]):
-            slack = 2.0 * max(low.rho_std, high.rho_std)
-            assert high.rho_mean >= low.rho_mean - slack
-
-    @pytest.mark.filterwarnings("ignore:infected density:RuntimeWarning")
-    def test_grid_points_use_independent_seeds(self):
-        rng = random.Random(53)
-        H = random_undirected(rng, num_nodes=12, num_edges=30)
-        cfg = SISConfig(
-            lam=0.0, nu=1.0, rho0=0.3, burn_in=5.0, sample_count=50, seed=90
-        )
-        repeated = phase_sweep(H, [1.0, 1.0], cfg, method="quasi-stationary")
-        assert repeated[0].rho_mean != repeated[1].rho_mean
-        again = phase_sweep(H, [1.0, 1.0], cfg, method="quasi-stationary")
-        assert repeated == again
-
-    def test_method_list_length_mismatch(self):
-        H = undirected([{0, 1}], 2)
-        cfg = SISConfig(lam=0.0, nu=1.0, seed=1)
-        with pytest.raises(ValueError):
-            phase_sweep(H, [0.1, 0.2], cfg, method=["stationary"])
-
-    def test_unknown_method(self):
-        H = undirected([{0, 1}], 2)
-        cfg = SISConfig(lam=0.0, nu=1.0, seed=1)
-        with pytest.raises(ValueError):
-            phase_sweep(H, [0.1], cfg, method="annealed")
 
 
 class TestThresholds:

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import random_hypergraph, recount_degrees, recount_joint
+from helpers import random_hypergraph, recount_degrees, recount_joint, validate
 from hypernull.core import (
     BipartiteDigraph,
     DirectedHypergraph,
@@ -132,10 +132,10 @@ class TestBipartite:
 
     def test_validator_catches_inconsistency(self):
         G = to_bipartite(toy())
-        G.validate()
+        validate(G)
         G.right_in[0].add(3)  # break the cross-index invariant
         with pytest.raises(ValueError):
-            G.validate()
+            validate(G)
 
     def test_round_trip_fixed(self):
         H = toy()

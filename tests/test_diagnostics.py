@@ -21,9 +21,7 @@ from hypernull.diagnostics import (
     chi_square_uniformity,
     kendall_tau,
     mine_top_frequent,
-    ndcg,
     plateau_checkpoint,
-    ranking_from_scores,
     spearman,
     transaction_db,
 )
@@ -325,50 +323,6 @@ class TestKendall:
     def test_too_short(self):
         with pytest.raises(ValueError):
             kendall_tau([1], [1])
-
-
-class TestNdcg:
-    def test_identity_order(self):
-        ranking = [2, 0, 1, 3]
-        scores = {v: 10.0 - pos for pos, v in enumerate(ranking)}
-        assert ndcg(ranking, scores) == pytest.approx(1.0)
-
-    def test_two_swapped(self):
-        value = ndcg([0, 1], {0: 0.0, 1: 1.0})
-        assert value == pytest.approx(1.0 / math.log2(3.0))
-
-    def test_tie_broken_by_node_id(self):
-        ranking = [2, 0, 1]
-        scores = {0: 5.0, 1: 5.0, 2: 5.0}
-        expected = (1.0 + 2.0 / 2.0) / (2.0 + 1.0 / math.log2(3.0))
-        assert ndcg(ranking, scores) == pytest.approx(expected)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ndcg([], {})
-
-    def test_single_node(self):
-        assert ndcg([4], {4: 0.0}) == 1.0
-
-    def test_mismatched_sets_rejected(self):
-        with pytest.raises(ValueError):
-            ndcg([0, 1], {0: 1.0, 2: 2.0})
-
-    def test_range(self):
-        rng = random.Random(19)
-        for _ in range(30):
-            n = rng.randint(2, 20)
-            ranking = list(range(n))
-            rng.shuffle(ranking)
-            scores = {v: rng.random() for v in range(n)}
-            value = ndcg(ranking, scores)
-            assert 0.0 <= value <= 1.0 + 1e-12
-
-
-class TestRankingFromScores:
-    def test_descending_with_lexicographic_ties(self):
-        scores = {3: 1.0, 1: 2.0, 2: 1.0, 0: 2.0}
-        assert ranking_from_scores(scores) == [0, 1, 2, 3]
 
 
 class TestChiSquareUniformity:

@@ -21,10 +21,8 @@ from hypernull.econ import (
     Biadjacency,
     ComplexityScores,
     CountryMeta,
-    RcaMatrix,
     TradeRecord,
     TradeTable,
-    build_biadjacency,
     complexity_scores,
     eci_pci,
     fitness_quality,
@@ -200,60 +198,6 @@ class TestRca:
         table = export_table([[1]], ["A"], ["x"])
         with pytest.raises(ValueError):
             rca(table, 2019, trade="wishful")
-
-
-# ---------------------------------------------------------------------------
-# Biadjacency
-# ---------------------------------------------------------------------------
-
-
-class TestBuildBiadjacency:
-    def test_threshold_boundary_included(self):
-        matrix = RcaMatrix(("A", "B"), ("x", "y"), np.array([[1.0, 0.5], [2.0, 0.99]]))
-        result = build_biadjacency(matrix, 1.0)
-        assert result.countries == ("A", "B")
-        assert result.products == ("x",)
-        assert result.matrix == pytest.approx(np.ones((2, 1)))
-
-    def test_all_below_threshold_logs_error(self, caplog):
-        matrix = RcaMatrix(("A",), ("x",), np.array([[0.5]]))
-        with caplog.at_level(logging.ERROR, logger="hypernull.econ"):
-            result = build_biadjacency(matrix, 1.0)
-        assert result.matrix.shape == (0, 0)
-        assert any("empty" in r.message for r in caplog.records)
-
-    def test_zero_rows_and_columns_dropped_and_logged(self, caplog):
-        matrix = RcaMatrix(
-            ("A", "B", "C"),
-            ("x", "y"),
-            np.array([[1.5, 0.2], [0.3, 0.4], [2.0, 0.1]]),
-        )
-        with caplog.at_level(logging.INFO, logger="hypernull.econ"):
-            result = build_biadjacency(matrix, 1.0)
-        assert result.countries == ("A", "C")
-        assert result.products == ("x",)
-        assert any("dropped" in r.message for r in caplog.records)
-
-    def test_country_filters(self):
-        matrix = RcaMatrix(
-            ("A", "B", "C"), ("x",), np.array([[2.0], [2.0], [2.0]])
-        )
-        metadata = {
-            "A": CountryMeta(2_000_000.0, 2_000_000_000.0),
-            "B": CountryMeta(500_000.0, 2_000_000_000.0),
-            # C has no metadata at all.
-        }
-        result = build_biadjacency(matrix, 1.0, metadata)
-        assert result.countries == ("A",)
-
-    def test_trade_floor_enforced(self):
-        matrix = RcaMatrix(("A", "B"), ("x",), np.array([[2.0], [2.0]]))
-        metadata = {
-            "A": CountryMeta(2_000_000.0, 2_000_000_000.0),
-            "B": CountryMeta(2_000_000.0, 500_000_000.0),
-        }
-        result = build_biadjacency(matrix, 1.0, metadata)
-        assert result.countries == ("A",)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +415,18 @@ def two_country_table():
     return TradeTable(records, {})
 
 
+def three_country_table(metadata):
+    """Each country exports one product and imports the next one (cyclically)
+    four times more than the others, so each is on one head and one tail."""
+    products = ("x", "y", "z")
+    records = tuple(
+        TradeRecord(2019, c, p, 4.0 if i == j else 1.0, 4.0 if (i + 1) % 3 == j else 1.0)
+        for i, c in enumerate(("A", "B", "C"))
+        for j, p in enumerate(products)
+    )
+    return TradeTable(records, metadata)
+
+
 class TestTradeToHypergraph:
     def test_single_exporter_importer_products(self):
         H = trade_to_hypergraph(two_country_table(), 2019)
@@ -485,13 +441,17 @@ class TestTradeToHypergraph:
             for c in ("A", "B")
             for p in ("x", "y")
         )
-        H = trade_to_hypergraph(TradeTable(records, {}), 2019)
-        # RCA is exactly 1 everywhere: strictly-greater heads and tails stay
-        # empty, while the threshold-inclusive biadjacency keeps every pair.
+        table = TradeTable(records, {})
+        # RCA is exactly 1 everywhere, so strictly-greater heads and tails
+        # stay empty; just below 1, every country is on both sides of both.
+        assert np.all(rca(table, 2019).values == 1.0)
+        assert np.all(rca(table, 2019, trade="import").values == 1.0)
+        H = trade_to_hypergraph(table, 2019)
         assert H.num_nodes == 2
         assert H.edges == []
-        B = build_biadjacency(rca(TradeTable(records, {}), 2019), 1.0)
-        assert B.matrix.sum() == 4.0
+        H = trade_to_hypergraph(table, 2019, threshold=0.99)
+        both = frozenset({0, 1})
+        assert [(e.head, e.tail) for e in H.expanded_edges()] == [(both, both)] * 2
 
     def test_metadata_filter_drops_country(self):
         table = two_country_table()
@@ -505,6 +465,29 @@ class TestTradeToHypergraph:
         H = trade_to_hypergraph(filtered, 2019)
         assert H.labels == ["A"]
         assert H.num_nodes == 1
+
+    def test_country_filters(self):
+        metadata = {
+            "A": CountryMeta(2_000_000.0, 2_000_000_000.0),
+            "B": CountryMeta(500_000.0, 2_000_000_000.0),
+            # C has no metadata at all.
+        }
+        H = trade_to_hypergraph(three_country_table(metadata), 2019)
+        assert H.labels == ["A"]
+        # A exports x and imports y; z has no member left on either side.
+        assert sorted((sorted(e.head), sorted(e.tail)) for e in H.expanded_edges()) == [
+            ([], [0]),
+            ([0], []),
+        ]
+
+    def test_trade_floor_enforced(self):
+        metadata = {
+            "A": CountryMeta(2_000_000.0, 2_000_000_000.0),
+            "B": CountryMeta(2_000_000.0, 500_000_000.0),
+            "C": CountryMeta(2_000_000.0, 2_000_000_000.0),
+        }
+        H = trade_to_hypergraph(three_country_table(metadata), 2019)
+        assert H.labels == ["A", "C"]
 
     def test_recount_oracle(self):
         rng = random.Random(43)

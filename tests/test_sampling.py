@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from scipy import stats
 
-from helpers import random_hypergraph, thinned_visits
+from helpers import checked_walk, random_hypergraph, thinned_visits, validate
 from hypernull.core import (
     DirectedHypergraph,
     Hyperedge,
@@ -196,7 +196,7 @@ class TestApplyPso:
                 continue
             before = degree_profile(G)
             apply_pso(G, proposals[rng.randrange(len(proposals))])
-            G.validate()
+            validate(G)
             assert degree_profile(G) == before
 
     def test_self_inverse(self):
@@ -287,9 +287,8 @@ class TestDrawDiff:
             10,
         )
         G = to_bipartite(H)
-        state = make_chain_state(G, seed=1, model=model, debug=True)
-        step = STEP_FUNCTIONS[model]
-        assert sum(step(state) for _ in range(10_000)) > 0
+        state = make_chain_state(G, seed=1, model=model)
+        assert checked_walk(STEP_FUNCTIONS[model], state, 10_000) > 0
         built = 0
         for direction, piece in state.slices.items():
             for view, lists in zip(piece.views, state.order[direction]):
@@ -322,9 +321,8 @@ class TestDegsStep:
         for trial in range(20):
             G = to_bipartite(random_hypergraph(rng, max_nodes=10, max_edges=8))
             before = degree_profile(G)
-            state = make_chain_state(G, seed=trial, model="degs", debug=True)
-            for _ in range(500):
-                nudhy_degs_step(state)
+            state = make_chain_state(G, seed=trial, model="degs")
+            checked_walk(nudhy_degs_step, state, 500)
             assert degree_profile(G) == before
 
     def test_visits_every_state_uniformly(self):
@@ -371,9 +369,8 @@ class TestJointStep:
             G = to_bipartite(random_hypergraph(rng, max_nodes=10, max_edges=8))
             J0 = compute_joint(G)
             p0 = degree_profile(G)
-            state = make_chain_state(G, seed=trial, model="joint", debug=True)
-            for _ in range(500):
-                nudhy_joint_step(state)
+            state = make_chain_state(G, seed=trial, model="joint")
+            checked_walk(nudhy_joint_step, state, 500)
             assert compute_joint(G) == J0
             # Joint preservation implies degree preservation.
             assert degree_profile(G) == p0
@@ -474,10 +471,8 @@ class TestMhStep:
             G = to_bipartite(random_hypergraph(rng, max_nodes=8, max_edges=8))
             if state_degree_pso(G) == 0:
                 continue
-            state = make_chain_state(G, seed=trial, model="degs-mh", debug=True)
-            for _ in range(300):
-                nudhy_degs_mh_step(state)
-                assert state.swap_count == state_degree_pso(G)
+            state = make_chain_state(G, seed=trial, model="degs-mh")
+            checked_walk(nudhy_degs_mh_step, state, 300)
 
     def test_equal_swap_counts_always_accept(self):
         # Two disjoint head-only edges: both states have exactly one swap.
@@ -497,9 +492,8 @@ class TestMhStep:
     def test_profile_preserved(self):
         G = to_bipartite(parse_hypergraph(TOY))
         before = degree_profile(G)
-        state = make_chain_state(G, seed=15, model="degs-mh", debug=True)
-        for _ in range(500):
-            nudhy_degs_mh_step(state)
+        state = make_chain_state(G, seed=15, model="degs-mh")
+        checked_walk(nudhy_degs_mh_step, state, 500)
         assert degree_profile(G) == before
 
 

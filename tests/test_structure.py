@@ -38,7 +38,6 @@ from hypernull.structure import (
     pagerank,
     project_weighted,
     search_reciprocal_set,
-    spectral_distance,
     structural_entropy,
 )
 
@@ -594,19 +593,6 @@ class TestMultiOrderLaplacian:
 
 
 class TestSpectralDistance:
-    def test_self_distance_zero(self):
-        H = parse_hypergraph(TOY)
-        assert spectral_distance(H, H) == 0.0
-
-    def test_symmetric(self):
-        H1 = parse_hypergraph("1|2,3\n2|1\n3|1,2\n")
-        H2 = parse_hypergraph("1|2\n2|3\n3|1,2\n")
-        assert spectral_distance(H1, H2) == pytest.approx(spectral_distance(H2, H1))
-
-    def test_node_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_distance(parse_hypergraph("1|2\n"), parse_hypergraph("1|2,3\n"))
-
     def test_matches_characteristic_polynomial(self):
         rng = random.Random(73)
         checked = 0
@@ -631,13 +617,3 @@ class TestSpectralDistance:
         H = parse_hypergraph("1|2\n")
         values = laplacian_spectrum(H, k=6)
         assert len(values) == 2
-
-    def test_toy_distance_value(self):
-        H1 = parse_hypergraph("1|2,3\n2|1\n3|1,2\n")
-        H2 = parse_hypergraph("1|2\n2|3\n3|1,2\n")
-        U1, U2 = merge_to_undirected(H1), merge_to_undirected(H2)
-        k = 3
-        lam1 = exact_eigenvalues(U1, D=3)[:k]
-        lam2 = exact_eigenvalues(U2, D=3)[:k]
-        expected = np.linalg.norm(lam1 - lam2) / k
-        assert spectral_distance(H1, H2, k=k) == pytest.approx(expected, abs=1e-8)

@@ -36,7 +36,6 @@ from hypernull.affinity import (
     CategoryPartition,
     affinity,
     affinity_baseline,
-    affinity_head1,
 )
 from hypernull.diagnostics import (
     FrequentItemsetSet,

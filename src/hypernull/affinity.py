@@ -4,9 +4,7 @@ The (alpha, beta, k)-affinity of a class measures how often its members sit in
 the tail of a size-k hyperedge whose size-beta head contains exactly alpha
 class members.  Every function here measures one hypergraph, or the
 closed-form hypergeometric baseline of a partition; comparing the observed
-value against randomized samples is the `affinity` subcommand's job.  The
-single-head special case (one sponsor, many co-sponsors) has its own, faster
-function.
+value against randomized samples is the `affinity` subcommand's job.
 """
 
 from __future__ import annotations
@@ -90,31 +88,3 @@ def affinity_baseline(P: CategoryPartition, Xi, alpha: int, beta: int, k: int) -
     if total == 0:
         raise ValueError("head size beta exceeds the population")
     return math.comb(size, alpha) * math.comb(P.n - size, beta - alpha) / total
-
-
-def affinity_head1(H: DirectedHypergraph, P: CategoryPartition, Xi, k: int) -> float | None:
-    """Single-sponsor affinity: how often class-Xi nodes co-sponsor size-k
-    hyperedges whose (single-node) head is also in Xi.
-
-    Every hyperedge of size k must have a one-node head; other sizes are
-    outside the sub-hypergraph and may be arbitrary.
-    """
-    _check_category(P, Xi)
-    numerator = denominator = 0
-    for e in H.expanded_edges():
-        if e.size != k:
-            continue
-        if len(e.head) != 1:
-            raise ValueError(
-                "size-k hyperedge with a non-singleton head; use the general affinity"
-            )
-        tail_members = sum(1 for v in e.tail if P.assignments[v] == Xi)
-        if tail_members == 0:
-            continue
-        denominator += tail_members
-        (sponsor,) = e.head
-        if P.assignments[sponsor] == Xi:
-            numerator += tail_members
-    if denominator == 0:
-        return None
-    return numerator / denominator

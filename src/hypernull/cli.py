@@ -29,10 +29,11 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from importlib import metadata
 from pathlib import Path
 
 import hypernull
-from hypernull.affinity import CategoryPartition, affinity_baseline, affinity_head1
+from hypernull.affinity import CategoryPartition, affinity, affinity_baseline
 from hypernull.contagion import SISConfig, load_thresholds
 from hypernull.contagion import run_quasi_stationary, run_stationary
 from hypernull.core import (
@@ -209,6 +210,17 @@ def _load_samples(manifest, paths_by_model: dict, load=_load_directed):
             yield model, index, load(path)
 
 
+def _versions() -> dict:
+    """hypernull, Python, numpy and scipy versions; scipy's is read from its
+    installed metadata, so scipy itself is not imported."""
+    return {
+        "hypernull": hypernull.__version__,
+        "python": platform.python_version(),
+        "numpy": metadata.version("numpy"),
+        "scipy": metadata.version("scipy"),
+    }
+
+
 @dataclass
 class RunManifest:
     """Reproducibility record emitted by every subcommand: the exact command
@@ -218,12 +230,7 @@ class RunManifest:
     command: list
     inputs: dict = field(default_factory=dict)
     seed: int | None = None
-    versions: dict = field(
-        default_factory=lambda: {
-            "hypernull": hypernull.__version__,
-            "python": platform.python_version(),
-        }
-    )
+    versions: dict = field(default_factory=_versions)
     invariants: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     destination: Path | None = None
@@ -485,7 +492,7 @@ def _partition_for(H: DirectedHypergraph, labels_path) -> CategoryPartition:
     return CategoryPartition(tuple(assignments))
 
 
-# Single-sponsor hyperedge sizes reported when --k-min/--k-max are not given.
+# Hyperedge sizes reported when --k-min/--k-max are not given.
 _AFFINITY_SIZES = range(2, 15)
 
 
@@ -504,7 +511,10 @@ def cmd_affinity(args, manifest: RunManifest) -> int:
     keys = [(category, k) for category in partition.categories for k in sizes]
 
     def measure(G):
-        return {key: affinity_head1(G, partition, *key) for key in keys}
+        return {
+            (category, k): affinity(G, partition, category, 1, 1, k) if k >= 1 else None
+            for category, k in keys
+        }
 
     observed = measure(H)
     sampled = {}

@@ -11,6 +11,12 @@ tracked side of at least k hyperedges whose size -- counting tracked-side
 survivors plus the whole opposite side -- stays at least m.  The spectrum
 combines one Laplacian per hyperedge size d, each normalized by the mean
 order-d degree, into a single multi-order operator.
+
+Costs: an edge's reciprocity candidates are gathered by index, from the
+copies whose tail holds one of its head nodes, rather than by a scan of
+every copy; the (k, m)-core peel is incremental, O(incidences of the edges
+of size >= m) for each m; HITS runs each half-step as one numpy bincount
+over the arcs.
 """
 
 import itertools
@@ -104,30 +110,36 @@ def hyperedge_reciprocity(e: Hyperedge, reciprocators, config: ReciprocityConfig
     return penalty * (1.0 - divergence / len(e.head))
 
 
-def _reciprocal_candidates(H: DirectedHypergraph, e: Hyperedge) -> list:
-    """Hyperedge copies that could reciprocate e, minus one copy of e itself."""
-    skipped_self = False
-    out = []
-    for f in H.expanded_edges():
-        if not skipped_self and f.head == e.head and f.tail == e.tail:
-            skipped_self = True
-            continue
-        if (f.tail & e.head) and (f.head & e.tail):
-            out.append(f)
-    return out
+def _reciprocal_candidates(expanded: list):
+    """Return a function mapping an edge e to the copies in expanded that
+    could reciprocate it, minus the first copy of e itself, in list order.
 
-
-def search_reciprocal_set(H: DirectedHypergraph, e: Hyperedge, config: ReciprocityConfig | None = None):
-    """Best-scoring reciprocal set for e among the other edges of H.
-
-    Returns (edges, score).  Exhaustive over all candidate subsets up to
-    config.exact_limit candidates, greedy forward selection (stopping at the
-    first non-improving extension) beyond that.
+    A candidate f has f.tail meeting e.head and f.head meeting e.tail; the
+    copies whose tail holds a node of e.head are gathered from a node ->
+    index map over tails, so no other copy is looked at.
     """
-    config = config or ReciprocityConfig()
-    if not e.head or not e.tail:
-        return ((), 0.0)
-    candidates = _reciprocal_candidates(H, e)
+    by_tail = defaultdict(list)
+    first_copy = {}
+    for i, f in enumerate(expanded):
+        first_copy.setdefault((f.head, f.tail), i)
+        for v in f.tail:
+            by_tail[v].append(i)
+
+    def candidates(e: Hyperedge) -> list:
+        own = first_copy.get((e.head, e.tail))
+        found = set()
+        for u in e.head:
+            found.update(by_tail.get(u, ()))
+        found.discard(own)
+        return [expanded[i] for i in sorted(found) if expanded[i].head & e.tail]
+
+    return candidates
+
+
+def _best_reciprocal_set(e: Hyperedge, candidates: list, config: ReciprocityConfig):
+    """(edges, score) of the best reciprocal set for e among candidates;
+    ((), 0.0) without candidates, which is always the case when e has an
+    empty side."""
     if not candidates:
         return ((), 0.0)
     if len(candidates) <= config.exact_limit:
@@ -154,12 +166,26 @@ def search_reciprocal_set(H: DirectedHypergraph, e: Hyperedge, config: Reciproci
     return (tuple(chosen), score)
 
 
+def search_reciprocal_set(H: DirectedHypergraph, e: Hyperedge, config: ReciprocityConfig | None = None):
+    """Best-scoring reciprocal set for e among the other edges of H.
+
+    Returns (edges, score).  Exhaustive over all candidate subsets up to
+    config.exact_limit candidates, greedy forward selection (stopping at the
+    first non-improving extension) beyond that.
+    """
+    config = config or ReciprocityConfig()
+    candidates = _reciprocal_candidates(list(H.expanded_edges()))
+    return _best_reciprocal_set(e, candidates(e), config)
+
+
 def hypergraph_reciprocity(H: DirectedHypergraph, config: ReciprocityConfig | None = None) -> ReciprocityResult:
     """Mean best reciprocity over all hyperedge copies of H."""
+    config = config or ReciprocityConfig()
     expanded = list(H.expanded_edges())
     if not expanded:
         raise ValueError("reciprocity of an empty hypergraph is undefined")
-    scores = [search_reciprocal_set(H, e, config)[1] for e in expanded]
+    candidates = _reciprocal_candidates(expanded)
+    scores = [_best_reciprocal_set(e, candidates(e), config)[1] for e in expanded]
     return ReciprocityResult(fmean(scores), tuple(scores))
 
 
@@ -182,19 +208,45 @@ class CorenessProfile:
     hypercoreness: tuple
 
 
-def _peel(sides, extras, survivors, k, m):
-    survivors = set(survivors)
-    while True:
-        qualifying = Counter()
-        for members, extra in zip(sides, extras):
-            alive = members & survivors
-            if len(alive) + extra >= m:
-                for v in alive:
-                    qualifying[v] += 1
-        bad = {v for v in survivors if qualifying[v] < k}
-        if not bad:
-            return survivors
-        survivors -= bad
+def _shells(members: list, extras: list, num_nodes: int, m: int) -> list:
+    """Shell index of every node at size threshold m, by incremental peeling.
+
+    Only edges of size at least m ever qualify.  Each keeps its slack (live
+    tracked members plus the opposite side, minus m) and each node its count
+    of qualifying edges; removing a node lowers the slack of its edges, and
+    an edge whose slack turns negative lowers the count of its live members.
+    Level k removes, off a work stack, every node whose count is below k,
+    so the removed node's shell is k - 1.
+    """
+    live = [i for i, (side, extra) in enumerate(zip(members, extras)) if len(side) + extra >= m]
+    slack = [0] * len(members)
+    edges_of = [[] for _ in range(num_nodes)]
+    for i in live:
+        slack[i] = len(members[i]) + extras[i] - m
+        for v in members[i]:
+            edges_of[v].append(i)
+    count = [len(edges) for edges in edges_of]
+    remaining = {v for v in range(num_nodes) if count[v]}
+    shell = [0] * num_nodes
+    k = 0
+    while remaining:
+        k += 1
+        stack = [v for v in remaining if count[v] < k]
+        while stack:
+            v = stack.pop()
+            if v not in remaining:
+                continue
+            remaining.remove(v)
+            shell[v] = k - 1
+            for i in edges_of[v]:
+                slack[i] -= 1
+                if slack[i] == -1:
+                    for u in members[i]:
+                        if u in remaining:
+                            count[u] -= 1
+                            if count[u] < k:
+                                stack.append(u)
+    return shell
 
 
 def hyper_core_decomposition(H: DirectedHypergraph, side: str) -> CorenessProfile:
@@ -204,25 +256,16 @@ def hyper_core_decomposition(H: DirectedHypergraph, side: str) -> CorenessProfil
     least k hyperedges whose current size -- tracked-side survivors plus the
     full opposite side -- is at least m.  Removing a node deletes only its
     tracked-side occurrences; opposite-side occurrences keep counting
-    toward sizes.
+    toward sizes.  Each m costs O(incidences of the edges of size >= m).
     """
     _check_side(side)
     expanded = list(H.expanded_edges())
-    sides = [e.head if side == "head" else e.tail for e in expanded]
+    members = [e.head if side == "head" else e.tail for e in expanded]
     extras = [len(e.tail if side == "head" else e.head) for e in expanded]
     max_size = max((e.size for e in expanded), default=0)
-    tracked = frozenset().union(*sides) if sides else frozenset()
-    shells = {}
-    for m in range(2, max_size + 1):
-        shell = [0] * H.num_nodes
-        survivors = set(tracked)
-        k = 1
-        while survivors:
-            survivors = _peel(sides, extras, survivors, k, m)
-            for v in survivors:
-                shell[v] = k
-            k += 1
-        shells[m] = tuple(shell)
+    shells = {
+        m: tuple(_shells(members, extras, H.num_nodes, m)) for m in range(2, max_size + 1)
+    }
     hypercoreness = tuple(
         float(sum(shells[m][v] for m in shells)) for v in range(H.num_nodes)
     )
@@ -326,10 +369,11 @@ def pagerank(g: WeightedDigraph, damping: float = 0.85, tol: float = 1e-10, max_
 
 
 def _unit(vec):
-    norm = math.sqrt(sum(x * x for x in vec))
+    # cumsum adds the squares one after another, as a Python loop would.
+    norm = math.sqrt(np.cumsum(vec * vec)[-1])
     if norm == 0.0:
-        return [0.0] * len(vec)
-    return [x / norm for x in vec]
+        return np.zeros_like(vec)
+    return vec / norm
 
 
 def hits(G: BipartiteDigraph, tol: float = 1e-10, max_iter: int = 10_000):
@@ -337,30 +381,32 @@ def hits(G: BipartiteDigraph, tol: float = 1e-10, max_iter: int = 10_000):
 
     A +1 arc points from its left vertex to its right vertex, a -1 arc the
     other way; both score vectors are L2-normalized every round and listed
-    left vertices first.  Returns (hubs, authorities).
+    left vertices first.  Each half-step is one weighted bincount over the
+    arcs in G.edges() order, so every score is summed in that order.
+    Returns (hubs, authorities).
     """
     n = G.left_count + G.right_count
     if n == 0:
         return ([], [])
-    outgoing = [[] for _ in range(n)]
-    incoming = [[] for _ in range(n)]
-    for v, a, d in G.edges():
-        s, t = (v, G.left_count + a) if d == +1 else (G.left_count + a, v)
-        outgoing[s].append(t)
-        incoming[t].append(s)
-    start = 1.0 / math.sqrt(n)
-    hubs = [start] * n
-    auths = [start] * n
+    lefts, rights = [], []
+    for adjacency in (G.left_out, G.left_in):  # +1 arcs, then -1 arcs
+        for v, others in enumerate(adjacency):
+            lefts.extend([v] * len(others))
+            rights.extend(others)
+    left = np.array(lefts, dtype=np.intp)
+    right = np.array(rights, dtype=np.intp) + G.left_count
+    plus = G.plus_edges()
+    src = np.concatenate((left[:plus], right[plus:]))
+    dst = np.concatenate((right[:plus], left[plus:]))
+    hubs = np.full(n, 1.0 / math.sqrt(n))
+    auths = hubs.copy()
     for _ in range(max_iter):
-        fresh_a = _unit([sum(hubs[s] for s in incoming[t]) for t in range(n)])
-        fresh_h = _unit([sum(fresh_a[t] for t in outgoing[s]) for s in range(n)])
-        delta = max(
-            max(abs(a - b) for a, b in zip(fresh_h, hubs)),
-            max(abs(a - b) for a, b in zip(fresh_a, auths)),
-        )
+        fresh_a = _unit(np.bincount(dst, weights=hubs[src], minlength=n))
+        fresh_h = _unit(np.bincount(src, weights=fresh_a[dst], minlength=n))
+        delta = max(np.abs(fresh_h - hubs).max(), np.abs(fresh_a - auths).max())
         hubs, auths = fresh_h, fresh_a
         if delta <= tol:
-            return (hubs, auths)
+            return (hubs.tolist(), auths.tolist())
     raise RuntimeError(f"hits did not converge in {max_iter} iterations")
 
 

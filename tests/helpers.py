@@ -1,8 +1,11 @@
 """Shared test helpers: deterministic random generators, brute-force recount
-oracles used to cross-check the package implementations, the thinned visit
-counter of the chain uniformity tests, and the consistency checks that a
-checked chain walk runs after every step."""
+oracles used to cross-check the package implementations, reference versions
+of the structure kernels, the thinned visit counter of the chain uniformity
+tests, and the consistency checks that a checked chain walk runs after every
+step."""
 
+import math
+import random
 from collections import Counter
 
 from hypernull.core import DirectedHypergraph, Hyperedge
@@ -23,6 +26,49 @@ def random_hypergraph(rng, max_nodes=8, max_edges=6, max_side=3):
         head = frozenset(rng.sample(range(n), a))
         tail = frozenset(rng.sample(range(n), b))
         edges.append(Hyperedge(head, tail))
+    return DirectedHypergraph(edges, n)
+
+
+def metabolic_scale(seed):
+    """Random hypergraph at the scale of a bacterial metabolic network:
+    ~700 nodes, ~900 hyperedges, side sizes mostly 1-4 with a tail up to 9."""
+    rng = random.Random(seed)
+    n, m = 702, 923
+    edges = []
+    for _ in range(m):
+        a = min(rng.randint(1, 4) + (rng.random() < 0.08) * rng.randint(1, 5), 9)
+        b = min(rng.randint(1, 4) + (rng.random() < 0.08) * rng.randint(1, 5), 9)
+        edges.append(
+            Hyperedge(
+                frozenset(rng.sample(range(n), a)), frozenset(rng.sample(range(n), b))
+            )
+        )
+    return DirectedHypergraph(edges, n)
+
+
+def trade_like(seed, m=4600):
+    """Country x product hypergraph at the scale of the trade data: 133
+    countries and one edge per product, exporters in the head and importers
+    in the tail, side sizes exponential with means 16 and 20 (at least 1).
+
+    Exporters cluster as in real trade: each country has a capability and
+    each product a complexity, both uniform on [0, 1], and a product's
+    exporters are the countries of largest -5 |capability - complexity|
+    plus Gumbel noise (a weighted draw without replacement).  Importers are
+    a uniform draw.
+    """
+    rng = random.Random(seed)
+    n = 133
+    capability = [rng.random() for _ in range(n)]
+    edges = []
+    for _ in range(m):
+        complexity = rng.random()
+        a = min(n, max(1, round(rng.expovariate(1 / 16))))
+        b = min(n, max(1, round(rng.expovariate(1 / 20))))
+        keys = [-5 * abs(c - complexity) - math.log(-math.log(1.0 - rng.random()))
+                for c in capability]
+        head = sorted(range(n), key=keys.__getitem__, reverse=True)[:a]
+        edges.append(Hyperedge(frozenset(head), frozenset(rng.sample(range(n), b))))
     return DirectedHypergraph(edges, n)
 
 
@@ -136,3 +182,104 @@ def checked_walk(step, state, steps):
         if state.swap_count is not None:
             assert state.swap_count == state_degree_pso(state.graph)
     return applied
+
+
+# ---------------------------------------------------------------------------
+# Reference structure kernels: the full-rescan versions the package's
+# kernels must reproduce exactly.
+# ---------------------------------------------------------------------------
+
+
+def reciprocal_candidates(H, e):
+    """Candidate reciprocators of e by a scan over every hyperedge copy of H,
+    with the first copy of e itself excluded."""
+    skipped_self = False
+    out = []
+    for f in H.expanded_edges():
+        if not skipped_self and f.head == e.head and f.tail == e.tail:
+            skipped_self = True
+            continue
+        if (f.tail & e.head) and (f.head & e.tail):
+            out.append(f)
+    return out
+
+
+def _peel(sides, extras, survivors, k, m):
+    survivors = set(survivors)
+    while True:
+        qualifying = Counter()
+        for members, extra in zip(sides, extras):
+            alive = members & survivors
+            if len(alive) + extra >= m:
+                for v in alive:
+                    qualifying[v] += 1
+        bad = {v for v in survivors if qualifying[v] < k}
+        if not bad:
+            return survivors
+        survivors -= bad
+
+
+def core_shells_reference(H, side):
+    """{m: shells} of the (k, m)-core decomposition for m = 2..max edge size,
+    by repeated full peeling rounds that each re-scan every edge."""
+    expanded = list(H.expanded_edges())
+    sides = [e.head if side == "head" else e.tail for e in expanded]
+    extras = [len(e.tail if side == "head" else e.head) for e in expanded]
+    max_size = max((e.size for e in expanded), default=0)
+    tracked = frozenset().union(*sides) if sides else frozenset()
+    shells = {}
+    for m in range(2, max_size + 1):
+        shell = [0] * H.num_nodes
+        survivors = set(tracked)
+        k = 1
+        while survivors:
+            survivors = _peel(sides, extras, survivors, k, m)
+            for v in survivors:
+                shell[v] = k
+            k += 1
+        shells[m] = tuple(shell)
+    return shells
+
+
+def _sum(values):
+    """Left-to-right float sum, as the built-in sum adds floats before
+    Python 3.12 (later versions compensate rounding errors)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def _unit(vec):
+    norm = math.sqrt(_sum(x * x for x in vec))
+    if norm == 0.0:
+        return [0.0] * len(vec)
+    return [x / norm for x in vec]
+
+
+def hits_reference(G, tol=1e-10, max_iter=10_000):
+    """HITS by pure-Python power iteration over per-vertex arc lists built in
+    G.edges() order; returns (hubs, authorities) like structure.hits."""
+    n = G.left_count + G.right_count
+    if n == 0:
+        return ([], [])
+    outgoing = [[] for _ in range(n)]
+    incoming = [[] for _ in range(n)]
+    for v, a, d in G.edges():
+        s, t = (v, G.left_count + a) if d == +1 else (G.left_count + a, v)
+        outgoing[s].append(t)
+        incoming[t].append(s)
+    start = 1.0 / math.sqrt(n)
+    hubs = [start] * n
+    auths = [start] * n
+    for _ in range(max_iter):
+        fresh_a = _unit([_sum(hubs[s] for s in incoming[t]) for t in range(n)])
+        fresh_h = _unit([_sum(fresh_a[t] for t in outgoing[s]) for s in range(n)])
+        delta = max(
+            max(abs(a - b) for a, b in zip(fresh_h, hubs)),
+            max(abs(a - b) for a, b in zip(fresh_a, auths)),
+        )
+        hubs, auths = fresh_h, fresh_a
+        if delta <= tol:
+            return (hubs, auths)
+    raise RuntimeError(f"hits did not converge in {max_iter} iterations")

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import random_hypergraph, thinned_visits
+from helpers import metabolic_scale, random_hypergraph, thinned_visits
 from hypernull.cli import main
 from hypernull.contagion import (
     DEFAULT_THRESHOLDS,
@@ -94,23 +94,6 @@ TRADE_DIR = Path(os.environ.get("TRADE_DATA_DIR", DATA_DIR / "trade"))
 # ---------------------------------------------------------------------------
 # Deterministic test instances
 # ---------------------------------------------------------------------------
-
-
-def metabolic_scale(seed):
-    """Random hypergraph at the scale of a bacterial metabolic network:
-    ~700 nodes, ~900 hyperedges, side sizes mostly 1-4 with a tail up to 9."""
-    rng = random.Random(seed)
-    n, m = 702, 923
-    edges = []
-    for _ in range(m):
-        a = min(rng.randint(1, 4) + (rng.random() < 0.08) * rng.randint(1, 5), 9)
-        b = min(rng.randint(1, 4) + (rng.random() < 0.08) * rng.randint(1, 5), 9)
-        edges.append(
-            Hyperedge(
-                frozenset(rng.sample(range(n), a)), frozenset(rng.sample(range(n), b))
-            )
-        )
-    return DirectedHypergraph(edges, n)
 
 
 def contact_scale(seed=2024):

@@ -14,9 +14,8 @@ from hypernull.affinity import (
     CategoryPartition,
     affinity,
     affinity_baseline,
-    affinity_head1,
 )
-from hypernull.core import DirectedHypergraph, Hyperedge, parse_hypergraph
+from hypernull.core import parse_hypergraph
 
 
 def random_partition(rng, n, categories=("A", "B")):
@@ -166,36 +165,3 @@ class TestAffinityBaseline:
         P = CategoryPartition(("A", "B"))
         with pytest.raises(ValueError):
             affinity_baseline(P, "A", 1, 3, 3)
-
-
-class TestAffinityHead1:
-    def test_equals_general_form(self):
-        rng = random.Random(43)
-        for _ in range(50):
-            n = rng.randint(2, 7)
-            edges = []
-            for _ in range(rng.randint(1, 8)):
-                head = frozenset([rng.randrange(n)])
-                tail_size = rng.randint(1, min(3, n))
-                tail = frozenset(rng.sample(range(n), tail_size))
-                edges.append(Hyperedge(head, tail))
-            H = DirectedHypergraph(edges, n)
-            P = random_partition(rng, n)
-            k = rng.randint(2, 4)
-            assert affinity_head1(H, P, "A", k) == affinity(H, P, "A", 1, 1, k)
-
-    def test_single_sponsored_edge(self):
-        H = parse_hypergraph("1|2,3\n")
-        P = CategoryPartition(("A", "A", "A"))
-        assert affinity_head1(H, P, "A", 3) == 1.0
-
-    def test_wide_head_rejected(self):
-        H = parse_hypergraph("1,2|3\n")
-        P = CategoryPartition(("A", "A", "A"))
-        with pytest.raises(ValueError):
-            affinity_head1(H, P, "A", 3)
-
-    def test_wide_head_outside_k_ignored(self):
-        H = parse_hypergraph("1,2|3\n4|5\n")
-        P = CategoryPartition(("A", "A", "A", "A", "A"))
-        assert affinity_head1(H, P, "A", 2) == 1.0

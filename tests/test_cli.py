@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 import pytest
@@ -377,6 +378,22 @@ class TestAffinity:
         # Node 1 (red) sponsors 1|0,2: one of its two co-sponsors is red.
         assert rows[3][2] == "1"
 
+    def test_multi_node_heads_are_left_out(self, tmp_path, toy, labels):
+        # TOY has size-3 edges with two-node heads (0,1|2 and 0,2|3); the
+        # single-head affinity skips them instead of stopping the run.
+        out = tmp_path / "aff.csv"
+        assert run(["affinity", "--input", toy, "--labels", labels,
+                    "--output", out]) == 0
+        _, rows = read_rows(out)
+        assert [(row[0], row[1]) for row in rows] == [
+            (category, str(k)) for category in ("blue", "red") for k in range(2, 15)
+        ]
+        observed = {(row[0], row[1]): row[2] for row in rows}
+        # 1|3 and 3|1 cross the classes; 2|0,1 is the one single-head edge of
+        # size 3 and has no blue tail member.
+        assert observed[("blue", "2")] == observed[("red", "2")] == "0"
+        assert observed[("red", "3")] == "0" and observed[("blue", "3")] == ""
+
     def test_baseline_column(self, tmp_path):
         graph = tmp_path / "one.dhg"
         graph.write_text("0|1\n", encoding="utf-8")
@@ -636,3 +653,19 @@ class TestHelpers:
         result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                 capture_output=True, text=True, timeout=120)
         assert result.stdout.strip() == "False"
+
+    def test_manifest_records_library_versions_without_importing_scipy(self, tmp_path, toy):
+        out = tmp_path / "canon.dhg"
+        src = Path(hypernull.cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = (
+            "import sys; from hypernull.cli import main; "
+            f"main(['convert', '--input', {str(toy)!r}, '--to', 'directed', "
+            f"'--output', {str(out)!r}]); print('scipy' in sys.modules)"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True, timeout=120)
+        assert result.stdout.splitlines()[-1] == "False"
+        versions = manifest_of(tmp_path / "canon.dhg.manifest.json")["versions"]
+        assert versions["numpy"] == metadata.version("numpy")
+        assert versions["scipy"] == metadata.version("scipy")

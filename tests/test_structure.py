@@ -4,6 +4,8 @@ the multi-order spectrum.
 Oracles: exhaustive subset enumeration for both the reciprocal-set search and
 the core decomposition, a dense linear solve for PageRank, an SVD for HITS,
 and exact rational characteristic polynomials for the Laplacian spectrum.
+The reciprocity candidates, HITS and the core peel must also equal their
+full-rescan references in tests/helpers.py exactly, bit for bit.
 """
 
 import itertools
@@ -14,7 +16,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_hypergraph
+from helpers import (
+    core_shells_reference,
+    hits_reference,
+    metabolic_scale,
+    random_hypergraph,
+    reciprocal_candidates,
+    trade_like,
+)
 from hypernull.core import (
     BipartiteDigraph,
     DirectedHypergraph,
@@ -27,6 +36,8 @@ from hypernull.core import (
 from hypernull.structure import (
     CorenessProfile,
     ReciprocityConfig,
+    _best_reciprocal_set,
+    _reciprocal_candidates,
     WeightedDigraph,
     binary_entropy,
     hits,
@@ -51,19 +62,6 @@ def edge(head, tail):
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
-
-
-def reciprocal_candidates(H, e):
-    """Candidate reciprocators of e, with one copy of e itself excluded."""
-    skipped_self = False
-    out = []
-    for f in H.expanded_edges():
-        if not skipped_self and f.head == e.head and f.tail == e.tail:
-            skipped_self = True
-            continue
-        if (f.tail & e.head) and (f.head & e.tail):
-            out.append(f)
-    return out
 
 
 def best_subset_oracle(e, candidates, config):
@@ -305,6 +303,33 @@ class TestHypergraphReciprocity:
         assert result.value == pytest.approx(sum(scores) / len(scores))
 
 
+class TestCandidatesMatchFullScan:
+    @staticmethod
+    def check(H):
+        config = ReciprocityConfig()
+        expanded = list(H.expanded_edges())
+        candidates = _reciprocal_candidates(expanded)
+        expected = []
+        for e in expanded:
+            reference = reciprocal_candidates(H, e)
+            assert candidates(e) == reference
+            expected.append(_best_reciprocal_set(e, reference, config)[1])
+        assert hypergraph_reciprocity(H, config).per_edge == tuple(expected)
+
+    def test_random_hypergraphs(self):
+        rng = random.Random(89)
+        for _ in range(40):
+            self.check(random_hypergraph(rng, max_nodes=6, max_edges=8, max_side=3))
+
+    def test_copies_and_self_loops(self):
+        # Three copies of a self-reciprocating edge: the first copy is skipped,
+        # the other two stay candidates.
+        self.check(parse_hypergraph("1,2|1,2\n1,2|1,2\n1,2|1,2\n2|1\n"))
+
+    def test_metabolic_scale(self):
+        self.check(metabolic_scale(101))
+
+
 # ---------------------------------------------------------------------------
 # Hyper-core decomposition
 # ---------------------------------------------------------------------------
@@ -357,6 +382,33 @@ class TestHyperCore:
             assert profile.hypercoreness[v] == sum(
                 profile.shells[m][v] for m in profile.shells
             )
+
+
+class TestHyperCoreMatchesReference:
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_random_hypergraphs(self, side):
+        rng = random.Random(97)
+        for _ in range(40):
+            H = random_hypergraph(rng, max_nodes=9, max_edges=10, max_side=4)
+            assert hyper_core_decomposition(H, side).shells == core_shells_reference(H, side)
+
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_metabolic_scale(self, side):
+        H = metabolic_scale(101)
+        assert hyper_core_decomposition(H, side).shells == core_shells_reference(H, side)
+
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_trade_like_prefix(self, side):
+        T = trade_like(2024)
+        H = DirectedHypergraph(T.edges[:60], T.num_nodes)
+        assert hyper_core_decomposition(H, side).shells == core_shells_reference(H, side)
+
+    def test_trade_scale_instance(self):
+        # 300 products, mean head size ~15, edges of up to 146 nodes: the
+        # reference's full re-scans take seconds here, the incremental peel
+        # about a tenth of a second.
+        H = trade_like(7, m=300)
+        assert hyper_core_decomposition(H, "head").shells == core_shells_reference(H, "head")
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +581,24 @@ class TestHits:
         hubs, auths = hits(G)
         assert math.hypot(*hubs) == pytest.approx(1.0, abs=1e-9)
         assert math.hypot(*auths) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestHitsMatchesReference:
+    def test_random_hypergraphs(self):
+        rng = random.Random(101)
+        for _ in range(20):
+            G = to_bipartite(random_hypergraph(rng, max_nodes=6, max_edges=6, max_side=3))
+            assert hits(G, max_iter=10**5) == hits_reference(G, max_iter=10**5)
+
+    def test_metabolic_scale(self):
+        G = to_bipartite(metabolic_scale(101))
+        assert hits(G) == hits_reference(G)
+
+    def test_same_failure_past_max_iter(self):
+        G = to_bipartite(parse_hypergraph("1|2,3\n2,3|1\n4|1\n"))
+        for kernel in (hits, hits_reference):
+            with pytest.raises(RuntimeError):
+                kernel(G, max_iter=2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ Each susceptible member of a hyperedge e with i_e infected members gets
 infected at rate lam * i_e**nu, and infected nodes recover at rate mu, so a
 hyperedge fires infection events at the aggregate rate s_e * lam * i_e**nu
 and then picks one of its susceptible members uniformly.  Exact event-driven
-simulation (Gillespie) keeps the per-edge rates in a sum tree for O(log m)
-sampling and updating.  Stationary densities come either from a plain run,
-which stops at the absorbing state, or from the quasi-stationary method,
-which revives the chain from a buffer of recent snapshots whenever it
-absorbs and thereby resolves endemic branches near and below threshold.
+simulation (Gillespie) groups the edges into rate classes (|e|, i_e) whose
+rates are precomputed (composition method: Slepoy, Thompson and Plimpton,
+J. Chem. Phys. 128, 2008; St-Onge et al., Comput. Phys. Commun. 240, 2019).
+A toggle moves each incident edge to the neighbouring class in O(1), and a
+draw scans the classes, O(#classes), then picks an edge uniformly inside one.
+Stationary densities come either from a plain run, which stops at the
+absorbing state, or from the quasi-stationary method, which revives the
+chain from a buffer of recent snapshots whenever it absorbs and thereby
+resolves endemic branches near and below threshold.
 """
 
 from __future__ import annotations
@@ -18,13 +22,11 @@ import math
 import random
 import statistics
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from hypernull.core import UndirectedHypergraph
-
-# Events between full recomputations of the per-edge counters and rate tree.
-RESYNC_EVERY = 100_000
 
 # Fraction of the mean the two halves of the sample window may drift apart
 # before the burn-in adequacy warning fires.
@@ -121,65 +123,18 @@ class StationaryResult(NamedTuple):
     absorbed: bool
 
 
-class SumTree:
-    """Fixed-capacity sum tree over non-negative leaf values: point update
-    and prefix-sum descent both in O(log n)."""
-
-    def __init__(self, values):
-        values = list(values)
-        self.count = len(values)
-        size = 1
-        while size < max(self.count, 1):
-            size *= 2
-        self.size = size
-        self.nodes = [0.0] * (2 * size)
-        self.nodes[size : size + self.count] = values
-        for i in range(size - 1, 0, -1):
-            self.nodes[i] = self.nodes[2 * i] + self.nodes[2 * i + 1]
-
-    def total(self) -> float:
-        return self.nodes[1]
-
-    def get(self, index: int) -> float:
-        return self.nodes[self.size + index]
-
-    def set(self, index: int, value: float):
-        i = self.size + index
-        self.nodes[i] = value
-        i //= 2
-        while i:
-            self.nodes[i] = self.nodes[2 * i] + self.nodes[2 * i + 1]
-            i //= 2
-
-    def find(self, target: float) -> int:
-        """Index of the first leaf whose cumulative sum exceeds target."""
-        i = 1
-        while i < self.size:
-            left = self.nodes[2 * i]
-            if target < left:
-                i = 2 * i
-            else:
-                target -= left
-                i = 2 * i + 1
-        # Rounding in the internal sums can, very rarely, push the descent
-        # past the last live leaf or onto a dead one; clamp, then walk to the
-        # nearest leaf with mass.
-        index = min(i - self.size, self.count - 1)
-        while self.nodes[self.size + index] == 0.0 and index > 0:
-            index -= 1
-        while self.nodes[self.size + index] == 0.0 and index < self.count - 1:
-            index += 1
-        return index
-
-
 class SISState:
     """Dynamic state of one simulation: infected set, per-edge infected and
-    susceptible counts, and the aggregate event rates.
+    susceptible counts, and the edges grouped by rate class.
 
-    Invariants: infected_per_edge[e] + susceptible_per_edge[e] == |e| after
-    every event, recovery_rate == mu * infected_count, and the rate tree
-    matches the recomputed per-edge rates (resync() restores the latter
-    exactly; gillespie_step calls it every RESYNC_EVERY events).
+    An edge's infection rate s_e * lam * i_e**nu depends only on its class
+    (|e|, i_e), numbered class_base[|e|] + i_e, whose rate is precomputed in
+    class_rate.  buckets[c] lists the edges of class c and slot[e] is e's
+    index in its bucket.  Invariants after every event:
+    infected_per_edge[e] + susceptible_per_edge[e] == |e|, edge e sits at
+    buckets[edge_class[e]][slot[e]] with edge_class[e] == class_base[|e|] +
+    infected_per_edge[e], and recovery_rate == mu * infected_count.  Every
+    counter is an integer, so nothing drifts over a run.
     """
 
     def __init__(self, num_nodes, edges, cfg: SISConfig, infected_nodes=()):
@@ -193,8 +148,14 @@ class SISState:
             for v in edge:
                 incidence[v].append(index)
         self.incidence = incidence
+        self.class_base = {}
+        self.class_rate = []
+        for size in sorted({len(edge) for edge in self.edges}):
+            self.class_base[size] = len(self.class_rate)
+            self.class_rate.extend(
+                self._edge_rate(i, size - i) for i in range(size + 1)
+            )
         self.clock = 0.0
-        self.events_since_resync = 0
         self.reset_infected(infected_nodes)
 
     def reset_infected(self, infected_nodes):
@@ -208,51 +169,66 @@ class SISState:
                 self.position[v] = len(self.infected_list)
                 self.infected_list.append(v)
         self.infected_count = len(self.infected_list)
-        self.resync()
-
-    def resync(self):
-        """Recompute per-edge counters and rates from the node states."""
+        self.recovery_rate = self.mu * self.infected_count
         self.infected_per_edge = [
             sum(self.infected[v] for v in edge) for edge in self.edges
         ]
         self.susceptible_per_edge = [
             len(edge) - i for edge, i in zip(self.edges, self.infected_per_edge)
         ]
-        self.rates = SumTree(
-            self._edge_rate(i, s)
-            for i, s in zip(self.infected_per_edge, self.susceptible_per_edge)
-        )
-        self.recovery_rate = self.mu * self.infected_count
-        self.events_since_resync = 0
+        self.edge_class = [
+            self.class_base[len(edge)] + i
+            for edge, i in zip(self.edges, self.infected_per_edge)
+        ]
+        self.buckets = [[] for _ in self.class_rate]
+        self.slot = []
+        for index, c in enumerate(self.edge_class):
+            self.slot.append(len(self.buckets[c]))
+            self.buckets[c].append(index)
+        # Buckets change in place, so these references stay current.
+        self.live = [
+            (bucket, rate)
+            for bucket, rate in zip(self.buckets, self.class_rate)
+            if rate > 0.0
+        ]
 
     def _edge_rate(self, infected, susceptible) -> float:
         if infected == 0 or susceptible == 0:
             return 0.0
         return susceptible * self.lam * infected**self.nu
 
+    def infection_rate(self) -> float:
+        """Summed infection rate of all edges."""
+        return sum(len(bucket) * rate for bucket, rate in self.live)
+
     def total_rate(self) -> float:
-        return self.recovery_rate + self.rates.total()
+        return self.recovery_rate + self.infection_rate()
 
     def rho(self) -> float:
         return self.infected_count / self.num_nodes
 
-    def snapshot(self) -> tuple:
-        return tuple(self.infected_list)
-
-    def draw_event(self, rng: random.Random):
-        """Pick the next event proportionally to the current rates without
-        committing it; returns (kind, node)."""
-        total = self.total_rate()
-        target = rng.random() * total
-        if target < self.recovery_rate:
-            node = self.infected_list[rng.randrange(self.infected_count)]
-            return "recovery", node
-        edge = self.edges[self.rates.find(target - self.recovery_rate)]
+    def draw_event(self, rng: random.Random, total: float):
+        """Pick the next event proportionally to the current rates, given
+        total == total_rate(), without committing it; returns (kind, node)."""
+        target = rng.random() * total - self.recovery_rate
+        if target < 0.0:
+            return "recovery", self.infected_list[rng.randrange(self.infected_count)]
+        chosen = None
+        for bucket, rate in self.live:
+            if bucket:
+                chosen = bucket
+                mass = len(bucket) * rate
+                if target < mass:
+                    break
+                target -= mass
+        # Rounding can run the target past the last live class; the loop then
+        # ends on the last non-empty bucket, which is where it belongs.
+        edge = self.edges[chosen[rng.randrange(len(chosen))]]
         susceptibles = [v for v in edge if not self.infected[v]]
         return "infection", susceptibles[rng.randrange(len(susceptibles))]
 
     def apply(self, kind: str, node: int):
-        """Commit a toggle and update the counters of every incident edge."""
+        """Commit a toggle and move every incident edge to its new class."""
         if kind == "recovery":
             self.infected[node] = 0
             last = self.infected_list.pop()
@@ -270,15 +246,23 @@ class SISState:
             self.infected_count += 1
             delta = 1
         self.recovery_rate = self.mu * self.infected_count
+        buckets, slots, edge_class = self.buckets, self.slot, self.edge_class
+        infected, susceptible = self.infected_per_edge, self.susceptible_per_edge
         for index in self.incidence[node]:
-            i = self.infected_per_edge[index] + delta
-            s = self.susceptible_per_edge[index] - delta
-            self.infected_per_edge[index] = i
-            self.susceptible_per_edge[index] = s
-            self.rates.set(index, self._edge_rate(i, s))
-        self.events_since_resync += 1
-        if self.events_since_resync >= RESYNC_EVERY:
-            self.resync()
+            c = edge_class[index]
+            bucket = buckets[c]
+            last = bucket.pop()
+            if last != index:
+                slot = slots[index]
+                bucket[slot] = last
+                slots[last] = slot
+            c += delta
+            edge_class[index] = c
+            bucket = buckets[c]
+            slots[index] = len(bucket)
+            bucket.append(index)
+            infected[index] += delta
+            susceptible[index] -= delta
 
 
 def make_sis_state(
@@ -297,7 +281,7 @@ def gillespie_step(state: SISState, rng: random.Random):
     if total <= 0.0:
         return None
     state.clock += rng.expovariate(total)
-    kind, node = state.draw_event(rng)
+    kind, node = state.draw_event(rng, total)
     state.apply(kind, node)
     return Event(state.clock, kind, node)
 
@@ -307,6 +291,8 @@ def _initial_infected(num_nodes: int, rho0: float, rng: random.Random) -> list:
 
 
 def _summarize(samples, absorbed: bool) -> StationaryResult:
+    # Called as run_* -> _run -> _summarize: stacklevel 4 points the drift
+    # warning at the caller of run_stationary / run_quasi_stationary.
     mean = statistics.fmean(samples)
     std = statistics.pstdev(samples)
     if len(samples) >= 20 and mean > 0:
@@ -319,7 +305,7 @@ def _summarize(samples, absorbed: bool) -> StationaryResult:
                 "infected density is still drifting across the sampling "
                 "window; consider a longer burn-in",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
     return StationaryResult(mean, std, absorbed)
 
@@ -328,18 +314,19 @@ def _run(H: UndirectedHypergraph, cfg: SISConfig, quasi_stationary: bool):
     rng = random.Random(cfg.seed)
     initial = _initial_infected(H.num_nodes, cfg.rho0, rng)
     state = make_sis_state(H, initial, cfg)
-    buffer = []
+    buffer = deque(maxlen=cfg.qs_history_size)
     revived = False
     samples = []
     next_sample = cfg.burn_in + cfg.decorrelation
     next_snapshot = cfg.snapshot_interval
     while len(samples) < cfg.sample_count:
-        total = state.total_rate()
-        if total <= 0.0:
+        rho = state.rho()
+        event = gillespie_step(state, rng)
+        if event is None:
             if state.infected_count > 0:
                 # mu == 0 with nothing left to infect: the configuration is
                 # frozen, so every remaining sample reads the same density.
-                samples.extend([state.rho()] * (cfg.sample_count - len(samples)))
+                samples.extend([rho] * (cfg.sample_count - len(samples)))
                 break
             if not quasi_stationary:
                 return StationaryResult(0.0, 0.0, True)
@@ -349,21 +336,15 @@ def _run(H: UndirectedHypergraph, cfg: SISConfig, quasi_stationary: bool):
                 return StationaryResult(0.0, 0.0, True)
             state.reset_infected(restored)
             continue
-        event_time = state.clock + rng.expovariate(total)
-        if quasi_stationary:
-            while next_snapshot <= event_time:
-                buffer.append(state.snapshot())
-                if len(buffer) > cfg.qs_history_size:
-                    buffer.pop(0)
+        # Every recording time before the event reads the state before it.
+        if quasi_stationary and next_snapshot <= event.time:
+            before = tuple(sorted(set(state.infected_list) ^ {event.node}))
+            while next_snapshot <= event.time:
+                buffer.append(before)
                 next_snapshot += cfg.snapshot_interval
-        while next_sample <= event_time and len(samples) < cfg.sample_count:
-            samples.append(state.rho())
+        while next_sample <= event.time and len(samples) < cfg.sample_count:
+            samples.append(rho)
             next_sample += cfg.decorrelation
-        if len(samples) == cfg.sample_count:
-            break
-        state.clock = event_time
-        kind, node = state.draw_event(rng)
-        state.apply(kind, node)
     return _summarize(samples, revived)
 
 

@@ -1,8 +1,8 @@
 """Shared test helpers: deterministic random generators, brute-force recount
 oracles used to cross-check the package implementations, reference versions
 of the structure kernels, the thinned visit counter of the chain uniformity
-tests, and the consistency checks that a checked chain walk runs after every
-step."""
+tests, the consistency checks that a checked chain walk runs after every
+step, and the rate-class check of a contagion state."""
 
 import math
 import random
@@ -182,6 +182,26 @@ def checked_walk(step, state, steps):
         if state.swap_count is not None:
             assert state.swap_count == state_degree_pso(state.graph)
     return applied
+
+
+def check_buckets(state):
+    """Assert a contagion state's rate-class bookkeeping against a recount
+    from its node states: every edge sits in the bucket of its class
+    (|e|, i_e) at its recorded slot, no bucket holds an edge twice, and the
+    total rate equals mu * I plus the fsum of the recomputed per-edge rates
+    s_e * lam * i_e**nu."""
+    rates = []
+    for index, edge in enumerate(state.edges):
+        i = sum(state.infected[v] for v in edge)
+        s = len(edge) - i
+        c = state.class_base[len(edge)] + i
+        assert state.edge_class[index] == c, "edge in the wrong class"
+        assert state.buckets[c][state.slot[index]] == index, "stale bucket slot"
+        rates.append(s * state.lam * i**state.nu if i and s else 0.0)
+    members = sorted(index for bucket in state.buckets for index in bucket)
+    assert members == list(range(len(state.edges))), "bucket members duplicated"
+    expected = state.mu * sum(state.infected) + math.fsum(rates)
+    assert math.isclose(state.total_rate(), expected, rel_tol=1e-12, abs_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Tests for nonlinear hypergraph SIS dynamics: the Gillespie engine, the
-sum-tree rate index, and stationary and quasi-stationary density
-estimation.
+"""Tests for nonlinear hypergraph SIS dynamics: the Gillespie engine, its
+rate-class buckets, and stationary and quasi-stationary density estimation.
 
-Oracles: hand-computed per-edge infection rates and event probabilities on a
-frozen three-node state, brute-force recounts of per-edge infected totals
-along a simulated trajectory, and exponential waiting-time statistics
-against the analytic mean.
+Oracles: hand-computed per-edge infection rates and event probabilities on
+frozen states, brute-force recounts of per-edge infected totals and of the
+bucket bookkeeping along a simulated trajectory, and exponential
+waiting-time statistics against the analytic mean.
 """
 
 import json
@@ -14,11 +13,11 @@ import random
 
 import pytest
 
+from helpers import check_buckets
 from hypernull.contagion import (
     DEFAULT_THRESHOLDS,
     SISConfig,
     StationaryResult,
-    SumTree,
     Thresholds,
     gillespie_step,
     load_thresholds,
@@ -96,48 +95,6 @@ class TestSISConfig:
             SISConfig(**kwargs)
 
 
-class TestSumTree:
-    def test_frozen_lookups(self):
-        tree = SumTree([0.5, 1.5, 0.0, 2.0])
-        assert tree.total() == pytest.approx(4.0)
-        assert tree.find(0.4) == 0
-        assert tree.find(0.6) == 1
-        assert tree.find(1.9) == 1
-        assert tree.find(2.1) == 3
-        assert tree.find(3.999) == 3
-
-    def test_update(self):
-        tree = SumTree([0.5, 1.5, 0.0, 2.0])
-        tree.set(2, 1.0)
-        assert tree.total() == pytest.approx(5.0)
-        assert tree.find(2.5) == 2
-        tree.set(0, 0.0)
-        assert tree.total() == pytest.approx(4.5)
-        assert tree.find(0.1) == 1
-
-    def test_matches_linear_scan(self):
-        rng = random.Random(5)
-        values = [rng.random() * rng.choice([0, 1, 3]) for _ in range(13)]
-        tree = SumTree(values)
-        assert tree.total() == pytest.approx(math.fsum(values))
-        for _ in range(500):
-            u = rng.random() * tree.total()
-            idx = tree.find(u)
-            acc = 0.0
-            expected = None
-            for i, v in enumerate(values):
-                if acc <= u < acc + v:
-                    expected = i
-                    break
-                acc += v
-            assert idx == expected
-
-    def test_single_leaf(self):
-        tree = SumTree([2.5])
-        assert tree.total() == pytest.approx(2.5)
-        assert tree.find(1.0) == 0
-
-
 class TestStateConstruction:
     def test_hand_counts_and_rates(self):
         # Edges: e0 = {0,1}, e1 = {0,1,2}, e2 = {2}; infected = {0}.
@@ -150,7 +107,7 @@ class TestStateConstruction:
         assert state.infected_count == 1
         assert list(state.infected_per_edge) == [1, 1, 0]
         assert list(state.susceptible_per_edge) == [1, 2, 1]
-        assert state.rates.total() == pytest.approx(1.8)
+        assert state.infection_rate() == pytest.approx(1.8)
         assert state.recovery_rate == pytest.approx(1.0)
         assert state.total_rate() == pytest.approx(2.8)
         assert state.rho() == pytest.approx(1 / 3)
@@ -161,14 +118,14 @@ class TestStateConstruction:
         H = undirected([{0}], 1)
         cfg = SISConfig(lam=100.0, nu=1.0)
         infected = make_sis_state(H, [0], cfg)
-        assert infected.rates.total() == 0.0
+        assert infected.infection_rate() == 0.0
         healthy = make_sis_state(H, [], cfg)
-        assert healthy.rates.total() == 0.0
+        assert healthy.infection_rate() == 0.0
 
     def test_single_pair_rate_is_lambda(self):
         H = undirected([{0, 1}], 2)
         state = make_sis_state(H, [0], SISConfig(lam=0.37, nu=1.0))
-        assert state.rates.total() == pytest.approx(0.37)
+        assert state.infection_rate() == pytest.approx(0.37)
 
     def test_multiplicity_multiplies_rate(self):
         # A weight-2 directed edge expands into two undirected copies, so
@@ -179,7 +136,7 @@ class TestStateConstruction:
         merged = merge_to_undirected(directed)
         assert len(merged.edges) == 2
         state = make_sis_state(merged, [0], SISConfig(lam=0.37, nu=1.0))
-        assert state.rates.total() == pytest.approx(0.74)
+        assert state.infection_rate() == pytest.approx(0.74)
 
     def test_absorbing_state_has_zero_rate(self):
         H = undirected([{0, 1}, {1, 2}], 3)
@@ -190,19 +147,19 @@ class TestStateConstruction:
 
 class TestGillespieStep:
     def test_conservation_and_rates_along_walk(self):
+        # Sizes 1-5 and a repeated edge; the buckets are checked after every
+        # one of 5,000 events.
         rng = random.Random(71)
-        H = random_undirected(rng, num_nodes=12, num_edges=20)
+        H = random_undirected(rng, num_nodes=12, num_edges=20, max_size=5)
         sorted_edges = [sorted(e) for e in H.edges]
+        assert {len(e) for e in sorted_edges} == {1, 2, 3, 4, 5}
         cfg = SISConfig(lam=0.8, nu=1.7, seed=9)
         state = make_sis_state(H, rng.sample(range(12), 4), cfg)
+        check_buckets(state)
         event_rng = random.Random(9)
-        steps = 0
-        while steps < 5000:
+        for _ in range(5000):
             event = gillespie_step(state, event_rng)
-            if event is None:
-                assert state.infected_count == 0
-                break
-            steps += 1
+            assert event is not None
             assert event.kind in ("infection", "recovery")
             assert event.time == state.clock
             expected_i = recount_infected(state, sorted_edges)
@@ -212,27 +169,12 @@ class TestGillespieStep:
             ):
                 assert i + s == len(e)
             expected_rates = edge_rates(state, 0.8, 1.7, sorted_edges)
-            assert state.rates.total() == pytest.approx(
+            assert state.infection_rate() == pytest.approx(
                 math.fsum(expected_rates), abs=1e-9
             )
             assert state.recovery_rate == pytest.approx(state.infected_count)
             assert 0.0 <= state.rho() <= 1.0
-        assert steps > 100
-
-    def test_resync_is_a_no_op_on_exact_counters(self):
-        rng = random.Random(3)
-        H = random_undirected(rng, num_nodes=10, num_edges=14)
-        cfg = SISConfig(lam=1.2, nu=2.0, seed=5)
-        state = make_sis_state(H, [0, 3, 7], cfg)
-        event_rng = random.Random(17)
-        for _ in range(200):
-            if gillespie_step(state, event_rng) is None:
-                break
-        before_counts = list(state.infected_per_edge)
-        before_total = state.rates.total()
-        state.resync()
-        assert list(state.infected_per_edge) == before_counts
-        assert state.rates.total() == pytest.approx(before_total, abs=1e-9)
+            check_buckets(state)
 
     def test_event_frequencies_match_analytic_rates(self):
         # Frozen three-node state: edges {0,1}, {0,1,2}, {2}; node 0 infected;
@@ -248,13 +190,55 @@ class TestGillespieStep:
         rng = random.Random(123)
         draws = 1_000_000
         counts = {("recovery", 0): 0, ("infection", 1): 0, ("infection", 2): 0}
+        total = state.total_rate()
         for _ in range(draws):
-            kind, node = state.draw_event(rng)
+            kind, node = state.draw_event(rng, total)
             counts[(kind, node)] += 1
         expected = {
             ("recovery", 0): 1.0 / 2.8,
             ("infection", 1): 1.2 / 2.8,
             ("infection", 2): 0.6 / 2.8,
+        }
+        for key, p in expected.items():
+            sigma = math.sqrt(p * (1 - p) / draws)
+            assert abs(counts[key] / draws - p) < 4 * sigma
+
+    def test_event_frequencies_with_shared_classes(self):
+        # Frozen five-node state, nodes 0 and 4 infected, lam = 0.5, nu = 2,
+        # mu = 1.  Edges, classes (|e|, i) and rates s * lam * i**nu:
+        #   {0,1} twice, {0,2}: (2, 1), 1 * 0.5 * 1 = 0.5 each
+        #   {0,2,3}:            (3, 1), 2 * 0.5 * 1 = 1.0, split over 2 and 3
+        #   {0,3,4}:            (3, 2), 1 * 0.5 * 4 = 2.0, all to node 3
+        #   {1,2,3,4}:          (4, 1), 3 * 0.5 * 1 = 1.5, split over 1, 2, 3
+        #   {0,4}, {1}:         (2, 2) and (1, 0), rate 0
+        # So three edges share class (2, 1), and sizes 2, 3 and 4 share i = 1.
+        # Per event: recover 0 or 4, 1.0 each; infect 1: 0.5 + 0.5 + 0.5;
+        # infect 2: 0.5 + 0.5 + 0.5; infect 3: 0.5 + 2.0 + 0.5.  Total 8.
+        H = undirected(
+            [{0, 1}, {0, 2}, {0, 1}, {0, 2, 3}, {0, 3, 4}, {1, 2, 3, 4},
+             {0, 4}, {1}],
+            5,
+        )
+        state = make_sis_state(H, [0, 4], SISConfig(lam=0.5, nu=2.0))
+        check_buckets(state)
+        assert len(state.buckets[state.class_base[2] + 1]) == 3
+        total = state.total_rate()
+        assert total == pytest.approx(8.0)
+        rng = random.Random(321)
+        draws = 1_000_000
+        counts = dict.fromkeys(
+            [("recovery", 0), ("recovery", 4), ("infection", 1),
+             ("infection", 2), ("infection", 3)],
+            0,
+        )
+        for _ in range(draws):
+            counts[state.draw_event(rng, total)] += 1
+        expected = {
+            ("recovery", 0): 1.0 / 8,
+            ("recovery", 4): 1.0 / 8,
+            ("infection", 1): 1.5 / 8,
+            ("infection", 2): 1.5 / 8,
+            ("infection", 3): 3.0 / 8,
         }
         for key, p in expected.items():
             sigma = math.sqrt(p * (1 - p) / draws)
@@ -434,6 +418,18 @@ class TestStationarityWarning:
             result = run_stationary(H, cfg)
         assert result.absorbed is False
         assert result.mean > 0.0
+
+    @pytest.mark.parametrize("runner", [run_stationary, run_quasi_stationary])
+    def test_warning_points_at_the_caller(self, runner):
+        rng = random.Random(61)
+        H = random_undirected(rng, num_nodes=30, num_edges=40)
+        cfg = SISConfig(
+            lam=0.0, nu=1.0, mu=0.05, rho0=1.0, burn_in=0.0, sample_count=40,
+            seed=14,
+        )
+        with pytest.warns(RuntimeWarning, match="burn-in") as record:
+            runner(H, cfg)
+        assert record[0].filename == __file__
 
     def test_silent_when_stationary(self):
         rng = random.Random(62)

@@ -38,8 +38,6 @@ from hypernull.affinity import (
     affinity_baseline,
 )
 from hypernull.diagnostics import (
-    FrequentItemsetSet,
-    TransactionDB,
     arsd,
     arsd_trace,
     chi_square_uniformity,
@@ -98,9 +96,7 @@ from hypernull.econ import (
 )
 from hypernull.structure import (
     CorenessProfile,
-    ReciprocityConfig,
     ReciprocityResult,
-    WeightedDigraph,
     binary_entropy,
     hits,
     hyper_core_decomposition,

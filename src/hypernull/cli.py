@@ -27,7 +27,6 @@ import platform
 import statistics
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import metadata
 from pathlib import Path
@@ -59,7 +58,7 @@ from hypernull.econ import (
     read_trade_table,
     trade_to_hypergraph,
 )
-from hypernull.sampling import ChainConfig, derive_seed, run_chain
+from hypernull.sampling import MODELS, STEP_FUNCTIONS, ChainConfig, derive_seed, run_chain
 from hypernull.structure import (
     hits,
     hyper_core_decomposition,
@@ -296,31 +295,22 @@ def cmd_convert(args, manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _invariants(H: DirectedHypergraph, model: str):
-    """The structure a sampler must preserve, as directly comparable values.
+def _invariants(H: DirectedHypergraph, model: str) -> str:
+    """The structure a sampler must preserve, as canonical JSON text.
 
     Edge copies carry no identity across serialization, so sizes are compared
-    as a multiset of (head size, tail size) pairs; node degrees align by
-    external id because swaps never change any node's degree.
+    as a sorted list of (head size, tail size) pairs; node degrees align by
+    external id because swaps never change any node's degree.  The text is
+    compared, hashed and printed as is, and is far smaller than the joint
+    tensor it encodes.
     """
-    G = to_bipartite(H)
     if model == "joint":
-        return compute_joint(G).counts
-    profile = degree_profile(G)
-    sizes = Counter(zip(profile.right_in, profile.right_out))
+        return json.dumps(sorted(compute_joint(to_bipartite(H)).counts.items()))
+    profile = degree_profile(to_bipartite(H))
+    sizes = sorted(zip(profile.right_in, profile.right_out))
     if model in ("degs", "degs-mh"):
-        return profile.left_in, profile.left_out, sizes
-    return sizes
-
-
-def _canonical(invariants, model: str):
-    """JSON-ready canonical form of _invariants(H, model)."""
-    if model == "joint":
-        return sorted([list(key), count] for key, count in invariants.items())
-    if model in ("degs", "degs-mh"):
-        left_in, left_out, sizes = invariants
-        return [left_in, left_out, _canonical(sizes, "null")]
-    return [list(pair) for pair in sorted(invariants.elements())]
+        return json.dumps([profile.left_in, profile.left_out, sizes])
+    return json.dumps(sizes)
 
 
 def cmd_sample(args, manifest: RunManifest) -> int:
@@ -335,33 +325,29 @@ def cmd_sample(args, manifest: RunManifest) -> int:
         thinning=args.thinning,
     )
     expected = _invariants(H, args.model)
-    expected_sha256 = _sha256(
-        json.dumps(_canonical(expected, args.model), sort_keys=True).encode()
-    )
+    expected_sha256 = _sha256(expected.encode())
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for index, sample in enumerate(run_chain(H, config)):
         path = out_dir / f"sample_{index}.dhg"
         path.write_text(format_hypergraph(sample), encoding="utf-8")
-        record = {"file": path.name, "sha256": _hash_file(path)}
-        if not args.no_verify:
-            written = _invariants(_load_directed(path), args.model)
-            if written != expected:
-                print(
-                    f"invariant verification failed for {path}\n"
-                    f"expected: {json.dumps(_canonical(expected, args.model))}\n"
-                    f"found:    {json.dumps(_canonical(written, args.model))}",
-                    file=sys.stderr,
-                )
-                return 1
-            record["invariant_sha256"] = expected_sha256
-        records.append(record)
+        written = _invariants(_load_directed(path), args.model)
+        if written != expected:
+            print(
+                f"invariant verification failed for {path}\n"
+                f"expected: {expected}\n"
+                f"found:    {written}",
+                file=sys.stderr,
+            )
+            return 1
+        records.append(
+            {"file": path.name, "sha256": _hash_file(path), "invariant_sha256": expected_sha256}
+        )
     manifest.invariants["model"] = args.model
     manifest.invariants["samples"] = records
     manifest.destination = out_dir / "manifest.json"
-    verified = "unverified" if args.no_verify else "verified"
-    print(f"wrote {len(records)} samples to {out_dir} ({verified})")
+    print(f"wrote {len(records)} samples to {out_dir} (verified)")
     return 0
 
 
@@ -632,6 +618,12 @@ def _lambda_c_for(args, thresholds, nu: float):
 
 
 def cmd_contagion(args, manifest: RunManifest) -> int:
+    # Quasi-stationary settings given on the command line; the rest keep
+    # SISConfig's defaults.
+    quasi = {"qs_history_size": args.qs_history, "snapshot_interval": args.snapshot_interval}
+    quasi = {key: value for key, value in quasi.items() if value is not None}
+    if quasi and args.method == "stationary":
+        raise ValueError("--qs-history and --snapshot-interval need --method quasi-stationary")
     manifest.add_input(args.input)
     observed = [("observed", "", _load_undirected(args.input))]
     paths = _parse_model_dirs(args.samples)
@@ -658,8 +650,7 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
                     burn_in=args.burn_in,
                     sample_count=args.sample_count,
                     decorrelation=args.decorrelation,
-                    qs_history_size=args.qs_history,
-                    snapshot_interval=args.snapshot_interval,
+                    **quasi,
                     seed=derive_seed(
                         args.seed, f"contagion:{sampler}:{sample_id}:{nu!r}", index
                     ),
@@ -700,28 +691,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sample = commands.add_parser("sample", help="draw randomized hypergraphs")
     sample.add_argument("--input", required=True)
-    sample.add_argument(
-        "--model", default="degs", choices=("degs", "joint", "degs-mh", "null")
-    )
+    sample.add_argument("--model", default="degs", choices=MODELS)
     sample.add_argument("--samples", type=int, default=33)
     sample.add_argument("--steps", default="auto", help="'auto' (20w) or an integer")
     sample.add_argument("--seed", type=int, default=0)
     sample.add_argument("--thinning", type=int, default=None)
     sample.add_argument("--output-dir", required=True)
-    sample.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the post-write invariant verification",
-    )
     sample.set_defaults(func=cmd_sample)
 
     converge = commands.add_parser(
         "converge", help="ARSD convergence trace along one chain"
     )
     converge.add_argument("--input", required=True)
-    converge.add_argument(
-        "--model", default="degs", choices=("degs", "joint", "degs-mh")
-    )
+    converge.add_argument("--model", default="degs", choices=tuple(STEP_FUNCTIONS))
     converge.add_argument("--seed", type=int, default=0)
     converge.add_argument("--f", type=int, default=20)
     converge.add_argument("--l", type=int, default=3)
@@ -820,8 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
     contagion.add_argument("--burn-in", type=float, default=10_000.0)
     contagion.add_argument("--sample-count", type=int, default=10_000)
     contagion.add_argument("--decorrelation", type=float, default=1.0)
-    contagion.add_argument("--qs-history", type=int, default=50)
-    contagion.add_argument("--snapshot-interval", type=float, default=1.0)
+    contagion.add_argument("--qs-history", type=int, default=None)
+    contagion.add_argument("--snapshot-interval", type=float, default=None)
     contagion.add_argument("--output", required=True)
     contagion.set_defaults(func=cmd_contagion)
 

@@ -17,6 +17,11 @@ from typing import Iterator, NamedTuple
 SIDES = ("head", "tail")
 
 
+def check_side(side: str) -> None:
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+
+
 class ParseError(ValueError):
     """Raised when an input file does not conform to the expected text format."""
 
@@ -190,9 +195,6 @@ class JointTensor:
     """
 
     counts: dict
-
-    def total(self, direction: int) -> int:
-        return sum(c for (*_, d), c in self.counts.items() if d == direction)
 
 
 @dataclass

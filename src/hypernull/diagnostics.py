@@ -12,41 +12,16 @@ a chi-square uniformity test for sampler validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from hypernull.core import SIDES, DirectedHypergraph, to_bipartite, to_hypergraph
+from hypernull.core import SIDES, DirectedHypergraph, check_side, to_bipartite, to_hypergraph
 from hypernull.sampling import STEP_FUNCTIONS, derive_seed, make_chain_state
 
 
-@dataclass(frozen=True)
-class TransactionDB:
-    """One side of a hypergraph as an itemset database, one transaction per
-    hyperedge copy."""
-
-    transactions: tuple
-    side: str
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "transactions", tuple(frozenset(t) for t in self.transactions)
-        )
-
-
-@dataclass(frozen=True)
-class FrequentItemsetSet:
-    """Top-f frequent itemsets of minimum length l, as (itemset, support)
-    pairs sorted by support descending with lexicographic tie-breaking."""
-
-    itemsets: tuple
-    f: int
-    l: int
-
-
-def transaction_db(H: DirectedHypergraph, side: str) -> TransactionDB:
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    picker = (lambda e: e.head) if side == "head" else (lambda e: e.tail)
-    return TransactionDB(tuple(picker(e) for e in H.expanded_edges()), side)
+def transaction_db(H: DirectedHypergraph, side: str) -> tuple:
+    """One side of H as an itemset database: a tuple of frozensets, one
+    transaction per hyperedge copy."""
+    check_side(side)
+    return tuple(e.head if side == "head" else e.tail for e in H.expanded_edges())
 
 
 def _mine_at_threshold(item_tids, threshold, min_len, cap=None):
@@ -87,8 +62,9 @@ def _mine_at_threshold(item_tids, threshold, min_len, cap=None):
     return results
 
 
-def mine_top_frequent(db: TransactionDB, f: int = 20, l: int = 3) -> FrequentItemsetSet:
-    """Exact top-f frequent itemsets of length >= l.
+def mine_top_frequent(db: tuple, f: int = 20, l: int = 3) -> tuple:
+    """Exact top-f frequent itemsets of length >= l, as (itemset, support)
+    pairs sorted by support descending with lexicographic tie-breaking.
 
     The support threshold of the f-th best itemset is located by binary
     search (each probe counts itemsets above a candidate threshold, stopping
@@ -97,12 +73,12 @@ def mine_top_frequent(db: TransactionDB, f: int = 20, l: int = 3) -> FrequentIte
     if f < 1 or l < 1:
         raise ValueError("f and l must be positive")
     item_tids = {}
-    for index, transaction in enumerate(db.transactions):
+    for index, transaction in enumerate(db):
         for item in transaction:
             item_tids.setdefault(item, set()).add(index)
     if not item_tids:
-        return FrequentItemsetSet((), f, l)
-    low, high = 1, len(db.transactions)
+        return ()
+    low, high = 1, len(db)
     while low < high:
         mid = (low + high + 1) // 2
         if len(_mine_at_threshold(item_tids, mid, l, cap=f)) >= f:
@@ -111,23 +87,22 @@ def mine_top_frequent(db: TransactionDB, f: int = 20, l: int = 3) -> FrequentIte
             high = mid - 1
     mined = _mine_at_threshold(item_tids, low, l)
     mined.sort(key=lambda pair: (-pair[1], pair[0]))
-    top = tuple((frozenset(items), support) for items, support in mined[:f])
-    return FrequentItemsetSet(top, f, l)
+    return tuple((frozenset(items), support) for items, support in mined[:f])
 
 
-def arsd(observed: TransactionDB, sample: TransactionDB, fi: FrequentItemsetSet) -> float:
-    """Average relative support difference of fi's itemsets between the two
-    databases: (1/|FI|) sum over A of |supp_obs(A) - supp_sample(A)| / supp_obs(A)."""
-    if not fi.itemsets:
-        raise ValueError(f"no frequent itemsets at (f={fi.f}, l={fi.l})")
+def arsd(observed: tuple, sample: tuple, fi: tuple) -> float:
+    """Average relative support difference of the mined itemsets fi between
+    the two databases: (1/|FI|) sum over A of |supp_obs(A) - supp_sample(A)| / supp_obs(A)."""
+    if not fi:
+        raise ValueError("no frequent itemsets to compare")
     total = 0.0
-    for itemset, _ in fi.itemsets:
-        supp_obs = sum(1 for t in observed.transactions if itemset <= t)
-        supp_sample = sum(1 for t in sample.transactions if itemset <= t)
+    for itemset, _ in fi:
+        supp_obs = sum(1 for t in observed if itemset <= t)
+        supp_sample = sum(1 for t in sample if itemset <= t)
         if supp_obs == 0:
             raise ValueError("mined itemset has zero support in the observed database")
         total += abs(supp_obs - supp_sample) / supp_obs
-    return total / len(fi.itemsets)
+    return total / len(fi)
 
 
 def arsd_trace(
@@ -146,9 +121,11 @@ def arsd_trace(
     """
     if model not in STEP_FUNCTIONS:
         raise ValueError(f"model must be one of {sorted(STEP_FUNCTIONS)}, got {model!r}")
+    if max_multiplier < 0:
+        raise ValueError(f"max_multiplier must be non-negative, got {max_multiplier}")
     observed = {side: transaction_db(H, side) for side in SIDES}
     mined = {side: mine_top_frequent(observed[side], f, l) for side in SIDES}
-    sides = [side for side in SIDES if mined[side].itemsets]
+    sides = [side for side in SIDES if mined[side]]
     step = STEP_FUNCTIONS[model]
     G = to_bipartite(H)
     w = G.plus_edges() + G.minus_edges()

@@ -59,9 +59,6 @@ class TradeTable:
             if meta.population < 0 or meta.avg_trade < 0:
                 raise ValueError(f"negative metadata for {country}")
 
-    def years(self) -> tuple:
-        return tuple(sorted({r.year for r in self.records}))
-
 
 def _require_columns(reader: csv.DictReader, required, path) -> None:
     missing = set(required) - set(reader.fieldnames or ())
@@ -348,10 +345,10 @@ class ComplexityScores:
     genepy: tuple
 
 
-def complexity_scores(B: Biadjacency, tol: float = 1e-9, max_iter: int = 1000) -> ComplexityScores:
+def complexity_scores(B: Biadjacency) -> ComplexityScores:
     """ECI/PCI, Fitness/Quality, and GENEPY for one biadjacency."""
     eci, pci = eci_pci(B)
-    fitness, quality = fitness_quality(B, tol=tol, max_iter=max_iter)
+    fitness, quality = fitness_quality(B)
     G = genepy(proximity(B).X)
     return ComplexityScores(B.countries, B.products, eci, pci, fitness, quality, G)
 

@@ -119,6 +119,8 @@ class ChainConfig:
             raise ValueError("steps must be 'auto' or a non-negative integer")
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
+        if self.thinning is not None and self.thinning < 1:
+            raise ValueError("thinning must be a positive integer")
 
     def resolved_steps(self, G: BipartiteDigraph) -> int:
         if self.steps == "auto":
@@ -259,18 +261,13 @@ def _default_heads_prob(G: BipartiteDigraph) -> float:
     return G.plus_edges() / total if total else 0.5
 
 
-def make_chain_state(
-    G: BipartiteDigraph,
-    seed: int,
-    model: str = "degs",
-    heads_prob: float | None = None,
-) -> ChainState:
+def make_chain_state(G: BipartiteDigraph, seed: int, model: str = "degs") -> ChainState:
     """Initialize a chain on G (owned by the chain and mutated in place)."""
     slices = _slices(G, model)
     state = ChainState(
         graph=G,
         rng=random.Random(seed),
-        heads_prob=_default_heads_prob(G) if heads_prob is None else heads_prob,
+        heads_prob=_default_heads_prob(G),
         slices=slices,
         order={d: tuple([None] * len(view) for view in s.views) for d, s in slices.items()},
     )
@@ -334,9 +331,9 @@ def _draw_diff(rng, order: list, v: int, first: set, second: set):
 def _slice_step(state: ChainState) -> bool:
     """One "degs" or "joint" step; returns True when a swap was applied.
 
-    The direction coin (heads probability |D+|/|D| unless overridden) picks
-    the slice; when the slice has two routes a fair coin picks the side.  Any
-    shortage (no pair to draw, an empty crossed set) is a self-loop.
+    The direction coin (heads probability |D+|/|D|) picks the slice; when
+    the slice has two routes a fair coin picks the side.  Any shortage (no
+    pair to draw, an empty crossed set) is a self-loop.
     """
     rng, slices = state.rng, state.slices
     piece = slices[+1] if rng.random() < state.heads_prob else slices[-1]
@@ -362,16 +359,10 @@ def _slice_step(state: ChainState) -> bool:
     return True
 
 
-def nudhy_degs_step(state: ChainState) -> bool:
-    """One degree-preserving chain step on a state made with model="degs";
-    returns True when a swap was applied."""
-    return _slice_step(state)
-
-
-def nudhy_joint_step(state: ChainState) -> bool:
-    """One joint-preserving chain step on a state made with model="joint";
-    returns True when a swap was applied."""
-    return _slice_step(state)
+# One degree-preserving step on a state made with model="degs" and one
+# joint-preserving step on a state made with model="joint" are the same
+# kernel: the state's pair sources make the difference.
+nudhy_degs_step = nudhy_joint_step = _slice_step
 
 
 def step_probability(G: BipartiteDigraph, p: SwapProposal, model: str) -> float:
@@ -509,8 +500,8 @@ def null_sample(H: DirectedHypergraph, seed: int) -> DirectedHypergraph:
 
 # The chain step of every swap model.
 STEP_FUNCTIONS = {
-    "degs": _slice_step,
-    "joint": _slice_step,
+    "degs": nudhy_degs_step,
+    "joint": nudhy_joint_step,
     "degs-mh": nudhy_degs_mh_step,
 }
 

@@ -28,12 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SIDES, BipartiteDigraph, DirectedHypergraph, Hyperedge, UndirectedHypergraph, merge_to_undirected
-
-
-def _check_side(side: str) -> None:
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+from .core import BipartiteDigraph, DirectedHypergraph, Hyperedge, UndirectedHypergraph, check_side, merge_to_undirected
 
 
 # ---------------------------------------------------------------------------
@@ -41,25 +36,13 @@ def _check_side(side: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReciprocityConfig:
-    """Knobs for reciprocity scoring and the reciprocal-set search.
-
-    alpha is the exponent of the (1/|R|)^alpha size penalty: small enough to
-    leave scores essentially intact, nonzero so that among equally good
-    reciprocal sets the smallest wins.  Searches enumerate every subset of
-    the candidates up to exact_limit candidates and fall back to greedy
-    forward selection beyond that.
-    """
-
-    alpha: float = 1e-6
-    exact_limit: int = 15
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.exact_limit < 0:
-            raise ValueError("exact_limit must be non-negative")
+# Exponent of the (1/|R|)^ALPHA size penalty: small enough to leave scores
+# essentially intact, nonzero so that among equally good reciprocal sets the
+# smallest wins.
+ALPHA = 1e-6
+# Searches enumerate every subset of up to EXACT_LIMIT candidates and fall
+# back to greedy forward selection beyond that.
+EXACT_LIMIT = 15
 
 
 class ReciprocityResult(NamedTuple):
@@ -77,7 +60,7 @@ def _jensen_shannon(p: dict, q: dict) -> float:
     return 0.5 * total
 
 
-def hyperedge_reciprocity(e: Hyperedge, reciprocators, config: ReciprocityConfig | None = None) -> float:
+def hyperedge_reciprocity(e: Hyperedge, reciprocators) -> float:
     """Score in [0, 1] for how well `reciprocators` reverse the edge e.
 
     Each head node u draws its return distribution from the reciprocators
@@ -85,7 +68,6 @@ def hyperedge_reciprocity(e: Hyperedge, reciprocators, config: ReciprocityConfig
     head); nodes no reciprocator points back to pay the maximal divergence
     of 1.  An empty reciprocator set scores 0.
     """
-    config = config or ReciprocityConfig()
     if not e.head or not e.tail:
         raise ValueError("reciprocity needs a non-empty head and tail")
     reciprocators = list(reciprocators)
@@ -106,7 +88,7 @@ def hyperedge_reciprocity(e: Hyperedge, reciprocators, config: ReciprocityConfig
                 for v in f.head:
                     returned[v] += share
         divergence += _jensen_shannon(returned, ideal)
-    penalty = (1.0 / len(reciprocators)) ** config.alpha
+    penalty = (1.0 / len(reciprocators)) ** ALPHA
     return penalty * (1.0 - divergence / len(e.head))
 
 
@@ -136,17 +118,17 @@ def _reciprocal_candidates(expanded: list):
     return candidates
 
 
-def _best_reciprocal_set(e: Hyperedge, candidates: list, config: ReciprocityConfig):
+def _best_reciprocal_set(e: Hyperedge, candidates: list):
     """(edges, score) of the best reciprocal set for e among candidates;
     ((), 0.0) without candidates, which is always the case when e has an
     empty side."""
     if not candidates:
         return ((), 0.0)
-    if len(candidates) <= config.exact_limit:
+    if len(candidates) <= EXACT_LIMIT:
         best, best_score = (), 0.0
         for mask in range(1, 1 << len(candidates)):
             subset = [c for i, c in enumerate(candidates) if mask >> i & 1]
-            score = hyperedge_reciprocity(e, subset, config)
+            score = hyperedge_reciprocity(e, subset)
             if score > best_score:
                 best, best_score = tuple(subset), score
         return (best, best_score)
@@ -156,7 +138,7 @@ def _best_reciprocal_set(e: Hyperedge, candidates: list, config: ReciprocityConf
     while remaining:
         best_index, best_score = None, score
         for i, f in enumerate(remaining):
-            trial = hyperedge_reciprocity(e, chosen + [f], config)
+            trial = hyperedge_reciprocity(e, chosen + [f])
             if trial > best_score:
                 best_index, best_score = i, trial
         if best_index is None:
@@ -166,26 +148,24 @@ def _best_reciprocal_set(e: Hyperedge, candidates: list, config: ReciprocityConf
     return (tuple(chosen), score)
 
 
-def search_reciprocal_set(H: DirectedHypergraph, e: Hyperedge, config: ReciprocityConfig | None = None):
+def search_reciprocal_set(H: DirectedHypergraph, e: Hyperedge):
     """Best-scoring reciprocal set for e among the other edges of H.
 
     Returns (edges, score).  Exhaustive over all candidate subsets up to
-    config.exact_limit candidates, greedy forward selection (stopping at the
-    first non-improving extension) beyond that.
+    EXACT_LIMIT candidates, greedy forward selection (stopping at the first
+    non-improving extension) beyond that.
     """
-    config = config or ReciprocityConfig()
     candidates = _reciprocal_candidates(list(H.expanded_edges()))
-    return _best_reciprocal_set(e, candidates(e), config)
+    return _best_reciprocal_set(e, candidates(e))
 
 
-def hypergraph_reciprocity(H: DirectedHypergraph, config: ReciprocityConfig | None = None) -> ReciprocityResult:
+def hypergraph_reciprocity(H: DirectedHypergraph) -> ReciprocityResult:
     """Mean best reciprocity over all hyperedge copies of H."""
-    config = config or ReciprocityConfig()
     expanded = list(H.expanded_edges())
     if not expanded:
         raise ValueError("reciprocity of an empty hypergraph is undefined")
     candidates = _reciprocal_candidates(expanded)
-    scores = [_best_reciprocal_set(e, candidates(e), config)[1] for e in expanded]
+    scores = [_best_reciprocal_set(e, candidates(e))[1] for e in expanded]
     return ReciprocityResult(fmean(scores), tuple(scores))
 
 
@@ -199,11 +179,9 @@ class CorenessProfile:
     """Shell indices per size threshold m and their sum (the hypercoreness).
 
     shells[m][v] is the largest k such that v survives (k, m)-core peeling
-    on the tracked side; hypercoreness[v] sums shells over m = 2..max_size.
+    on the tracked side; hypercoreness[v] sums shells over m = 2..max size.
     """
 
-    side: str
-    max_size: int
     shells: dict
     hypercoreness: tuple
 
@@ -258,7 +236,7 @@ def hyper_core_decomposition(H: DirectedHypergraph, side: str) -> CorenessProfil
     tracked-side occurrences; opposite-side occurrences keep counting
     toward sizes.  Each m costs O(incidences of the edges of size >= m).
     """
-    _check_side(side)
+    check_side(side)
     expanded = list(H.expanded_edges())
     members = [e.head if side == "head" else e.tail for e in expanded]
     extras = [len(e.tail if side == "head" else e.head) for e in expanded]
@@ -269,7 +247,7 @@ def hyper_core_decomposition(H: DirectedHypergraph, side: str) -> CorenessProfil
     hypercoreness = tuple(
         float(sum(shells[m][v] for m in shells)) for v in range(H.num_nodes)
     )
-    return CorenessProfile(side=side, max_size=max_size, shells=shells, hypercoreness=hypercoreness)
+    return CorenessProfile(shells=shells, hypercoreness=hypercoreness)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +280,7 @@ def structural_entropy(observed: DirectedHypergraph, samples, group_size: int, s
     in the chosen side of one of its hyperedges.  Groups that appear in
     every sample or in none score 0; maximally unpredictable groups score 1.
     """
-    _check_side(side)
+    check_side(side)
     if group_size < 1:
         raise ValueError("group_size must be at least 1")
     samples = list(samples)
@@ -323,39 +301,32 @@ def structural_entropy(observed: DirectedHypergraph, samples, group_size: int, s
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightedDigraph:
-    """Integer-weighted digraph as a successor map per node."""
-
-    num_nodes: int
-    successors: tuple
-
-
-def project_weighted(H: DirectedHypergraph) -> WeightedDigraph:
+def project_weighted(H: DirectedHypergraph) -> tuple:
     """Pairwise projection: one arc u -> v per head node u, tail node v,
-    and hyperedge copy, with parallel arcs folded into weights."""
+    and hyperedge copy, with parallel arcs folded into weights; returned as
+    one {successor: weight} dict per node."""
     successors = [Counter() for _ in range(H.num_nodes)]
     for e in H.expanded_edges():
         for u in e.head:
             for v in e.tail:
                 successors[u][v] += 1
-    return WeightedDigraph(H.num_nodes, tuple(dict(s) for s in successors))
+    return tuple(dict(s) for s in successors)
 
 
-def pagerank(g: WeightedDigraph, damping: float = 0.85, tol: float = 1e-10, max_iter: int = 10_000) -> list:
-    """Power iteration with uniform teleport; dangling mass is spread
-    uniformly.  Stops when the L1 change drops to tol, raises RuntimeError
-    at max_iter."""
-    n = g.num_nodes
+def pagerank(successors: tuple, damping: float = 0.85, tol: float = 1e-10, max_iter: int = 10_000) -> list:
+    """Power iteration with uniform teleport over the digraph given by one
+    {successor: weight} dict per node; dangling mass is spread uniformly.
+    Stops when the L1 change drops to tol, raises RuntimeError at max_iter."""
+    n = len(successors)
     if n == 0:
         return []
-    out_total = [sum(nbrs.values()) for nbrs in g.successors]
+    out_total = [sum(nbrs.values()) for nbrs in successors]
     scores = [1.0 / n] * n
     for _ in range(max_iter):
         dangling = sum(scores[u] for u in range(n) if out_total[u] == 0)
         base = (1.0 - damping) / n + damping * dangling / n
         fresh = [base] * n
-        for u, nbrs in enumerate(g.successors):
+        for u, nbrs in enumerate(successors):
             if not nbrs:
                 continue
             share = damping * scores[u] / out_total[u]

@@ -21,6 +21,7 @@ from hypernull.core import (
     parse_hypergraph,
     parse_undirected,
 )
+from hypernull.sampling import MODELS, STEP_FUNCTIONS
 
 TOY = "0,1|2\n2|0,1\n1|3\n3|1\n0,2|3\n"
 
@@ -175,7 +176,7 @@ class TestSample:
         assert manifest["invariants"]["model"] == "degs"
         assert manifest["seed"] == 7
 
-    @pytest.mark.parametrize("model", ["degs", "joint", "degs-mh", "null"])
+    @pytest.mark.parametrize("model", MODELS)
     def test_all_models_pass_their_own_verification(self, tmp_path, toy, model):
         out = tmp_path / model
         assert run(["sample", "--input", toy, "--model", model, "--samples", 2,
@@ -195,14 +196,13 @@ class TestSample:
         assert "invariant verification failed" in err
         assert "expected:" in err and "found:" in err
 
-    def test_no_verify_skips_the_check(self, tmp_path, toy, monkeypatch):
-        def wrong_chain(H, config):
-            yield parse_hypergraph("0|1\n")
-
-        monkeypatch.setattr("hypernull.cli.run_chain", wrong_chain)
-        out = tmp_path / "bad"
-        assert run(["sample", "--input", toy, "--samples", 1, "--no-verify",
-                    "--output-dir", out]) == 0
+    @pytest.mark.parametrize("thinning", [0, -1])
+    def test_thinning_below_one_fails_cleanly(self, tmp_path, toy, capsys, thinning):
+        code = run(["sample", "--input", toy, "--samples", 3, "--steps", 50,
+                    "--thinning", thinning, "--output-dir", tmp_path / "thin"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: thinning")
+        assert not list((tmp_path / "thin").glob("*.dhg"))
 
 
 class TestConverge:
@@ -217,6 +217,25 @@ class TestConverge:
             assert row[0] == "degs"
             if row[2] == "0":
                 assert float(row[3]) == 0.0
+
+    def test_models_are_the_step_registry(self, tmp_path, toy):
+        out = tmp_path / "arsd.csv"
+        for model in STEP_FUNCTIONS:
+            assert run(["converge", "--input", toy, "--model", model, "--f", 5,
+                        "--l", 2, "--max-k", 1, "--output", out]) == 0
+        with pytest.raises(SystemExit):
+            run(["converge", "--input", toy, "--model", "null", "--output", out])
+
+    def test_negative_max_k_fails_cleanly(self, tmp_path, capsys):
+        dense = tmp_path / "dense.dhg"
+        dense.write_text("1,2,3|4,5,6\n1,2,4|3,5,6\n1,3,5|2,4,6\n2,3,6|1,4,5\n",
+                         encoding="utf-8")
+        out = tmp_path / "arsd.csv"
+        code = run(["converge", "--input", dense, "--f", 5, "--l", 3,
+                    "--max-k", -1, "--output", out])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: max_multiplier")
+        assert not out.exists()
 
 
 class TestMetric:
@@ -572,6 +591,20 @@ class TestContagion:
                     "--sample-count", 5, "--output", out]) == 0
         _, rows = read_rows(out)
         assert float(rows[0][5]) == pytest.approx(1.0)
+
+    @pytest.mark.filterwarnings("ignore:infected density:RuntimeWarning")
+    @pytest.mark.parametrize("flag", [["--qs-history", 20], ["--snapshot-interval", 0.5]],
+                             ids=["qs-history", "snapshot-interval"])
+    def test_quasi_stationary_flags_need_that_method(self, tmp_path, toy, capsys, flag):
+        out = tmp_path / "sis.csv"
+        code = run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid", "0.3",
+                    "--burn-in", 1, "--sample-count", 5, *flag, "--output", out])
+        assert code == 1
+        assert "need --method quasi-stationary" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid", "0.3",
+                    "--method", "quasi-stationary", "--burn-in", 1,
+                    "--sample-count", 5, *flag, "--output", out]) == 0
 
     def test_empty_grid_fails(self, tmp_path, toy, capsys):
         code = run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid",

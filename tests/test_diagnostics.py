@@ -14,8 +14,6 @@ from scipy import stats
 
 from hypernull.core import parse_hypergraph
 from hypernull.diagnostics import (
-    FrequentItemsetSet,
-    TransactionDB,
     arsd,
     arsd_trace,
     chi_square_uniformity,
@@ -27,6 +25,11 @@ from hypernull.diagnostics import (
 )
 
 TOY = "1|2,6\n3|4\n6|3,5\n"
+
+
+def database(transactions):
+    """A transaction database as transaction_db returns one."""
+    return tuple(frozenset(t) for t in transactions)
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +103,8 @@ class TestTransactionDb:
         H = parse_hypergraph(TOY)
         heads = transaction_db(H, "head")
         tails = transaction_db(H, "tail")
-        assert heads.side == "head"
-        assert list(heads.transactions) == [frozenset({0}), frozenset({2}), frozenset({5})]
-        assert list(tails.transactions) == [
+        assert list(heads) == [frozenset({0}), frozenset({2}), frozenset({5})]
+        assert list(tails) == [
             frozenset({1, 5}),
             frozenset({3}),
             frozenset({2, 4}),
@@ -111,16 +113,12 @@ class TestTransactionDb:
     def test_multiplicity_expands(self):
         H = parse_hypergraph("1|2\n1|2\n")
         db = transaction_db(H, "tail")
-        assert len(db.transactions) == 2
+        assert len(db) == 2
 
     def test_bad_side_rejected(self):
         H = parse_hypergraph(TOY)
         with pytest.raises(ValueError):
             transaction_db(H, "middle")
-
-    def test_raw_sets_coerced(self):
-        db = TransactionDB([{1, 2}, {3}], "head")
-        assert all(isinstance(t, frozenset) for t in db.transactions)
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +128,14 @@ class TestTransactionDb:
 
 class TestMineTopFrequent:
     def test_repeated_triple(self):
-        db = TransactionDB([{1, 2, 3}, {1, 2, 3}], "head")
+        db = database([{1, 2, 3}, {1, 2, 3}])
         fi = mine_top_frequent(db, f=1, l=3)
-        assert list(fi.itemsets) == [(frozenset({1, 2, 3}), 2)]
+        assert list(fi) == [(frozenset({1, 2, 3}), 2)]
 
     def test_disjoint_pairs_give_nothing_at_length_three(self):
-        db = TransactionDB([{1, 2}, {3, 4}, {5, 6}], "head")
+        db = database([{1, 2}, {3, 4}, {5, 6}])
         fi = mine_top_frequent(db, f=5, l=3)
-        assert fi.itemsets == ()
+        assert fi == ()
 
     def test_matches_powerset_oracle(self):
         rng = random.Random(42)
@@ -149,32 +147,32 @@ class TestMineTopFrequent:
             ]
             f = rng.randint(1, 10)
             l = rng.randint(1, 3)
-            db = TransactionDB(transactions, "head")
+            db = database(transactions)
             fi = mine_top_frequent(db, f=f, l=l)
-            assert list(fi.itemsets) == powerset_top_frequent(transactions, f, l)
+            assert list(fi) == powerset_top_frequent(transactions, f, l)
 
     def test_result_ordering_invariants(self):
         rng = random.Random(7)
         transactions = [set(rng.sample(range(6), rng.randint(2, 5))) for _ in range(12)]
-        fi = mine_top_frequent(TransactionDB(transactions, "head"), f=10, l=2)
-        supports = [s for _, s in fi.itemsets]
+        fi = mine_top_frequent(database(transactions), f=10, l=2)
+        supports = [s for _, s in fi]
         assert supports == sorted(supports, reverse=True)
-        for (a, sa), (b, sb) in zip(fi.itemsets, fi.itemsets[1:]):
+        for (a, sa), (b, sb) in zip(fi, fi[1:]):
             if sa == sb:
                 assert tuple(sorted(a)) < tuple(sorted(b))
-        assert len(fi.itemsets) <= 10
-        assert all(len(a) >= 2 for a, _ in fi.itemsets)
+        assert len(fi) <= 10
+        assert all(len(a) >= 2 for a, _ in fi)
 
     def test_bad_parameters_rejected(self):
-        db = TransactionDB([{1, 2, 3}], "head")
+        db = database([{1, 2, 3}])
         with pytest.raises(ValueError):
             mine_top_frequent(db, f=0, l=3)
         with pytest.raises(ValueError):
             mine_top_frequent(db, f=1, l=0)
 
     def test_empty_db(self):
-        fi = mine_top_frequent(TransactionDB([], "head"), f=3, l=1)
-        assert fi.itemsets == ()
+        fi = mine_top_frequent(database([]), f=3, l=1)
+        assert fi == ()
 
 
 # ---------------------------------------------------------------------------
@@ -184,28 +182,27 @@ class TestMineTopFrequent:
 
 class TestArsd:
     def test_identity_is_zero(self):
-        db = TransactionDB([{1, 2, 3}, {1, 2, 4}, {1, 2, 3, 4}], "head")
+        db = database([{1, 2, 3}, {1, 2, 4}, {1, 2, 3, 4}])
         fi = mine_top_frequent(db, f=5, l=2)
-        assert fi.itemsets
+        assert fi
         assert arsd(db, db, fi) == 0.0
 
     def test_no_survivors_is_one(self):
-        observed = TransactionDB([{1, 2, 3}, {1, 2, 3}], "head")
+        observed = database([{1, 2, 3}, {1, 2, 3}])
         fi = mine_top_frequent(observed, f=3, l=2)
-        sample = TransactionDB([{7, 8}, {9, 10}], "head")
+        sample = database([{7, 8}, {9, 10}])
         assert arsd(observed, sample, fi) == 1.0
 
     def test_hand_value(self):
-        observed = TransactionDB([{1, 2, 3}] * 3, "head")
+        observed = database([{1, 2, 3}] * 3)
         fi = mine_top_frequent(observed, f=1, l=3)
-        sample = TransactionDB([{1, 2, 3}, {4, 5, 6}, {7, 8, 9}], "head")
+        sample = database([{1, 2, 3}, {4, 5, 6}, {7, 8, 9}])
         assert arsd(observed, sample, fi) == pytest.approx(2.0 / 3.0)
 
     def test_empty_itemsets_rejected(self):
-        db = TransactionDB([{1, 2}], "head")
-        empty = FrequentItemsetSet((), 5, 3)
+        db = database([{1, 2}])
         with pytest.raises(ValueError):
-            arsd(db, db, empty)
+            arsd(db, db, ())
 
 
 class TestArsdTrace:
@@ -234,6 +231,14 @@ class TestArsdTrace:
         H = parse_hypergraph(TOY)
         with pytest.raises(ValueError):
             arsd_trace(H, model="null", seed=1)
+
+    def test_negative_max_multiplier_rejected(self):
+        # The dense toy yields itemsets on both sides, so a negative range
+        # would otherwise return an empty trace for each.
+        H = parse_hypergraph("1,2,3|4,5,6\n1,2,4|3,5,6\n1,3,5|2,4,6\n2,3,6|1,4,5\n")
+        with pytest.raises(ValueError, match="max_multiplier"):
+            arsd_trace(H, model="degs", seed=1, f=5, l=3, max_multiplier=-1)
+        assert [k for k, _ in arsd_trace(H, seed=1, f=5, l=3, max_multiplier=0)["head"]] == [0]
 
 
 class TestPlateau:

@@ -98,17 +98,6 @@ class TestTradeTable:
         with pytest.raises(ValueError):
             TradeTable((), {"A": CountryMeta(-5.0, 1.0)})
 
-    def test_years(self):
-        table = TradeTable(
-            (
-                TradeRecord(2019, "A", "x", 1.0, 0.0),
-                TradeRecord(1995, "A", "x", 1.0, 0.0),
-                TradeRecord(2019, "B", "x", 1.0, 0.0),
-            ),
-            {},
-        )
-        assert table.years() == (1995, 2019)
-
     def test_csv_round_trip(self, tmp_path):
         trade = tmp_path / "trade.csv"
         trade.write_text(

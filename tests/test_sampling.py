@@ -341,7 +341,8 @@ class TestDegsStep:
         for model, step in (("degs", nudhy_degs_step), ("joint", nudhy_joint_step)):
             G = to_bipartite(H)
             tails_before = [frozenset(t) for t in G.right_out]
-            state = make_chain_state(G, seed=5, model=model, heads_prob=1.0)
+            state = make_chain_state(G, seed=5, model=model)
+            state.heads_prob = 1.0
             assert sum(step(state) for _ in range(500)) > 0
             assert [frozenset(t) for t in G.right_out] == tails_before
             assert degree_profile(G) == degree_profile(to_bipartite(H))
@@ -606,6 +607,13 @@ class TestRunChain:
     def test_bad_model_rejected(self):
         with pytest.raises(ValueError):
             ChainConfig(model="bogus", steps=1, seed=1, sample_count=1)
+
+    @pytest.mark.parametrize("thinning", [0, -3])
+    def test_thinning_below_one_rejected(self, thinning):
+        # Thinning 0 would emit the burn-in state again for every sample.
+        with pytest.raises(ValueError, match="thinning"):
+            ChainConfig(model="degs", steps=30, seed=1, sample_count=3, thinning=thinning)
+        ChainConfig(model="degs", steps=30, seed=1, sample_count=3, thinning=1)
 
 
 class TestSeedDerivation:

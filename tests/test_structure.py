@@ -34,11 +34,10 @@ from hypernull.core import (
     to_bipartite,
 )
 from hypernull.structure import (
+    EXACT_LIMIT,
     CorenessProfile,
-    ReciprocityConfig,
     _best_reciprocal_set,
     _reciprocal_candidates,
-    WeightedDigraph,
     binary_entropy,
     hits,
     hyper_core_decomposition,
@@ -64,12 +63,12 @@ def edge(head, tail):
 # ---------------------------------------------------------------------------
 
 
-def best_subset_oracle(e, candidates, config):
+def best_subset_oracle(e, candidates):
     """Maximize r(e, R) over every subset of the candidates."""
     best = 0.0
     for size in range(1, len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
-            best = max(best, hyperedge_reciprocity(e, list(combo), config))
+            best = max(best, hyperedge_reciprocity(e, list(combo)))
     return best
 
 
@@ -106,15 +105,15 @@ def coreness_oracle(H, side):
     return shells
 
 
-def pagerank_oracle(g, damping=0.85):
-    n = g.num_nodes
+def pagerank_oracle(successors, damping=0.85):
+    n = len(successors)
     A = np.zeros((n, n))
     for u in range(n):
-        total = sum(g.successors[u].values())
+        total = sum(successors[u].values())
         if total == 0:
             A[:, u] = 1.0 / n
         else:
-            for v, w in g.successors[u].items():
+            for v, w in successors[u].items():
                 A[v, u] += w / total
     x = np.linalg.solve(np.eye(n) - damping * A, np.full(n, (1 - damping) / n))
     return x
@@ -182,15 +181,6 @@ def exact_eigenvalues(U, D=None):
 # ---------------------------------------------------------------------------
 
 
-class TestReciprocityConfig:
-    def test_alpha_bounds(self):
-        ReciprocityConfig(alpha=1.0)
-        with pytest.raises(ValueError):
-            ReciprocityConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            ReciprocityConfig(alpha=1.5)
-
-
 class TestHyperedgeReciprocity:
     def test_perfect_reciprocation(self):
         e = edge({0}, {1, 2})
@@ -242,7 +232,6 @@ class TestSearchReciprocalSet:
 
     def test_exact_matches_subset_oracle(self):
         rng = random.Random(53)
-        config = ReciprocityConfig()
         nontrivial = 0
         for _ in range(40):
             H = random_hypergraph(rng, max_nodes=6, max_edges=6, max_side=3)
@@ -250,13 +239,13 @@ class TestSearchReciprocalSet:
                 if not e.head or not e.tail:
                     continue
                 candidates = reciprocal_candidates(H, e)
-                if len(candidates) > config.exact_limit:
+                if len(candidates) > EXACT_LIMIT:
                     continue
-                chosen, score = search_reciprocal_set(H, e, config)
-                assert score == pytest.approx(best_subset_oracle(e, candidates, config))
+                chosen, score = search_reciprocal_set(H, e)
+                assert score == pytest.approx(best_subset_oracle(e, candidates))
                 if chosen:
                     nontrivial += 1
-                    assert hyperedge_reciprocity(e, list(chosen), config) == pytest.approx(score)
+                    assert hyperedge_reciprocity(e, list(chosen)) == pytest.approx(score)
         assert nontrivial >= 10
 
     def test_greedy_beats_best_singleton(self):
@@ -264,15 +253,14 @@ class TestSearchReciprocalSet:
         e = edge({0}, {1})
         edges = [e] + [edge({1, i}, {0, i}) for i in range(2, 19)]
         H = DirectedHypergraph(edges, n)
-        config = ReciprocityConfig()
         candidates = reciprocal_candidates(H, e)
-        assert len(candidates) > config.exact_limit
-        chosen, score = search_reciprocal_set(H, e, config)
+        assert len(candidates) > EXACT_LIMIT
+        chosen, score = search_reciprocal_set(H, e)
         best_single = max(
-            hyperedge_reciprocity(e, [c], config) for c in candidates
+            hyperedge_reciprocity(e, [c]) for c in candidates
         )
         assert score >= best_single - 1e-12
-        assert hyperedge_reciprocity(e, list(chosen), config) == pytest.approx(score)
+        assert hyperedge_reciprocity(e, list(chosen)) == pytest.approx(score)
 
     def test_deterministic(self):
         H = parse_hypergraph("1|2,3\n2|1\n3|1,2\n2,3|1\n")
@@ -306,15 +294,14 @@ class TestHypergraphReciprocity:
 class TestCandidatesMatchFullScan:
     @staticmethod
     def check(H):
-        config = ReciprocityConfig()
         expanded = list(H.expanded_edges())
         candidates = _reciprocal_candidates(expanded)
         expected = []
         for e in expanded:
             reference = reciprocal_candidates(H, e)
             assert candidates(e) == reference
-            expected.append(_best_reciprocal_set(e, reference, config)[1])
-        assert hypergraph_reciprocity(H, config).per_edge == tuple(expected)
+            expected.append(_best_reciprocal_set(e, reference)[1])
+        assert hypergraph_reciprocity(H).per_edge == tuple(expected)
 
     def test_random_hypergraphs(self):
         rng = random.Random(89)
@@ -464,38 +451,38 @@ class TestProjectWeighted:
     def test_single_edge(self):
         H = DirectedHypergraph([edge({0}, {1, 2})], 3)
         g = project_weighted(H)
-        assert g.successors[0] == {1: 1, 2: 1}
-        assert g.successors[1] == {}
+        assert g[0] == {1: 1, 2: 1}
+        assert g[1] == {}
 
     def test_duplicate_doubles_weight(self):
         H = parse_hypergraph("1|2\n1|2\n")
         g = project_weighted(H)
-        assert g.successors[0] == {1: 2}
+        assert g[0] == {1: 2}
 
     def test_toy_tally(self):
         H = parse_hypergraph(TOY)
         g = project_weighted(H)
         # 1|2,6 ; 3|4 ; 6|3,5 with ids 1..6 -> 0..5.
-        assert g.successors[0] == {1: 1, 5: 1}
-        assert g.successors[2] == {3: 1}
-        assert g.successors[5] == {2: 1, 4: 1}
+        assert g[0] == {1: 1, 5: 1}
+        assert g[2] == {3: 1}
+        assert g[5] == {2: 1, 4: 1}
 
     def test_overlap_gives_self_loop(self):
         H = parse_hypergraph("7|7\n")
         g = project_weighted(H)
-        assert g.successors[0] == {0: 1}
+        assert g[0] == {0: 1}
 
 
 class TestPagerank:
     def test_cycle_uniform(self):
-        g = WeightedDigraph(3, ({1: 1}, {2: 1}, {0: 1}))
+        g = ({1: 1}, {2: 1}, {0: 1})
         assert pagerank(g) == pytest.approx([1 / 3] * 3)
 
     def test_single_node(self):
-        assert pagerank(WeightedDigraph(1, ({},))) == pytest.approx([1.0])
+        assert pagerank(({},)) == pytest.approx([1.0])
 
     def test_dangling_two_nodes(self):
-        g = WeightedDigraph(2, ({1: 1}, {}))
+        g = ({1: 1}, {})
         assert pagerank(g) == pytest.approx([20 / 57, 37 / 57])
 
     def test_matches_linear_solve(self):
@@ -509,18 +496,18 @@ class TestPagerank:
                     if rng.random() < 0.4:
                         nbrs[v] = rng.randint(1, 3)
                 successors.append(nbrs)
-            g = WeightedDigraph(n, tuple(successors))
+            g = tuple(successors)
             scores = pagerank(g)
             assert scores == pytest.approx(list(pagerank_oracle(g)), abs=1e-8)
             assert sum(scores) == pytest.approx(1.0, abs=1e-9)
 
     def test_non_convergence_raises(self):
-        g = WeightedDigraph(2, ({1: 1}, {}))
+        g = ({1: 1}, {})
         with pytest.raises(RuntimeError):
             pagerank(g, max_iter=1)
 
     def test_empty_graph(self):
-        assert pagerank(WeightedDigraph(0, ())) == []
+        assert pagerank(()) == []
 
 
 def combined_adjacency(G):

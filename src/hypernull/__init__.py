@@ -40,7 +40,6 @@ from hypernull.affinity import (
 from hypernull.diagnostics import (
     arsd,
     arsd_trace,
-    chi_square_uniformity,
     kendall_tau,
     mine_top_frequent,
     plateau_checkpoint,

@@ -27,6 +27,7 @@ import platform
 import statistics
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from importlib import metadata
 from pathlib import Path
@@ -819,11 +820,14 @@ def main(argv=None) -> int:
     manifest = RunManifest(command=["hypernull", *argv])
     manifest.seed = getattr(args, "seed", None)
     started = time.perf_counter()
-    try:
-        code = args.func(args, manifest)
-    except (ParseError, ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # No source location, so stderr is the same in every checkout.
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            code = args.func(args, manifest)
+        except (ParseError, ValueError, OSError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     manifest.timings["total_s"] = time.perf_counter() - started
     if code == 0 and manifest.destination is not None:
         manifest.write(manifest.destination)

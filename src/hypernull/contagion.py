@@ -89,6 +89,9 @@ class SISConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        values = (self.lam, self.nu, self.mu, self.burn_in, self.decorrelation, self.snapshot_interval)
+        if not all(math.isfinite(value) for value in values):
+            raise ValueError("lam, nu, mu, burn_in, decorrelation and snapshot_interval must be finite")
         if self.lam < 0 or self.mu < 0 or self.nu < 0:
             raise ValueError("rates and the non-linearity exponent must be >= 0")
         if not 0.0 <= self.rho0 <= 1.0:

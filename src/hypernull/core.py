@@ -75,13 +75,9 @@ class DirectedHypergraph:
         folded = Counter()
         for e in self.edges:
             folded[(e.head, e.tail)] += e.multiplicity
-        self.edges = [
-            Hyperedge(h, t, m)
-            for (h, t), m in sorted(
-                folded.items(),
-                key=lambda item: (tuple(sorted(item[0][0])), tuple(sorted(item[0][1]))),
-            )
-        ]
+        self.edges = sorted(
+            (Hyperedge(h, t, m) for (h, t), m in folded.items()), key=lambda e: e.key
+        )
         for e in self.edges:
             for v in e.head | e.tail:
                 if not 0 <= v < self.num_nodes:

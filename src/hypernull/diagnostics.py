@@ -5,16 +5,15 @@ hypergraph form a transaction database, and the average relative support
 difference (ARSD) of the observed graph's top frequent itemsets measures how
 far a randomized sample has drifted.  A chain has mixed once its ARSD trace
 flattens.  The module also provides the rank statistics used to compare
-observed and randomized metric rankings (Spearman, Kendall's tau-b) and
-a chi-square uniformity test for sampler validation.
+observed and randomized metric rankings (Spearman, Kendall's tau-b).
 """
 
 from __future__ import annotations
 
 import math
 
-from hypernull.core import SIDES, DirectedHypergraph, check_side, to_bipartite, to_hypergraph
-from hypernull.sampling import STEP_FUNCTIONS, derive_seed, make_chain_state
+from hypernull.core import SIDES, DirectedHypergraph, check_side
+from hypernull.sampling import STEP_FUNCTIONS, ChainConfig, run_chain
 
 
 def transaction_db(H: DirectedHypergraph, side: str) -> tuple:
@@ -113,11 +112,13 @@ def arsd_trace(
     l: int = 3,
     max_multiplier: int = 50,
 ) -> dict:
-    """ARSD of one continuously-run chain, checkpointed at s = ceil(k*w) for
-    k = 0..max_multiplier, where w is the number of bipartite arcs.
+    """ARSD of one continuously-run chain at checkpoints k = 0..max_multiplier,
+    taken every w steps, where w is the number of bipartite arcs.
 
-    Returns {side: [(k, arsd), ...]} with a side present only when the
-    observed database yields at least one frequent itemset at (f, l).
+    Checkpoint k is sample k of run_chain(H, ChainConfig(model, 0, seed,
+    max_multiplier + 1, thinning=w)).  Returns {side: [(k, arsd), ...]} with
+    a side present only when the observed database yields at least one
+    frequent itemset at (f, l); with no such side the chain is not run.
     """
     if model not in STEP_FUNCTIONS:
         raise ValueError(f"model must be one of {sorted(STEP_FUNCTIONS)}, got {model!r}")
@@ -126,18 +127,12 @@ def arsd_trace(
     observed = {side: transaction_db(H, side) for side in SIDES}
     mined = {side: mine_top_frequent(observed[side], f, l) for side in SIDES}
     sides = [side for side in SIDES if mined[side]]
-    step = STEP_FUNCTIONS[model]
-    G = to_bipartite(H)
-    w = G.plus_edges() + G.minus_edges()
-    state = make_chain_state(G.copy(), derive_seed(seed, "chain", 0), model)
+    if not sides:
+        return {}
+    w = sum(len(transaction) for side in SIDES for transaction in observed[side])
+    config = ChainConfig(model, 0, seed, max_multiplier + 1, thinning=w)
     trace = {side: [] for side in sides}
-    steps_done = 0
-    for k in range(max_multiplier + 1):
-        target = math.ceil(k * w)
-        while steps_done < target:
-            step(state)
-            steps_done += 1
-        sample = to_hypergraph(state.graph)
+    for k, sample in enumerate(run_chain(H, config)):
         for side in sides:
             value = arsd(observed[side], transaction_db(sample, side), mined[side])
             trace[side].append((k, value))
@@ -254,25 +249,3 @@ def kendall_tau(x, y) -> float:
         return math.nan
     numerator = n0 - ties_x - ties_y + ties_both - 2 * discordant
     return numerator / math.sqrt(denominator)
-
-
-def chi_square_uniformity(visit_counts) -> float:
-    """P-value of the chi-square test of visit counts against uniformity.
-
-    Requires at least two states and an expected count of at least five per
-    state; a smaller expected count means the chain needs more steps.
-    """
-    counts = list(visit_counts.values()) if hasattr(visit_counts, "values") else list(visit_counts)
-    k = len(counts)
-    if k < 2:
-        raise ValueError("need at least two states")
-    total = sum(counts)
-    expected = total / k
-    if expected < 5:
-        raise ValueError(
-            f"expected count per state is {expected:.2f} < 5; run more steps"
-        )
-    statistic = sum((c - expected) ** 2 / expected for c in counts)
-    from scipy.stats import chi2  # imported here: scipy.stats costs every CLI process ~1 s
-
-    return float(chi2.sf(statistic, k - 1))

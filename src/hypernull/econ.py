@@ -268,7 +268,6 @@ def eci_pci(B: Biadjacency):
 
 def fitness_quality(
     B: Biadjacency,
-    tol: float = 1e-9,
     max_iter: int = 1000,
     initial_fitness=None,
     initial_quality=None,
@@ -277,7 +276,7 @@ def fitness_quality(
 
     Quality weights a product by the harmonic influence of its exporters'
     fitness; iteration stops when the largest relative change of either
-    vector drops below tol, and raises RuntimeError (with the residual) if
+    vector drops below 1e-9, and raises RuntimeError (with the residual) if
     max_iter rounds are not enough.
     """
     _degrees(B)
@@ -306,7 +305,7 @@ def fitness_quality(
             np.max(np.abs(fresh_quality - quality) / quality),
         )
         fitness, quality = fresh_fitness, fresh_quality
-        if residual < tol:
+        if residual < 1e-9:
             return (
                 tuple(float(x) for x in fitness),
                 tuple(float(x) for x in quality),

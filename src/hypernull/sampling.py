@@ -452,10 +452,7 @@ def nudhy_degs_mh_step(state: ChainState) -> bool:
         raise FrozenEnsembleError("no applicable swap exists in this graph")
     edges = state.edge_list
     while True:
-        i = rng.randrange(len(edges))
-        j = rng.randrange(len(edges) - 1)
-        if j >= i:
-            j += 1
+        i, j = _pick_pair(rng, range(len(edges)))
         u, a, d1 = edges[i]
         v, b, d2 = edges[j]
         if d1 != d2 or u == v or a == b:
@@ -523,20 +520,12 @@ def run_chain(H: DirectedHypergraph, config: ChainConfig):
     steps = config.resolved_steps(G0)
     step = STEP_FUNCTIONS[config.model]
     thinning = config.thinning if config.thinning is not None else steps
-    if thinning == steps:
-        for index in range(config.sample_count):
+    for index in range(config.sample_count):
+        fresh = index == 0 or thinning == steps
+        if fresh:
             state = make_chain_state(
                 G0.copy(), derive_seed(config.seed, "chain", index), config.model
             )
-            for _ in range(steps):
-                step(state)
-            yield to_hypergraph(state.graph)
-    else:
-        state = make_chain_state(G0.copy(), derive_seed(config.seed, "chain", 0), config.model)
-        for _ in range(steps):
+        for _ in range(steps if fresh else thinning):
             step(state)
         yield to_hypergraph(state.graph)
-        for _ in range(config.sample_count - 1):
-            for _ in range(thinning):
-                step(state)
-            yield to_hypergraph(state.graph)

@@ -301,6 +301,12 @@ def structural_entropy(observed: DirectedHypergraph, samples, group_size: int, s
 # ---------------------------------------------------------------------------
 
 
+# PageRank follows an arc with probability DAMPING and teleports otherwise.
+DAMPING = 0.85
+# PageRank and HITS stop once a round changes the scores by at most TOLERANCE.
+TOLERANCE = 1e-10
+
+
 def project_weighted(H: DirectedHypergraph) -> tuple:
     """Pairwise projection: one arc u -> v per head node u, tail node v,
     and hyperedge copy, with parallel arcs folded into weights; returned as
@@ -313,10 +319,10 @@ def project_weighted(H: DirectedHypergraph) -> tuple:
     return tuple(dict(s) for s in successors)
 
 
-def pagerank(successors: tuple, damping: float = 0.85, tol: float = 1e-10, max_iter: int = 10_000) -> list:
+def pagerank(successors: tuple, max_iter: int = 10_000) -> list:
     """Power iteration with uniform teleport over the digraph given by one
     {successor: weight} dict per node; dangling mass is spread uniformly.
-    Stops when the L1 change drops to tol, raises RuntimeError at max_iter."""
+    Stops when the L1 change drops to TOLERANCE, raises RuntimeError at max_iter."""
     n = len(successors)
     if n == 0:
         return []
@@ -324,17 +330,17 @@ def pagerank(successors: tuple, damping: float = 0.85, tol: float = 1e-10, max_i
     scores = [1.0 / n] * n
     for _ in range(max_iter):
         dangling = sum(scores[u] for u in range(n) if out_total[u] == 0)
-        base = (1.0 - damping) / n + damping * dangling / n
+        base = (1.0 - DAMPING) / n + DAMPING * dangling / n
         fresh = [base] * n
         for u, nbrs in enumerate(successors):
             if not nbrs:
                 continue
-            share = damping * scores[u] / out_total[u]
+            share = DAMPING * scores[u] / out_total[u]
             for v, w in nbrs.items():
                 fresh[v] += share * w
         delta = sum(abs(a - b) for a, b in zip(fresh, scores))
         scores = fresh
-        if delta <= tol:
+        if delta <= TOLERANCE:
             return scores
     raise RuntimeError(f"pagerank did not converge in {max_iter} iterations")
 
@@ -347,7 +353,7 @@ def _unit(vec):
     return vec / norm
 
 
-def hits(G: BipartiteDigraph, tol: float = 1e-10, max_iter: int = 10_000):
+def hits(G: BipartiteDigraph, max_iter: int = 10_000):
     """Hub and authority scores on the combined left+right vertex set.
 
     A +1 arc points from its left vertex to its right vertex, a -1 arc the
@@ -376,7 +382,7 @@ def hits(G: BipartiteDigraph, tol: float = 1e-10, max_iter: int = 10_000):
         fresh_h = _unit(np.bincount(src, weights=fresh_a[dst], minlength=n))
         delta = max(np.abs(fresh_h - hubs).max(), np.abs(fresh_a - auths).max())
         hubs, auths = fresh_h, fresh_a
-        if delta <= tol:
+        if delta <= TOLERANCE:
             return (hubs.tolist(), auths.tolist())
     raise RuntimeError(f"hits did not converge in {max_iter} iterations")
 
@@ -389,22 +395,20 @@ def hits(G: BipartiteDigraph, tol: float = 1e-10, max_iter: int = 10_000):
 def multi_order_laplacian(
     U: UndirectedHypergraph,
     D: int | None = None,
-    weights=None,
     order_is_size_minus_one: bool = False,
 ):
     """Sum of per-order Laplacians L(d) = d*K(d) - A(d) for d = 2..D.
 
     K(d) counts each node's order-d hyperedges, A(d) counts order-d
-    co-memberships (zero diagonal), and each L(d) is scaled by
-    weights(d) divided by the mean of K(d) over all nodes.  Orders without
-    hyperedges are skipped; if none contribute, raises ValueError.  With
-    order_is_size_minus_one, a hyperedge of size s counts toward order s-1.
+    co-memberships (zero diagonal), and each L(d) is divided by the mean of
+    K(d) over all nodes.  Orders without hyperedges are skipped; if none
+    contribute, raises ValueError.  With order_is_size_minus_one, a
+    hyperedge of size s counts toward order s-1.
     """
     n = U.num_nodes
     orders = [len(m) - 1 if order_is_size_minus_one else len(m) for m in U.edges]
     if D is None:
         D = min(8, max(orders, default=0))
-    weight_of = weights or (lambda d: 1.0)
     laplacian = np.zeros((n, n))
     contributed = False
     for d in range(2, D + 1):
@@ -421,7 +425,7 @@ def multi_order_laplacian(
                 adjacency[u, v] += 1.0
                 adjacency[v, u] += 1.0
         mean_degree = degree.sum() / n
-        laplacian += (weight_of(d) / mean_degree) * (d * np.diag(degree) - adjacency)
+        laplacian += (1.0 / mean_degree) * (d * np.diag(degree) - adjacency)
         contributed = True
     if not contributed:
         raise ValueError(f"no hyperedges of any order between 2 and {D}")

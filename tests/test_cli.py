@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import metadata
 from pathlib import Path
 
@@ -606,6 +607,30 @@ class TestContagion:
                     "--method", "quasi-stationary", "--burn-in", 1,
                     "--sample-count", 5, *flag, "--output", out]) == 0
 
+    @pytest.mark.parametrize("flag", [["--lambda-grid", "inf"], ["--lambda-grid", "nan"],
+                                      ["--mu", "nan"], ["--nu", "nan"]],
+                             ids=["lambda-inf", "lambda-nan", "mu-nan", "nu-nan"])
+    def test_non_finite_parameters_fail_cleanly(self, tmp_path, toy, capsys, flag):
+        out = tmp_path / "sis.csv"
+        code = run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid", "0.3",
+                    "--burn-in", 1, "--sample-count", 5, *flag, "--output", out])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_drift_warning_is_one_line_without_a_path(self, tmp_path, toy, capsys):
+        # Pure recovery from full infection drifts through the sampling window.
+        showwarning, filters = warnings.showwarning, list(warnings.filters)
+        assert run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid", "0",
+                    "--mu", 0.05, "--rho0", 1, "--burn-in", 0, "--sample-count", 40,
+                    "--seed", 14, "--output", tmp_path / "sis.csv"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: infected density is still drifting across the sampling "
+            "window; consider a longer burn-in\n"
+        )
+        assert warnings.showwarning is showwarning
+        assert warnings.filters == filters
+
     def test_empty_grid_fails(self, tmp_path, toy, capsys):
         code = run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid",
                     ",", "--output", tmp_path / "x.csv"])
@@ -678,8 +703,8 @@ class TestHelpers:
                  "--output", tmp_path / "x.dhg"])
 
     def test_import_leaves_scipy_out(self):
-        # scipy.stats takes about a second to import, and only the chi-square
-        # uniformity test needs it, so no subcommand should pay for it.
+        # scipy.stats takes about a second to import, and no subcommand
+        # needs it, so none should pay for it.
         src = Path(hypernull.cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         code = "import sys, hypernull.cli; print('scipy' in sys.modules)"

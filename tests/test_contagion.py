@@ -88,6 +88,11 @@ class TestSISConfig:
             {"lam": 0.1, "nu": 1.0, "decorrelation": 0.0},
             {"lam": 0.1, "nu": 1.0, "qs_history_size": 0},
             {"lam": 0.1, "nu": 1.0, "snapshot_interval": 0.0},
+            *(
+                {"lam": 0.1, "nu": 1.0, field: value}
+                for field in ("lam", "nu", "mu", "burn_in", "decorrelation", "snapshot_interval")
+                for value in (math.nan, math.inf)
+            ),
         ],
     )
     def test_validation(self, kwargs):

@@ -12,17 +12,17 @@ import random
 import pytest
 from scipy import stats
 
-from hypernull.core import parse_hypergraph
+from hypernull.core import parse_hypergraph, to_bipartite
 from hypernull.diagnostics import (
     arsd,
     arsd_trace,
-    chi_square_uniformity,
     kendall_tau,
     mine_top_frequent,
     plateau_checkpoint,
     spearman,
     transaction_db,
 )
+from hypernull.sampling import ChainConfig, run_chain
 
 TOY = "1|2,6\n3|4\n6|3,5\n"
 
@@ -240,6 +240,30 @@ class TestArsdTrace:
             arsd_trace(H, model="degs", seed=1, f=5, l=3, max_multiplier=-1)
         assert [k for k, _ in arsd_trace(H, seed=1, f=5, l=3, max_multiplier=0)["head"]] == [0]
 
+    @pytest.mark.parametrize("model", ["degs", "joint", "degs-mh"])
+    def test_checkpoints_are_run_chain_samples(self, model):
+        # Checkpoint k is sample k of one chain that takes w steps between
+        # samples, w being the number of bipartite arcs.
+        H = parse_hypergraph("1,2,3|4,5,6\n1,2,4|3,5,6\n1,3,5|2,4,6\n2,3,6|1,4,5\n")
+        G = to_bipartite(H)
+        w = G.plus_edges() + G.minus_edges()
+        K = 8
+        trace = arsd_trace(H, model=model, seed=3, f=5, l=3, max_multiplier=K)
+        samples = list(run_chain(H, ChainConfig(model, 0, 3, K + 1, thinning=w)))
+        assert set(trace) == {"head", "tail"}
+        for side, rows in trace.items():
+            observed = transaction_db(H, side)
+            fi = mine_top_frequent(observed, 5, 3)
+            expected = [arsd(observed, transaction_db(sample, side), fi) for sample in samples]
+            assert rows == list(enumerate(expected))
+            assert any(value > 0.0 for _, value in rows)
+
+    def test_no_itemsets_returns_before_stepping(self):
+        # One hyperedge admits no swap, so any degs-mh step would raise
+        # FrozenEnsembleError; with no mined itemset the chain never starts.
+        H = parse_hypergraph("1|2\n")
+        assert arsd_trace(H, model="degs-mh", seed=1, f=3, l=2) == {}
+
 
 class TestPlateau:
     def test_flat_trace_plateaus_immediately(self):
@@ -328,34 +352,3 @@ class TestKendall:
     def test_too_short(self):
         with pytest.raises(ValueError):
             kendall_tau([1], [1])
-
-
-class TestChiSquareUniformity:
-    def test_equal_counts(self):
-        assert chi_square_uniformity([25, 25, 25, 25]) == pytest.approx(1.0)
-
-    def test_concentrated_counts(self):
-        assert chi_square_uniformity([100, 0, 0, 0, 0]) < 1e-6
-
-    def test_matches_scipy(self):
-        counts = [22, 31, 27, 20]
-        expected = stats.chisquare(counts).pvalue
-        assert chi_square_uniformity(counts) == pytest.approx(expected)
-
-    def test_low_expected_count_rejected(self):
-        with pytest.raises(ValueError):
-            chi_square_uniformity([3, 2, 4])
-
-    def test_single_state_rejected(self):
-        with pytest.raises(ValueError):
-            chi_square_uniformity([50])
-
-    def test_monte_carlo_calibration(self):
-        rng = random.Random(23)
-        p_values = []
-        for _ in range(200):
-            counts = [0, 0, 0, 0]
-            for _ in range(600):
-                counts[rng.randrange(4)] += 1
-            p_values.append(chi_square_uniformity(counts))
-        assert stats.kstest(p_values, "uniform").pvalue > 0.01

@@ -11,14 +11,14 @@ iteration), and GENEPY (top-2 eigenpairs of the proximity matrix) -- so
 samples can rerank countries for comparison.
 """
 
+from __future__ import annotations
+
 import csv
 import logging
 import warnings
 from dataclasses import dataclass, field
 from statistics import fmean, pstdev
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import DirectedHypergraph, Hyperedge
 from .diagnostics import kendall_tau, spearman
@@ -117,6 +117,7 @@ def rca(table: TradeTable, year: int, trade: str = "export") -> RcaMatrix:
     Entries whose denominators vanish (a country or product with no trade
     that year) are 0, with a warning.
     """
+    import numpy as np
     if trade not in TRADE_SIDES:
         raise ValueError(f"trade must be one of {TRADE_SIDES}, got {trade!r}")
     rows = [r for r in table.records if r.year == year]
@@ -168,6 +169,7 @@ def hypergraph_biadjacency(H: DirectedHypergraph) -> Biadjacency:
     hyperedge copy (a product), one row per node (a country), with a 1 where
     the country belongs to the copy's head, i.e. exports the product.  Rows
     and columns that end up empty are dropped (logged)."""
+    import numpy as np
     expanded = list(H.expanded_edges())
     mask = np.zeros((H.num_nodes, len(expanded)))
     for j, e in enumerate(expanded):
@@ -218,6 +220,7 @@ def _degrees(B: Biadjacency):
 def proximity(B: Biadjacency) -> ProximityMatrix:
     """W[c,p] = M[c,p] / (k_c * h_p) with h_p the degree-weighted product
     ubiquity; X = W W^T with the diagonal forced to zero."""
+    import numpy as np
     k_country, _ = _degrees(B)
     ubiquity = (B.matrix / k_country[:, None]).sum(axis=0)
     W = B.matrix / (k_country[:, None] * ubiquity[None, :])
@@ -245,6 +248,7 @@ def eci_pci(B: Biadjacency):
     averaging once to ECI and standardizes.  A tie among the remaining top
     eigenvalues (within 1e-10) makes the index non-identifiable and raises.
     """
+    import numpy as np
     if len(B.countries) < 2:
         raise ValueError("ECI needs at least two countries")
     k_country, k_product = _degrees(B)
@@ -279,6 +283,7 @@ def fitness_quality(
     vector drops below 1e-9, and raises RuntimeError (with the residual) if
     max_iter rounds are not enough.
     """
+    import numpy as np
     _degrees(B)
     M = B.matrix
     fitness = np.ones(len(B.countries)) if initial_fitness is None else np.asarray(initial_fitness, dtype=float)
@@ -318,6 +323,7 @@ def fitness_quality(
 def genepy(X: np.ndarray) -> tuple:
     """G(c) = (sum_i lambda_i e_ci^2)^2 + 2 sum_i lambda_i^2 e_ci^2 over the
     two largest eigenpairs of the symmetric proximity matrix."""
+    import numpy as np
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError("proximity matrix must be square")

@@ -32,7 +32,11 @@ draws from both sides).
 
 A Metropolis-Hastings variant ("degs-mh") targets the degree ensemble through
 uniform arc-pair proposals over both slices, corrected by the exact count of
-applicable swaps.  The "null" model keeps only the head/tail size sequences.
+applicable swaps.  Its state keeps each slice's co-degree table, at most
+sum_a C(|N(a)|, 2) node pairs, so a step that swaps between right vertices a
+and b costs O(|N(a) ^ N(b)|) table lookups and updates;
+delta_state_degree_pso is the set-based reference for its swap-count delta.
+The "null" model keeps only the head/tail size sequences.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from hypernull.core import (
     BipartiteDigraph,
@@ -244,7 +249,9 @@ class ChainState:
 
     order[direction][side][v] is v's draw list: None until the kernel first
     draws from v, then a permutation of slices[direction].views[side][v] that
-    the kernel keeps current.
+    the kernel keeps current.  A "degs-mh" state also keeps the swap count,
+    the arc list it proposes from and co_degrees[direction], the slice's
+    co-degree table (see _co_degrees), all kept current by the kernel.
     """
 
     graph: BipartiteDigraph
@@ -254,6 +261,7 @@ class ChainState:
     order: dict
     swap_count: int | None = None
     edge_list: list | None = None
+    co_degrees: dict | None = None
 
 
 def _default_heads_prob(G: BipartiteDigraph) -> float:
@@ -272,7 +280,8 @@ def make_chain_state(G: BipartiteDigraph, seed: int, model: str = "degs") -> Cha
         order={d: tuple([None] * len(view) for view in s.views) for d, s in slices.items()},
     )
     if model == "degs-mh":
-        state.swap_count = state_degree_pso(G)
+        tables = state.co_degrees = {d: _co_degrees(*s.views) for d, s in slices.items()}
+        state.swap_count = sum(_slice_swap_count(*s.views, tables[d]) for d, s in slices.items())
         state.edge_list = sorted(G.edges())
     return state
 
@@ -392,8 +401,19 @@ def step_probability(G: BipartiteDigraph, p: SwapProposal, model: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _slice_swap_count(left: list, right: list) -> int:
-    """Applicable swaps inside one slice.
+def _co_degrees(left: list, right: list) -> list:
+    """co[u][w] = |N(u) & N(w)| for the left vertices w != u that share a
+    neighbour with u, one dict per left vertex u."""
+    rows = []
+    for u, neighbors in enumerate(left):
+        row = dict(Counter(chain.from_iterable(right[a] for a in neighbors)))
+        row.pop(u, None)
+        rows.append(row)
+    return rows
+
+
+def _slice_swap_count(left: list, right: list, co: list) -> int:
+    """Applicable swaps inside one slice with co-degree table co.
 
     Counted as disjoint arc pairs, minus pairs blocked by one crossing arc
     (three-arc paths), plus twice the complete 2x2 bicliques that the path
@@ -403,23 +423,16 @@ def _slice_swap_count(left: list, right: list) -> int:
     ri = [len(s) for s in right]
     m = sum(lo)
     disjoint = (m * (m + 1) - sum(x * x for x in lo) - sum(x * x for x in ri)) // 2
-    paths = 0
-    for v, neighbors in enumerate(left):
-        for a in neighbors:
-            paths += (lo[v] - 1) * (ri[a] - 1)
-    pair_counts = Counter()
-    for members in right:
-        ordered = sorted(members)
-        for x in range(len(ordered)):
-            for y in range(x + 1, len(ordered)):
-                pair_counts[(ordered[x], ordered[y])] += 1
-    bicliques = sum(c * (c - 1) // 2 for c in pair_counts.values())
+    paths = sum((lo[v] - 1) * sum(ri[a] - 1 for a in adj) for v, adj in enumerate(left))
+    # Each unordered pair {u, w} sits in both rows: C(c, 2) twice over.
+    bicliques = sum(c * (c - 1) for row in co for c in row.values()) // 4
     return disjoint - paths + 2 * bicliques
 
 
 def state_degree_pso(G: BipartiteDigraph) -> int:
     """Exact number of applicable parity swaps in G, summed over its slices."""
-    return sum(_slice_swap_count(*_views(G, d)) for d in _SLICE_LAYOUT)
+    views = [_views(G, d) for d in _SLICE_LAYOUT]
+    return sum(_slice_swap_count(*pair, _co_degrees(*pair)) for pair in views)
 
 
 def delta_state_degree_pso(G: BipartiteDigraph, p: SwapProposal) -> int:
@@ -439,15 +452,30 @@ def delta_state_degree_pso(G: BipartiteDigraph, p: SwapProposal) -> int:
     return -d_paths + 2 * d_bicliques
 
 
+def _shift(co: list, shared: set, up: int, down: int) -> None:
+    """Record that up gains and down loses a neighbour shared with every w in
+    shared; a co-degree that drops to zero leaves the table."""
+    rise, fall = co[up], co[down]
+    for w in shared:
+        rise[w] = co[w][up] = rise.get(w, 0) + 1
+        count = fall[w] - 1
+        if count:
+            fall[w] = co[w][down] = count
+        else:
+            del fall[w], co[w][down]
+
+
 def nudhy_degs_mh_step(state: ChainState) -> bool:
     """One Metropolis-Hastings step on the degree ensemble.
 
     Uniform arc pairs are rejection-sampled until they form an applicable
-    swap, which is then accepted with probability min(1, d(G)/d(G')) using the
-    incremental swap-count bookkeeping.  Raises FrozenEnsembleError when the
-    graph admits no swap at all (the loop could never terminate).
+    swap (u, a), (v, b) -> (u, b), (v, a), which is then accepted with
+    probability min(1, d(G)/d(G')).  The swap changes only the co-degrees of
+    u and v with gain = N(b) - N(a) - {v} and loss = N(a) - N(b) - {u}, so
+    the swap-count delta and the table update read those two sets alone.
+    Raises FrozenEnsembleError when the graph admits no swap at all.
     """
-    G, rng = state.graph, state.rng
+    rng = state.rng
     if state.swap_count == 0:
         raise FrozenEnsembleError("no applicable swap exists in this graph")
     edges = state.edge_list
@@ -457,19 +485,30 @@ def nudhy_degs_mh_step(state: ChainState) -> bool:
         v, b, d2 = edges[j]
         if d1 != d2 or u == v or a == b:
             continue
-        left = state.slices[d1].views[LEFT]
+        left, right = state.slices[d1].views
         if b in left[u] or a in left[v]:
             continue
-        proposal = SwapProposal(u, a, v, b, d1)
         break
-    delta = delta_state_degree_pso(G, proposal)
-    new_count = state.swap_count + delta
+    co = state.co_degrees[d1]
+    gain = right[b] - right[a]
+    gain.discard(v)
+    loss = right[a] - right[b]
+    loss.discard(u)
+    co_u, co_v = co[u], co[v]
+    d_bicliques = len(gain) + len(loss)
+    for w in gain:
+        d_bicliques += co_u.get(w, 0) - co_v[w]
+    for w in loss:
+        d_bicliques += co_v.get(w, 0) - co_u[w]
+    d_paths = (len(left[u]) - len(left[v])) * (len(right[b]) - len(right[a]))
+    new_count = state.swap_count + 2 * d_bicliques - d_paths
     ratio = state.swap_count / new_count
     if ratio < 1.0 and rng.random() >= ratio:
         return False
-    apply_pso(G, proposal)
-    edges[i] = edges[i]._replace(right=b)
-    edges[j] = edges[j]._replace(right=a)
+    _shift(co, gain, u, v)
+    _shift(co, loss, v, u)
+    _swap(left, right, u, a, v, b)
+    edges[i], edges[j] = (u, b, d1), (v, a, d1)
     state.swap_count = new_count
     return True
 

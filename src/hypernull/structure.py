@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import BipartiteDigraph, DirectedHypergraph, Hyperedge, UndirectedHypergraph, check_side, merge_to_undirected
 
 
@@ -346,6 +344,7 @@ def pagerank(successors: tuple, max_iter: int = 10_000) -> list:
 
 
 def _unit(vec):
+    import numpy as np
     # cumsum adds the squares one after another, as a Python loop would.
     norm = math.sqrt(np.cumsum(vec * vec)[-1])
     if norm == 0.0:
@@ -362,6 +361,7 @@ def hits(G: BipartiteDigraph, max_iter: int = 10_000):
     arcs in G.edges() order, so every score is summed in that order.
     Returns (hubs, authorities).
     """
+    import numpy as np
     n = G.left_count + G.right_count
     if n == 0:
         return ([], [])
@@ -405,6 +405,7 @@ def multi_order_laplacian(
     contribute, raises ValueError.  With order_is_size_minus_one, a
     hyperedge of size s counts toward order s-1.
     """
+    import numpy as np
     n = U.num_nodes
     orders = [len(m) - 1 if order_is_size_minus_one else len(m) for m in U.edges]
     if D is None:
@@ -435,6 +436,7 @@ def multi_order_laplacian(
 def laplacian_spectrum(H: DirectedHypergraph, k: int = 6):
     """The k smallest eigenvalues of the default multi-order Laplacian of H's
     undirected merge, ascending."""
+    import numpy as np
     if k < 1:
         raise ValueError("k must be at least 1")
     U = merge_to_undirected(H)

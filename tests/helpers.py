@@ -2,14 +2,16 @@
 oracles used to cross-check the package implementations, reference versions
 of the structure kernels, the thinned visit counter of the chain uniformity
 tests, the consistency checks that a checked chain walk runs after every
-step, and the rate-class check of a contagion state."""
+step (a degs-mh state's co-degree tables among them), and the rate-class
+check of a contagion state."""
 
+import itertools
 import math
 import random
 from collections import Counter
 
 from hypernull.core import DirectedHypergraph, Hyperedge
-from hypernull.sampling import state_degree_pso
+from hypernull.sampling import LEFT, state_degree_pso
 
 
 def random_hypergraph(rng, max_nodes=8, max_edges=6, max_side=3):
@@ -167,12 +169,33 @@ def check_order(state):
                 ), "draw list out of step with its neighbour set"
 
 
+def check_co_degrees(state):
+    """Assert that every slice's co-degree table of a degs-mh state lists
+    |N(u) & N(w)| for each ordered pair of distinct left vertices, counted
+    afresh by set intersection; zero entries are ignored."""
+    for direction, piece in state.slices.items():
+        left = piece.views[LEFT]
+        fresh = {
+            (u, w): len(left[u] & left[w])
+            for u, w in itertools.permutations(range(len(left)), 2)
+            if left[u] & left[w]
+        }
+        kept = {
+            (u, w): count
+            for u, row in enumerate(state.co_degrees[direction])
+            for w, count in row.items()
+            if count
+        }
+        assert kept == fresh, "co-degree table out of step with the graph"
+
+
 def checked_walk(step, state, steps):
     """Run steps chain steps and return how many applied a swap.
 
     After every step the graph's two views must agree, every built draw list
     must be a permutation of its set, and a degs-mh state's swap count must
-    equal the exact count of the current graph.
+    equal the exact count of the current graph and its co-degree tables a
+    fresh count.
     """
     applied = 0
     for _ in range(steps):
@@ -181,6 +204,7 @@ def checked_walk(step, state, steps):
         check_order(state)
         if state.swap_count is not None:
             assert state.swap_count == state_degree_pso(state.graph)
+            check_co_degrees(state)
     return applied
 
 

@@ -712,6 +712,26 @@ class TestHelpers:
                                 capture_output=True, text=True, timeout=120)
         assert result.stdout.strip() == "False"
 
+    def test_import_leaves_numpy_out(self, tmp_path, toy):
+        # Importing numpy costs about 0.1 s per process; only the econ
+        # subcommands, centrality and spectrum need it, so sampling must not.
+        src = Path(hypernull.cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import sys, hypernull.cli; print('numpy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True, timeout=120)
+        assert result.stdout.strip() == "False"
+        code = (
+            "import sys; from hypernull.cli import main; "
+            f"main(['sample', '--input', {str(toy)!r}, '--model', 'degs-mh', "
+            f"'--samples', '2', '--seed', '3', '--output-dir', {str(tmp_path / 'out')!r}]); "
+            "print('numpy' in sys.modules)"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True, timeout=120)
+        assert result.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "out" / "sample_1.dhg").exists()
+
     def test_manifest_records_library_versions_without_importing_scipy(self, tmp_path, toy):
         out = tmp_path / "canon.dhg"
         src = Path(hypernull.cli.__file__).resolve().parents[1]

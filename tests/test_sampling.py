@@ -1,5 +1,6 @@
 """Tests for the edge-swap samplers, their invariants, and uniformity."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -8,12 +9,13 @@ from collections import Counter
 import pytest
 from scipy import stats
 
-from helpers import checked_walk, random_hypergraph, thinned_visits, validate
+from helpers import checked_walk, metabolic_scale, random_hypergraph, thinned_visits, validate
 from hypernull.core import (
     DirectedHypergraph,
     Hyperedge,
     compute_joint,
     degree_profile,
+    format_hypergraph,
     parse_hypergraph,
     to_bipartite,
     to_hypergraph,
@@ -496,6 +498,25 @@ class TestMhStep:
         state = make_chain_state(G, seed=15, model="degs-mh")
         checked_walk(nudhy_degs_mh_step, state, 500)
         assert degree_profile(G) == before
+
+    @pytest.mark.parametrize(
+        "instance, steps, seed, digest",
+        [
+            ("toy", 200, 0, "c73d6be765a969b86ae933861d275d41b55adc28c305581f2a95be752ee1bb26"),
+            ("toy", 200, 1, "3ccb2698fe8a6f294b081c0ea508bd72db86119615472c015a7386f5d03b6d2e"),
+            ("toy", 200, 2, "5d7950bb01de11a3ca9d96e0aa53d6a7ceb857c28d9d225d3e1bfbc87e862e59"),
+            ("metabolic", 5000, 0, "f87714afe8d43b0053a6541f411ced40f6ae3a79c3f0c88d409bf07c3701f557"),
+            ("metabolic", 5000, 1, "f25a1a21f1b1594a505bbc2eca1746fa805d6b23b3c2240b91f43a76cfefe450"),
+            ("metabolic", 5000, 2, "716172e29d8571c8ef8261731837ac584deb052d6972d773ac49969e06bc35ec"),
+        ],
+    )
+    def test_output_bytes_pinned(self, instance, steps, seed, digest):
+        # The digests were taken from the kernel that recomputed every
+        # swap-count delta by set intersection; the co-degree table must
+        # reproduce its acceptance decisions, and so its samples, exactly.
+        H = parse_hypergraph(TOY) if instance == "toy" else metabolic_scale(101)
+        (S,) = run_chain(H, ChainConfig("degs-mh", steps, seed))
+        assert hashlib.sha256(format_hypergraph(S).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

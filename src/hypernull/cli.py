@@ -80,10 +80,6 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _hash_file(path) -> str:
-    return _sha256(Path(path).read_bytes())
-
-
 def _fmt(value) -> str:
     """CSV cell: empty for None, 12 significant digits for floats."""
     if value is None:
@@ -128,10 +124,6 @@ def _compare(measure, H, samples) -> list:
     ]
 
 
-def _load_directed(path) -> DirectedHypergraph:
-    return parse_hypergraph(Path(path).read_text(encoding="utf-8"))
-
-
 def _sniff_directed(text: str) -> bool:
     for line in text.splitlines():
         stripped = line.strip()
@@ -140,22 +132,21 @@ def _sniff_directed(text: str) -> bool:
     return True
 
 
-def _load_undirected(path):
-    """Undirected substrate from either format: directed files are merged."""
-    text = Path(path).read_text(encoding="utf-8")
+def _undirected_substrate(text: str):
+    """Undirected substrate from either format: directed text is merged."""
     if _sniff_directed(text):
         return merge_to_undirected(parse_hypergraph(text))
     return parse_undirected(text)
 
 
 def _sample_files(directory) -> list:
-    """The samples of a directory.
+    """The samples of a directory, as (path, sha256, listing) triples.
 
-    A directory written by `sample` holds manifest.json, whose sample list is
-    the truth: each listed file must be present with its recorded sha256, and
-    files it does not list are ignored.  Without a manifest: sample_<i>.dhg
-    files by index, else every .dhg file by name.
-    """
+    A directory written by `sample` holds manifest.json, the listing whose
+    sample list is the truth: each listed file must be present with its
+    sha256, and files it does not list are ignored.  Without a manifest:
+    sample_<i>.dhg files by index, else every .dhg file by name, with sha256
+    and listing None."""
     directory = Path(directory)
     manifest = directory / "manifest.json"
     if manifest.is_file():
@@ -171,25 +162,23 @@ def _sample_files(directory) -> list:
             path = directory / name
             if not path.is_file():
                 raise ValueError(f"{path} is listed in {manifest} but missing")
-            if _hash_file(path) != digest:
+            if _sha256(path.read_bytes()) != digest:
                 raise ValueError(f"{path} differs from its sha256 in {manifest}")
-            paths.append(path)
+            paths.append((path, digest, manifest))
         return paths
     indexed = []
     for path in directory.glob("sample_*.dhg"):
         suffix = path.name[len("sample_") : -len(".dhg")]
         if suffix.isdigit():
             indexed.append((int(suffix), path))
-    if indexed:
-        return [path for _, path in sorted(indexed)]
-    plain = sorted(directory.glob("*.dhg"))
-    if not plain:
+    paths = [path for _, path in sorted(indexed)] or sorted(directory.glob("*.dhg"))
+    if not paths:
         raise ValueError(f"no .dhg sample files in {directory}")
-    return plain
+    return [(path, None, None) for path in paths]
 
 
 def _parse_model_dirs(entries) -> dict:
-    """--samples MODEL=DIR entries to {model: [paths]}."""
+    """--samples MODEL=DIR entries to {model: _sample_files(DIR)}."""
     out = {}
     for entry in entries or ():
         model, sep, directory = entry.partition("=")
@@ -201,13 +190,15 @@ def _parse_model_dirs(entries) -> dict:
     return out
 
 
-def _load_samples(manifest, paths_by_model: dict, load=_load_directed):
-    """Yield (model, index, graph) for each file of {model: [paths]}, loading
-    one file at a time and recording it as an input of the run."""
-    for model, paths in paths_by_model.items():
-        for index, path in enumerate(paths):
-            manifest.add_input(path)
-            yield model, index, load(path)
+def _load_samples(manifest, files_by_model: dict, parse=parse_hypergraph):
+    """Yield (model, index, graph) for each file of {model: _sample_files()},
+    parsing the bytes the run records; a file off its listed sha256 fails."""
+    for model, files in files_by_model.items():
+        for index, (path, digest, listing) in enumerate(files):
+            text = manifest.read(path)
+            if listing is not None and manifest.inputs[str(path)] != digest:
+                raise ValueError(f"{path} differs from its sha256 in {listing}")
+            yield model, index, parse(text)
 
 
 def _versions() -> dict:
@@ -235,11 +226,14 @@ class RunManifest:
     timings: dict = field(default_factory=dict)
     destination: Path | None = None
 
-    def add_input(self, path):
-        self.inputs[str(path)] = _hash_file(path)
+    def read(self, path) -> str:
+        """Read an input file's bytes once: record their sha256, return their text."""
+        data = Path(path).read_bytes()
+        self.inputs[str(path)] = _sha256(data)
+        return data.decode("utf-8")
 
     def add_output(self, path):
-        self.invariants.setdefault("outputs", {})[Path(path).name] = _hash_file(path)
+        self.invariants.setdefault("outputs", {})[Path(path).name] = _sha256(Path(path).read_bytes())
 
     def write(self, path):
         payload = {
@@ -271,8 +265,7 @@ def _finish(manifest: RunManifest, *outputs, destination=None) -> int:
 
 
 def cmd_convert(args, manifest: RunManifest) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
-    manifest.add_input(args.input)
+    text = manifest.read(args.input)
     if _sniff_directed(text):
         H = parse_hypergraph(text)
         out = (
@@ -315,8 +308,9 @@ def _invariants(H: DirectedHypergraph, model: str) -> str:
 
 
 def cmd_sample(args, manifest: RunManifest) -> int:
-    H = _load_directed(args.input)
-    manifest.add_input(args.input)
+    if args.model == "null" and (args.steps != "auto" or args.thinning is not None):
+        raise ValueError("--steps and --thinning do not apply to --model null")
+    H = parse_hypergraph(manifest.read(args.input))
     steps = args.steps if args.steps == "auto" else int(args.steps)
     config = ChainConfig(
         model=args.model,
@@ -333,7 +327,8 @@ def cmd_sample(args, manifest: RunManifest) -> int:
     for index, sample in enumerate(run_chain(H, config)):
         path = out_dir / f"sample_{index}.dhg"
         path.write_text(format_hypergraph(sample), encoding="utf-8")
-        written = _invariants(_load_directed(path), args.model)
+        data = path.read_bytes()
+        written = _invariants(parse_hypergraph(data.decode("utf-8")), args.model)
         if written != expected:
             print(
                 f"invariant verification failed for {path}\n"
@@ -343,7 +338,7 @@ def cmd_sample(args, manifest: RunManifest) -> int:
             )
             return 1
         records.append(
-            {"file": path.name, "sha256": _hash_file(path), "invariant_sha256": expected_sha256}
+            {"file": path.name, "sha256": _sha256(data), "invariant_sha256": expected_sha256}
         )
     manifest.invariants["model"] = args.model
     manifest.invariants["samples"] = records
@@ -358,8 +353,7 @@ def cmd_sample(args, manifest: RunManifest) -> int:
 
 
 def cmd_converge(args, manifest: RunManifest) -> int:
-    H = _load_directed(args.input)
-    manifest.add_input(args.input)
+    H = parse_hypergraph(manifest.read(args.input))
     trace = arsd_trace(
         H,
         model=args.model,
@@ -454,10 +448,9 @@ _METRICS = {
 
 
 def cmd_metric(args, manifest: RunManifest) -> int:
-    H = _load_directed(args.input)
-    manifest.add_input(args.input)
-    paths = {"": _sample_files(args.samples) if args.samples else []}
-    samples = [S for _, _, S in _load_samples(manifest, paths)]
+    H = parse_hypergraph(manifest.read(args.input))
+    files = {"": _sample_files(args.samples) if args.samples else []}
+    samples = [S for _, _, S in _load_samples(manifest, files)]
     header, rows = _METRICS[args.metric](args, H, samples)
     _write_csv(args.output, header, rows)
     return _finish(manifest, args.output)
@@ -468,8 +461,8 @@ def cmd_metric(args, manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _partition_for(H: DirectedHypergraph, labels_path) -> CategoryPartition:
-    categories = read_labels(Path(labels_path).read_text(encoding="utf-8"))
+def _partition_for(H: DirectedHypergraph, labels_text: str) -> CategoryPartition:
+    categories = read_labels(labels_text)
     assignments = []
     for v in range(H.num_nodes):
         label = H.label_of(v)
@@ -484,10 +477,8 @@ _AFFINITY_SIZES = range(2, 15)
 
 
 def cmd_affinity(args, manifest: RunManifest) -> int:
-    H = _load_directed(args.input)
-    manifest.add_input(args.input)
-    manifest.add_input(args.labels)
-    partition = _partition_for(H, args.labels)
+    H = parse_hypergraph(manifest.read(args.input))
+    partition = _partition_for(H, manifest.read(args.labels))
     sizes = _AFFINITY_SIZES
     if args.k_min is not None or args.k_max is not None:
         if args.k_min is None or args.k_max is None:
@@ -531,9 +522,9 @@ def cmd_affinity(args, manifest: RunManifest) -> int:
 
 def cmd_econ_build(args, manifest: RunManifest) -> int:
     table = read_trade_table(args.trade, args.metadata)
-    manifest.add_input(args.trade)
+    manifest.read(args.trade)
     if args.metadata:
-        manifest.add_input(args.metadata)
+        manifest.read(args.metadata)
     H = trade_to_hypergraph(table, args.year, threshold=args.threshold)
     plain = DirectedHypergraph(H.edges, H.num_nodes)
     Path(args.output).write_text(format_hypergraph(plain), encoding="utf-8")
@@ -547,8 +538,7 @@ def cmd_econ_build(args, manifest: RunManifest) -> int:
 
 
 def cmd_econ_scores(args, manifest: RunManifest) -> int:
-    H = _load_directed(args.input)
-    manifest.add_input(args.input)
+    H = parse_hypergraph(manifest.read(args.input))
     scores = complexity_scores(hypergraph_biadjacency(H))
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -577,9 +567,7 @@ def _country_scores(H: DirectedHypergraph):
 
 
 def cmd_econ_compare(args, manifest: RunManifest) -> int:
-    H = _load_directed(args.observed)
-    manifest.add_input(args.observed)
-    countries, observed = _country_scores(H)
+    countries, observed = _country_scores(parse_hypergraph(manifest.read(args.observed)))
     samples = {}
     for model, _, S in _load_samples(manifest, _parse_model_dirs(args.samples)):
         sample_countries, scored = _country_scores(S)
@@ -588,18 +576,11 @@ def cmd_econ_compare(args, manifest: RunManifest) -> int:
         vectors = samples.setdefault(model, {score: [] for score in observed})
         for score, vector in scored.items():
             vectors[score].append(vector)
-    rows = [
-        (
-            row["sampler"], row["score"], row["samples"],
-            row["spearman_mean"], row["spearman_std"],
-            row["kendall_mean"], row["kendall_std"],
-        )
-        for row in rank_compare(observed, samples)
-    ]
     header = (
         "sampler", "score", "samples",
         "spearman_mean", "spearman_std", "kendall_mean", "kendall_std",
     )
+    rows = [[row[name] for name in header] for row in rank_compare(observed, samples)]
     _write_csv(args.output, header, rows)
     return _finish(manifest, args.output)
 
@@ -619,18 +600,19 @@ def _lambda_c_for(args, thresholds, nu: float):
 
 
 def cmd_contagion(args, manifest: RunManifest) -> int:
+    if args.dataset is None:
+        args.dataset = Path(args.input).stem
     # Quasi-stationary settings given on the command line; the rest keep
     # SISConfig's defaults.
     quasi = {"qs_history_size": args.qs_history, "snapshot_interval": args.snapshot_interval}
     quasi = {key: value for key, value in quasi.items() if value is not None}
     if quasi and args.method == "stationary":
         raise ValueError("--qs-history and --snapshot-interval need --method quasi-stationary")
-    manifest.add_input(args.input)
-    observed = [("observed", "", _load_undirected(args.input))]
-    paths = _parse_model_dirs(args.samples)
+    observed = [("observed", "", _undirected_substrate(manifest.read(args.input)))]
+    files = _parse_model_dirs(args.samples)
     thresholds = load_thresholds(args.thresholds)
     if args.thresholds:
-        manifest.add_input(args.thresholds)
+        manifest.read(args.thresholds)
     grid = [float(x) for x in args.lambda_grid.split(",") if x.strip()]
     if not grid:
         raise ValueError("empty --lambda-grid")
@@ -638,7 +620,7 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
         run_stationary if args.method == "stationary" else run_quasi_stationary
     )
     rows = []
-    samples = _load_samples(manifest, paths, _load_undirected)
+    samples = _load_samples(manifest, files, _undirected_substrate)
     for sampler, sample_id, substrate in itertools.chain(observed, samples):
         for nu in args.nu:
             lambda_c = _lambda_c_for(args, thresholds, nu)
@@ -815,8 +797,6 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "dataset", "") is None:
-        args.dataset = Path(args.input).stem
     manifest = RunManifest(command=["hypernull", *argv])
     manifest.seed = getattr(args, "seed", None)
     started = time.perf_counter()

@@ -85,11 +85,6 @@ class DirectedHypergraph:
         if self.labels is not None and len(self.labels) != self.num_nodes:
             raise ValueError("labels must list one external id per node")
 
-    @property
-    def num_edges(self) -> int:
-        """Number of hyperedge copies, multiplicities counted."""
-        return sum(e.multiplicity for e in self.edges)
-
     def expanded_edges(self) -> Iterator[Hyperedge]:
         """Yield every hyperedge once per multiplicity copy, in canonical order."""
         for e in self.edges:
@@ -210,16 +205,6 @@ class UndirectedHypergraph:
 # ---------------------------------------------------------------------------
 
 
-def _as_lines(source):
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        return source.splitlines()
-    if hasattr(source, "read"):
-        return _as_lines(source.read())
-    return list(source)
-
-
 def _parse_side(text, lineno, side):
     text = text.strip()
     if not text:
@@ -239,19 +224,17 @@ def _parse_side(text, lineno, side):
     return frozenset(nodes)
 
 
-def parse_hypergraph(source) -> DirectedHypergraph:
-    """Parse directed-hypergraph text: one "h1,h2,...|t1,t2,..." line per edge copy.
+def parse_hypergraph(text: str) -> DirectedHypergraph:
+    """Parse directed-hypergraph text (a str): one "h1,...|t1,..." line per edge copy.
 
     '#'-prefixed lines are comments; either side of '|' may be blank but not
     both; repeating a line raises that hyperedge's multiplicity.  External node
     ids (arbitrary non-negative integers) are re-indexed densely in ascending
     order and kept in ``labels``.
-
-    Accepts a str, bytes, open file, or iterable of lines.
     """
     raw = []
     seen = set()
-    for lineno, line in enumerate(_as_lines(source), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -283,11 +266,11 @@ def format_hypergraph(H: DirectedHypergraph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_undirected(source) -> UndirectedHypergraph:
-    """Parse undirected-hypergraph text: one comma-separated node set per line."""
+def parse_undirected(text: str) -> UndirectedHypergraph:
+    """Parse undirected-hypergraph text (a str): one comma-separated node set per line."""
     raw = []
     seen = set()
-    for lineno, line in enumerate(_as_lines(source), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -307,10 +290,10 @@ def format_undirected(U: UndirectedHypergraph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def read_labels(source) -> dict:
-    """Read a node-category CSV ("node_id,category"); a header row is skipped."""
+def read_labels(text: str) -> dict:
+    """Read node-category CSV text (a str of "node_id,category" lines); a header row is skipped."""
     categories = {}
-    for lineno, line in enumerate(_as_lines(source), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

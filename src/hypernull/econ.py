@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 POPULATION_FLOOR = 1_000_000.0
 TRADE_FLOOR = 1_000_000_000.0
 TRADE_SIDES = ("export", "import")
+FITNESS_MAX_ITER = 1000
 
 
 class TradeRecord(NamedTuple):
@@ -270,18 +271,13 @@ def eci_pci(B: Biadjacency):
     return (tuple(float(x) for x in eci), tuple(float(x) for x in pci))
 
 
-def fitness_quality(
-    B: Biadjacency,
-    max_iter: int = 1000,
-    initial_fitness=None,
-    initial_quality=None,
-):
+def fitness_quality(B: Biadjacency, initial_fitness=None, initial_quality=None):
     """Non-linear Fitness/Quality iteration, mean-normalized every round.
 
     Quality weights a product by the harmonic influence of its exporters'
     fitness; iteration stops when the largest relative change of either
     vector drops below 1e-9, and raises RuntimeError (with the residual) if
-    max_iter rounds are not enough.
+    FITNESS_MAX_ITER rounds are not enough.
     """
     import numpy as np
     _degrees(B)
@@ -291,7 +287,7 @@ def fitness_quality(
     if (fitness <= 0).any() or (quality <= 0).any():
         raise ValueError("initial scores must be positive")
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(FITNESS_MAX_ITER):
         raw_fitness = M @ quality
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             raw_quality = 1.0 / (M.T @ (1.0 / fitness))
@@ -316,7 +312,7 @@ def fitness_quality(
                 tuple(float(x) for x in quality),
             )
     raise RuntimeError(
-        f"fitness iteration did not converge in {max_iter} rounds (residual {residual:.3e})"
+        f"fitness iteration did not converge in {FITNESS_MAX_ITER} rounds (residual {residual:.3e})"
     )
 
 

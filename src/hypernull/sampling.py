@@ -42,7 +42,6 @@ The "null" model keeps only the head/tail size sequences.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -96,10 +95,6 @@ class SwapProposal:
     right2: int
     direction: int
 
-    def reverse(self) -> "SwapProposal":
-        """The proposal that undoes this one on the swapped graph."""
-        return SwapProposal(self.left1, self.right2, self.left2, self.right1, self.direction)
-
 
 @dataclass
 class ChainConfig:
@@ -129,7 +124,7 @@ class ChainConfig:
 
     def resolved_steps(self, G: BipartiteDigraph) -> int:
         if self.steps == "auto":
-            return math.ceil(20 * (G.plus_edges() + G.minus_edges()))
+            return 20 * (G.plus_edges() + G.minus_edges())
         return self.steps
 
 
@@ -162,7 +157,6 @@ class _ClassPairs:
         for x, neighbors in enumerate(view):
             if neighbors:
                 groups.setdefault(classes[x], []).append(x)
-        self.class_of = {x: k for k, members in groups.items() for x in members}
         self.members = []
         self.cumulative = []
         total = 0
@@ -175,11 +169,6 @@ class _ClassPairs:
             self.members.append(groups[k])
             self.cumulative.append(total)
         self.total = total
-
-    def holds(self, x, y) -> bool:
-        """Whether {x, y} is one of the pairs this source draws."""
-        classes = self.class_of
-        return x != y and x in classes and y in classes and classes[x] == classes[y]
 
     def sample_pair(self, rng):
         """A uniform ordered pair from a weight-picked class, or None."""
@@ -282,7 +271,9 @@ def make_chain_state(G: BipartiteDigraph, seed: int, model: str = "degs") -> Cha
     if model == "degs-mh":
         tables = state.co_degrees = {d: _co_degrees(*s.views) for d, s in slices.items()}
         state.swap_count = sum(_slice_swap_count(*s.views, tables[d]) for d, s in slices.items())
-        state.edge_list = sorted(G.edges())
+        state.edge_list = sorted(
+            (v, a, d) for d, s in slices.items() for v, adj in enumerate(s.views[LEFT]) for a in adj
+        )
     return state
 
 
@@ -372,28 +363,6 @@ def _slice_step(state: ChainState) -> bool:
 # joint-preserving step on a state made with model="joint" are the same
 # kernel: the state's pair sources make the difference.
 nudhy_degs_step = nudhy_joint_step = _slice_step
-
-
-def step_probability(G: BipartiteDigraph, p: SwapProposal, model: str) -> float:
-    """Probability that one "degs" or "joint" step on G proposes the swap p.
-
-    Reads the kernel's own slice tables and sums over the routes that can
-    draw p's endpoint pair.
-    """
-    if model not in ("degs", "joint"):
-        raise ValueError(f"model must be 'degs' or 'joint', got {model!r}")
-    piece = _slices(G, model)[p.direction]
-    heads_prob = _default_heads_prob(G)
-    coin = heads_prob if p.direction == +1 else 1.0 - heads_prob
-    ends = ((p.left1, p.left2), (p.right1, p.right2))
-    probability = 0.0
-    for side, pairs in piece.sources:
-        x, y = ends[side]
-        near = piece.views[side]
-        crossed = len(near[x] - near[y]) * len(near[y] - near[x])
-        if crossed and pairs.holds(x, y):
-            probability += coin / len(piece.sources) / (pairs.total * crossed)
-    return probability
 
 
 # ---------------------------------------------------------------------------

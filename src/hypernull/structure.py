@@ -301,8 +301,10 @@ def structural_entropy(observed: DirectedHypergraph, samples, group_size: int, s
 
 # PageRank follows an arc with probability DAMPING and teleports otherwise.
 DAMPING = 0.85
-# PageRank and HITS stop once a round changes the scores by at most TOLERANCE.
+# PageRank and HITS stop once a round changes the scores by at most TOLERANCE
+# and raise RuntimeError after MAX_ITER rounds.
 TOLERANCE = 1e-10
+MAX_ITER = 10_000
 
 
 def project_weighted(H: DirectedHypergraph) -> tuple:
@@ -317,16 +319,16 @@ def project_weighted(H: DirectedHypergraph) -> tuple:
     return tuple(dict(s) for s in successors)
 
 
-def pagerank(successors: tuple, max_iter: int = 10_000) -> list:
+def pagerank(successors: tuple) -> list:
     """Power iteration with uniform teleport over the digraph given by one
     {successor: weight} dict per node; dangling mass is spread uniformly.
-    Stops when the L1 change drops to TOLERANCE, raises RuntimeError at max_iter."""
+    Stops when the L1 change drops to TOLERANCE, raises RuntimeError at MAX_ITER."""
     n = len(successors)
     if n == 0:
         return []
     out_total = [sum(nbrs.values()) for nbrs in successors]
     scores = [1.0 / n] * n
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         dangling = sum(scores[u] for u in range(n) if out_total[u] == 0)
         base = (1.0 - DAMPING) / n + DAMPING * dangling / n
         fresh = [base] * n
@@ -340,7 +342,7 @@ def pagerank(successors: tuple, max_iter: int = 10_000) -> list:
         scores = fresh
         if delta <= TOLERANCE:
             return scores
-    raise RuntimeError(f"pagerank did not converge in {max_iter} iterations")
+    raise RuntimeError(f"pagerank did not converge in {MAX_ITER} iterations")
 
 
 def _unit(vec):
@@ -352,7 +354,7 @@ def _unit(vec):
     return vec / norm
 
 
-def hits(G: BipartiteDigraph, max_iter: int = 10_000):
+def hits(G: BipartiteDigraph):
     """Hub and authority scores on the combined left+right vertex set.
 
     A +1 arc points from its left vertex to its right vertex, a -1 arc the
@@ -377,27 +379,26 @@ def hits(G: BipartiteDigraph, max_iter: int = 10_000):
     dst = np.concatenate((right[:plus], left[plus:]))
     hubs = np.full(n, 1.0 / math.sqrt(n))
     auths = hubs.copy()
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         fresh_a = _unit(np.bincount(dst, weights=hubs[src], minlength=n))
         fresh_h = _unit(np.bincount(src, weights=fresh_a[dst], minlength=n))
         delta = max(np.abs(fresh_h - hubs).max(), np.abs(fresh_a - auths).max())
         hubs, auths = fresh_h, fresh_a
         if delta <= TOLERANCE:
             return (hubs.tolist(), auths.tolist())
-    raise RuntimeError(f"hits did not converge in {max_iter} iterations")
+    raise RuntimeError(f"hits did not converge in {MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------
 # Multi-order Laplacian
 # ---------------------------------------------------------------------------
 
+MAX_ORDER = 8
 
-def multi_order_laplacian(
-    U: UndirectedHypergraph,
-    D: int | None = None,
-    order_is_size_minus_one: bool = False,
-):
-    """Sum of per-order Laplacians L(d) = d*K(d) - A(d) for d = 2..D.
+
+def multi_order_laplacian(U: UndirectedHypergraph, order_is_size_minus_one: bool = False):
+    """Sum of per-order Laplacians L(d) = d*K(d) - A(d) for d = 2..D, where D
+    is the largest order present, capped at MAX_ORDER.
 
     K(d) counts each node's order-d hyperedges, A(d) counts order-d
     co-memberships (zero diagonal), and each L(d) is divided by the mean of
@@ -408,8 +409,7 @@ def multi_order_laplacian(
     import numpy as np
     n = U.num_nodes
     orders = [len(m) - 1 if order_is_size_minus_one else len(m) for m in U.edges]
-    if D is None:
-        D = min(8, max(orders, default=0))
+    D = min(MAX_ORDER, max(orders, default=0))
     laplacian = np.zeros((n, n))
     contributed = False
     for d in range(2, D + 1):

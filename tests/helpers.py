@@ -1,7 +1,8 @@
 """Shared test helpers: deterministic random generators, brute-force recount
 oracles used to cross-check the package implementations, reference versions
 of the structure kernels, the thinned visit counter of the chain uniformity
-tests, the consistency checks that a checked chain walk runs after every
+tests, the reverse of a swap proposal and the kernel's probability of
+proposing it, the consistency checks that a checked chain walk runs after every
 step (a degs-mh state's co-degree tables among them), and the rate-class
 check of a contagion state."""
 
@@ -11,7 +12,7 @@ import random
 from collections import Counter
 
 from hypernull.core import DirectedHypergraph, Hyperedge
-from hypernull.sampling import LEFT, state_degree_pso
+from hypernull.sampling import LEFT, SwapProposal, _default_heads_prob, _slices, state_degree_pso
 
 
 def random_hypergraph(rng, max_nodes=8, max_edges=6, max_side=3):
@@ -127,6 +128,31 @@ def thinned_visits(step, state, key, steps):
         if t % VISIT_THINNING == 0:
             visits[key(state.graph)] += 1
     return visits
+
+
+def reverse(p):
+    """The swap proposal that undoes p on the swapped graph."""
+    return SwapProposal(p.left1, p.right2, p.left2, p.right1, p.direction)
+
+
+def step_probability(G, p, model):
+    """Probability that one "degs" or "joint" step on G proposes the swap p.
+
+    Reads the kernel's own slice tables and sums over the routes whose pair
+    source can draw p's endpoint pair.
+    """
+    piece = _slices(G, model)[p.direction]
+    heads_prob = _default_heads_prob(G)
+    coin = heads_prob if p.direction == +1 else 1.0 - heads_prob
+    ends = ((p.left1, p.left2), (p.right1, p.right2))
+    probability = 0.0
+    for side, pairs in piece.sources:
+        x, y = ends[side]
+        near = piece.views[side]
+        crossed = len(near[x] - near[y]) * len(near[y] - near[x])
+        if crossed and any(x in members and y in members for members in pairs.members):
+            probability += coin / len(piece.sources) / (pairs.total * crossed)
+    return probability
 
 
 def validate(G):

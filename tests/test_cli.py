@@ -4,18 +4,20 @@ Each test drives main() with real files under tmp_path and checks the CSV
 output, the run manifest, exit codes, and byte-for-byte determinism.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from importlib import metadata
 from pathlib import Path
 
 import pytest
 
 import hypernull.cli
-from hypernull.cli import _fmt, _parse_model_dirs, main
+from hypernull.cli import RunManifest, _fmt, _load_samples, _parse_model_dirs, main
 from hypernull.core import (
     format_hypergraph,
     merge_to_undirected,
@@ -205,6 +207,18 @@ class TestSample:
         assert capsys.readouterr().err.startswith("error: thinning")
         assert not list((tmp_path / "thin").glob("*.dhg"))
 
+    @pytest.mark.parametrize("flags", [["--steps", 500], ["--thinning", 7]])
+    def test_null_rejects_chain_flags(self, tmp_path, toy, capsys, flags):
+        # The null model draws each sample afresh: no chain steps to set.
+        out = tmp_path / "null"
+        code = run(["sample", "--input", toy, "--model", "null", "--samples", 2,
+                    *flags, "--output-dir", out])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --steps and --thinning")
+        assert not out.exists()
+        assert run(["sample", "--input", toy, "--model", "null", "--samples", 2,
+                    "--steps", "auto", "--output-dir", out]) == 0
+
 
 class TestConverge:
     def test_trace_shape_and_zero_start(self, tmp_path, toy):
@@ -240,6 +254,27 @@ class TestConverge:
 
 
 class TestMetric:
+    def test_each_input_is_read_once_per_use(self, tmp_path, toy, sample_dir,
+                                             monkeypatch):
+        reads = Counter()
+        for name in ("read_bytes", "read_text"):
+            def counted(self, *args, _read=getattr(Path, name), **kwargs):
+                reads[str(self)] += 1
+                return _read(self, *args, **kwargs)
+
+            monkeypatch.setattr(Path, name, counted)
+        out = tmp_path / "core.csv"
+        assert run(["metric", "coreness", "--input", toy, "--samples", sample_dir,
+                    "--output", out]) == 0
+        monkeypatch.undo()
+        samples = sorted(str(path) for path in sample_dir.glob("*.dhg"))
+        assert reads[str(toy)] == 1
+        assert [reads[path] for path in samples] == [2, 2, 2]  # verify, then load
+        inputs = manifest_of(tmp_path / "core.csv.manifest.json")["inputs"]
+        assert sorted(inputs) == sorted([str(toy), *samples])
+        for path, digest in inputs.items():
+            assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
     def test_reciprocity_against_itself_has_unit_ratio(self, tmp_path, toy):
         mirror = tmp_path / "mirror"
         mirror.mkdir()
@@ -659,8 +694,8 @@ class TestHelpers:
         d.mkdir()
         for i in (0, 2, 10):
             (d / f"sample_{i}.dhg").write_text(TOY, encoding="utf-8")
-        paths = _parse_model_dirs([f"m={d}"])["m"]
-        assert [p.name for p in paths] == [
+        files = _parse_model_dirs([f"m={d}"])["m"]
+        assert [path.name for path, _, _ in files] == [
             "sample_0.dhg", "sample_2.dhg", "sample_10.dhg",
         ]
 
@@ -691,6 +726,14 @@ class TestHelpers:
         (sample_dir / "sample_1.dhg").unlink()
         with pytest.raises(ValueError, match="sample_1.dhg is listed"):
             _parse_model_dirs([f"m={sample_dir}"])
+
+    def test_sample_changed_after_verification_is_rejected(self, sample_dir):
+        files = _parse_model_dirs([f"m={sample_dir}"])
+        (sample_dir / "sample_1.dhg").write_text(TOY, encoding="utf-8")
+        loaded = _load_samples(RunManifest(command=[]), files)
+        next(loaded)
+        with pytest.raises(ValueError, match="sample_1.dhg differs from its sha256 in"):
+            next(loaded)
 
     def test_programming_error_is_not_a_user_error(self, tmp_path, toy,
                                                    monkeypatch):

@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hypernull import econ
 from hypernull.core import DirectedHypergraph, Hyperedge
 from hypernull.diagnostics import kendall_tau, spearman
 from hypernull.econ import (
@@ -310,11 +311,12 @@ class TestFitnessQuality:
         assert fitness == pytest.approx((1.0,) * 4)
         assert quality == pytest.approx((1.0,) * 4)
 
-    def test_unequal_blocks_diverge(self):
+    def test_unequal_blocks_diverge(self, monkeypatch):
         # Disconnected blocks of different shapes have no positive fixed
         # point: the relative block scale grows every round.
+        monkeypatch.setattr(econ, "FITNESS_MAX_ITER", 3000)
         with pytest.raises(RuntimeError):
-            fitness_quality(BLOCK_M, max_iter=3000)
+            fitness_quality(BLOCK_M)
 
     def test_means_are_one(self):
         rng = np.random.default_rng(23)
@@ -339,11 +341,12 @@ class TestFitnessQuality:
             runs.append(fitness)
         assert kendall_tau(runs[0], runs[1]) == 1.0
 
-    def test_non_convergence_reports_residual(self):
+    def test_non_convergence_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(econ, "FITNESS_MAX_ITER", 1)
         rng = np.random.default_rng(31)
         B = Biadjacency(tuple(range(6)), tuple(range(9)), random_bool_matrix(rng, 6, 9))
         with pytest.raises(RuntimeError, match="residual"):
-            fitness_quality(B, max_iter=1)
+            fitness_quality(B)
 
     def test_zero_row_rejected(self):
         B = Biadjacency(("A", "B"), ("x",), np.array([[1.0], [0.0]]))

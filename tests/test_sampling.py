@@ -9,7 +9,15 @@ from collections import Counter
 import pytest
 from scipy import stats
 
-from helpers import checked_walk, metabolic_scale, random_hypergraph, thinned_visits, validate
+from helpers import (
+    checked_walk,
+    metabolic_scale,
+    random_hypergraph,
+    reverse,
+    step_probability,
+    thinned_visits,
+    validate,
+)
 from hypernull.core import (
     DirectedHypergraph,
     Hyperedge,
@@ -37,7 +45,6 @@ from hypernull.sampling import (
     nudhy_joint_step,
     run_chain,
     state_degree_pso,
-    step_probability,
 )
 
 TOY = "1|2,6\n3|4\n6|3,5\n"
@@ -211,7 +218,7 @@ class TestApplyPso:
                 continue
             p = proposals[0]
             apply_pso(G, p)
-            apply_pso(G, p.reverse())
+            apply_pso(G, reverse(p))
             assert to_hypergraph(G) == H
 
     def test_invalid_proposal_rejected(self):
@@ -242,7 +249,7 @@ class TestApplyRpso:
         p = SwapProposal(H.labels.index(2), 0, H.labels.index(5), 2, -1)
         apply_pso(G, p)
         assert compute_joint(G) == J0
-        apply_pso(G, p.reverse())
+        apply_pso(G, reverse(p))
         assert to_hypergraph(G) == H
 
 
@@ -437,7 +444,7 @@ class TestDeltaStateDegreePso:
             p = proposals[rng.randrange(len(proposals))]
             delta = delta_state_degree_pso(G, p)
             apply_pso(G, p)
-            assert delta_state_degree_pso(G, p.reverse()) == -delta
+            assert delta_state_degree_pso(G, reverse(p)) == -delta
             checked += 1
 
     def test_tracks_recomputation_along_walk(self):
@@ -665,7 +672,7 @@ class TestStepProbabilities:
             forward = step_probability(G, p, "degs")
             assert forward > 0
             apply_pso(G, p)
-            backward = step_probability(G, p.reverse(), "degs")
+            backward = step_probability(G, reverse(p), "degs")
             assert forward == pytest.approx(backward)
             checked += 1
 
@@ -676,7 +683,7 @@ class TestStepProbabilities:
         forward = step_probability(G, p, "joint")
         assert forward > 0
         apply_pso(G, p)
-        assert step_probability(G, p.reverse(), "joint") == pytest.approx(forward)
+        assert step_probability(G, reverse(p), "joint") == pytest.approx(forward)
 
     def test_joint_two_routes_add(self):
         # Two heads {0,1} and {2,3}: the swap endpoints share degree classes on

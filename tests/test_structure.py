@@ -24,6 +24,7 @@ from helpers import (
     reciprocal_candidates,
     trade_like,
 )
+from hypernull import structure
 from hypernull.core import (
     BipartiteDigraph,
     DirectedHypergraph,
@@ -501,10 +502,11 @@ class TestPagerank:
             assert scores == pytest.approx(list(pagerank_oracle(g)), abs=1e-8)
             assert sum(scores) == pytest.approx(1.0, abs=1e-9)
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(structure, "MAX_ITER", 1)
         g = ({1: 1}, {})
         with pytest.raises(RuntimeError):
-            pagerank(g, max_iter=1)
+            pagerank(g)
 
     def test_empty_graph(self):
         assert pagerank(()) == []
@@ -545,12 +547,13 @@ class TestHits:
         assert np.allclose(hubs, hub_ref, atol=1e-6)
         assert np.allclose(auths, auth_ref, atol=1e-6)
 
-    def test_fixed_point_on_random_graphs(self):
+    def test_fixed_point_on_random_graphs(self, monkeypatch):
+        monkeypatch.setattr(structure, "MAX_ITER", 10**5)
         rng = random.Random(79)
         for _ in range(10):
             H = random_hypergraph(rng, max_nodes=6, max_edges=6, max_side=3)
             G = to_bipartite(H)
-            hubs, auths = hits(G, max_iter=10**5)
+            hubs, auths = hits(G)
             A = combined_adjacency(G)
             expect_a = A.T @ np.array(hubs)
             norm_a = np.linalg.norm(expect_a)
@@ -571,21 +574,24 @@ class TestHits:
 
 
 class TestHitsMatchesReference:
-    def test_random_hypergraphs(self):
+    def test_random_hypergraphs(self, monkeypatch):
+        monkeypatch.setattr(structure, "MAX_ITER", 10**5)
         rng = random.Random(101)
         for _ in range(20):
             G = to_bipartite(random_hypergraph(rng, max_nodes=6, max_edges=6, max_side=3))
-            assert hits(G, max_iter=10**5) == hits_reference(G, max_iter=10**5)
+            assert hits(G) == hits_reference(G, max_iter=10**5)
 
     def test_metabolic_scale(self):
         G = to_bipartite(metabolic_scale(101))
         assert hits(G) == hits_reference(G)
 
-    def test_same_failure_past_max_iter(self):
+    def test_same_failure_past_max_iter(self, monkeypatch):
+        monkeypatch.setattr(structure, "MAX_ITER", 2)
         G = to_bipartite(parse_hypergraph("1|2,3\n2,3|1\n4|1\n"))
-        for kernel in (hits, hits_reference):
-            with pytest.raises(RuntimeError):
-                kernel(G, max_iter=2)
+        with pytest.raises(RuntimeError, match="in 2 iterations"):
+            hits(G)
+        with pytest.raises(RuntimeError, match="in 2 iterations"):
+            hits_reference(G, max_iter=2)
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +649,10 @@ class TestMultiOrderLaplacian:
             [-1.0, -1.0, 2.0],
         ]))
 
-    def test_sizes_beyond_d_ignored(self):
+    def test_sizes_beyond_d_ignored(self, monkeypatch):
+        monkeypatch.setattr(structure, "MAX_ORDER", 2)
         U = UndirectedHypergraph([{0, 1}, {0, 1, 2, 3}], 4)
-        L = multi_order_laplacian(U, D=2)
+        L = multi_order_laplacian(U)
         assert L[2, 2] == 0.0 and L[3, 3] == 0.0
 
 

@@ -55,8 +55,8 @@ from hypernull.diagnostics import arsd_trace
 from hypernull.econ import (
     complexity_scores,
     hypergraph_biadjacency,
+    parse_trade_table,
     rank_compare,
-    read_trade_table,
     trade_to_hypergraph,
 )
 from hypernull.sampling import MODELS, STEP_FUNCTIONS, ChainConfig, derive_seed, run_chain
@@ -521,10 +521,9 @@ def cmd_affinity(args, manifest: RunManifest) -> int:
 
 
 def cmd_econ_build(args, manifest: RunManifest) -> int:
-    table = read_trade_table(args.trade, args.metadata)
-    manifest.read(args.trade)
-    if args.metadata:
-        manifest.read(args.metadata)
+    trade = manifest.read(args.trade)
+    metadata = None if args.metadata is None else manifest.read(args.metadata)
+    table = parse_trade_table(trade, metadata)
     H = trade_to_hypergraph(table, args.year, threshold=args.threshold)
     plain = DirectedHypergraph(H.edges, H.num_nodes)
     Path(args.output).write_text(format_hypergraph(plain), encoding="utf-8")
@@ -600,6 +599,8 @@ def _lambda_c_for(args, thresholds, nu: float):
 
 
 def cmd_contagion(args, manifest: RunManifest) -> int:
+    if args.lambda_c is not None and args.thresholds is not None:
+        raise ValueError("--lambda-c and --thresholds are exclusive")
     if args.dataset is None:
         args.dataset = Path(args.input).stem
     # Quasi-stationary settings given on the command line; the rest keep
@@ -610,9 +611,9 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
         raise ValueError("--qs-history and --snapshot-interval need --method quasi-stationary")
     observed = [("observed", "", _undirected_substrate(manifest.read(args.input)))]
     files = _parse_model_dirs(args.samples)
-    thresholds = load_thresholds(args.thresholds)
-    if args.thresholds:
-        manifest.read(args.thresholds)
+    thresholds = load_thresholds(
+        None if args.thresholds is None else manifest.read(args.thresholds)
+    )
     grid = [float(x) for x in args.lambda_grid.split(",") if x.strip()]
     if not grid:
         raise ValueError("empty --lambda-grid")
@@ -774,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda-c",
         type=float,
         default=None,
-        help="explicit invasion threshold (overrides the thresholds file)",
+        help="explicit invasion threshold (exclusive with --thresholds)",
     )
     contagion.add_argument(
         "--thresholds", default=None, help="JSON thresholds config file"

@@ -50,15 +50,13 @@ DEFAULT_THRESHOLDS = {
 }
 
 
-def load_thresholds(path=None) -> dict:
-    """Shipped default thresholds, overlaid with entries from a JSON file
+def load_thresholds(text=None) -> dict:
+    """Shipped default thresholds, overlaid with entries from JSON text
     mapping dataset name to lambda_c_linear / lambda_c_superlinear / nu_c."""
     merged = dict(DEFAULT_THRESHOLDS)
-    if path is None:
+    if text is None:
         return merged
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
-    for name, entry in raw.items():
+    for name, entry in json.loads(text).items():
         try:
             merged[name] = Thresholds(
                 float(entry["lambda_c_linear"]),

@@ -14,6 +14,7 @@ samples can rerank countries for comparison.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import warnings
 from dataclasses import dataclass, field
@@ -61,43 +62,52 @@ class TradeTable:
                 raise ValueError(f"negative metadata for {country}")
 
 
-def _require_columns(reader: csv.DictReader, required, path) -> None:
+def _rows(text: str, required, name: str):
+    """The rows of CSV text as dicts, parsed as a file opened with newline=""."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     missing = set(required) - set(reader.fieldnames or ())
     if missing:
-        raise ValueError(f"{path} is missing columns: {sorted(missing)}")
+        raise ValueError(f"{name} is missing columns: {sorted(missing)}")
+    return reader
+
+
+def parse_trade_table(trade_text: str, metadata_text: str | None = None) -> TradeTable:
+    """Parse a trade CSV (year,country,product,export_value,import_value) and
+    an optional metadata CSV (country,population,avg_trade) from their text."""
+    records = []
+    for row in _rows(
+        trade_text,
+        ("year", "country", "product", "export_value", "import_value"),
+        "trade table",
+    ):
+        records.append(
+            TradeRecord(
+                int(row["year"]),
+                row["country"],
+                row["product"],
+                float(row["export_value"]),
+                float(row["import_value"]),
+            )
+        )
+    metadata = {}
+    if metadata_text is not None:
+        for row in _rows(metadata_text, ("country", "population", "avg_trade"), "metadata table"):
+            metadata[row["country"]] = CountryMeta(
+                float(row["population"]), float(row["avg_trade"])
+            )
+    return TradeTable(tuple(records), metadata)
 
 
 def read_trade_table(trade_path, metadata_path=None) -> TradeTable:
-    """Load records from a trade CSV (year,country,product,export_value,
-    import_value) and optional metadata CSV (country,population,avg_trade)."""
-    records = []
-    with open(trade_path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        _require_columns(
-            reader,
-            ("year", "country", "product", "export_value", "import_value"),
-            trade_path,
-        )
-        for row in reader:
-            records.append(
-                TradeRecord(
-                    int(row["year"]),
-                    row["country"],
-                    row["product"],
-                    float(row["export_value"]),
-                    float(row["import_value"]),
-                )
-            )
-    metadata = {}
-    if metadata_path is not None:
-        with open(metadata_path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            _require_columns(reader, ("country", "population", "avg_trade"), metadata_path)
-            for row in reader:
-                metadata[row["country"]] = CountryMeta(
-                    float(row["population"]), float(row["avg_trade"])
-                )
-    return TradeTable(tuple(records), metadata)
+    """Load a trade CSV and an optional metadata CSV from their paths with
+    parse_trade_table."""
+    def text(path):
+        with open(path, newline="") as handle:
+            return handle.read()
+
+    return parse_trade_table(
+        text(trade_path), None if metadata_path is None else text(metadata_path)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +187,17 @@ def hypergraph_biadjacency(H: DirectedHypergraph) -> Biadjacency:
         for v in e.head:
             mask[v, j] = 1.0
     countries = tuple(H.label_of(v) for v in range(H.num_nodes))
-    keep_rows = [i for i in range(mask.shape[0]) if mask[i].any()]
-    keep_cols = [j for j in range(mask.shape[1]) if mask[:, j].any()]
-    if len(keep_rows) < mask.shape[0] or len(keep_cols) < mask.shape[1]:
+    rows, cols = mask.any(axis=1), mask.any(axis=0)
+    if not rows.all() or not cols.all():
         logger.info(
             "dropped empty rows %s and columns %s",
-            [countries[i] for i in range(mask.shape[0]) if i not in set(keep_rows)],
-            sorted(set(range(mask.shape[1])) - set(keep_cols)),
+            [countries[i] for i in np.flatnonzero(~rows)],
+            np.flatnonzero(~cols).tolist(),
         )
     result = Biadjacency(
-        tuple(countries[i] for i in keep_rows),
-        tuple(keep_cols),
-        mask[np.ix_(keep_rows, keep_cols)],
+        tuple(countries[i] for i in np.flatnonzero(rows)),
+        tuple(np.flatnonzero(cols).tolist()),
+        mask[np.ix_(rows, cols)],
     )
     if result.matrix.size == 0:
         logger.error("biadjacency is empty: no head membership anywhere")
@@ -202,11 +211,9 @@ def hypergraph_biadjacency(H: DirectedHypergraph) -> Biadjacency:
 
 @dataclass(frozen=True)
 class ProximityMatrix:
-    """Country-to-country proximity X (symmetric, zero diagonal) and the
-    transformation W it is built from."""
+    """Country-to-country proximity X (symmetric, zero diagonal)."""
 
     countries: tuple
-    W: np.ndarray
     X: np.ndarray
 
 
@@ -227,7 +234,7 @@ def proximity(B: Biadjacency) -> ProximityMatrix:
     W = B.matrix / (k_country[:, None] * ubiquity[None, :])
     X = W @ W.T
     np.fill_diagonal(X, 0.0)
-    return ProximityMatrix(B.countries, W, X)
+    return ProximityMatrix(B.countries, X)
 
 
 def _zscore(values: np.ndarray) -> np.ndarray:

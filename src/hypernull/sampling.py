@@ -56,8 +56,6 @@ from hypernull.core import (
     to_hypergraph,
 )
 
-MODELS = ("degs", "joint", "degs-mh", "null")
-
 LEFT, RIGHT = 0, 1  # the two sides of a slice
 
 # Arc direction -> (left view, right view, side whose vertices send the arcs).
@@ -509,6 +507,7 @@ STEP_FUNCTIONS = {
     "joint": nudhy_joint_step,
     "degs-mh": nudhy_degs_mh_step,
 }
+MODELS = (*STEP_FUNCTIONS, "null")
 
 
 def run_chain(H: DirectedHypergraph, config: ChainConfig):

@@ -4,6 +4,7 @@ Each test drives main() with real files under tmp_path and checks the CSV
 output, the run manifest, exit codes, and byte-for-byte determinism.
 """
 
+import builtins
 import hashlib
 import json
 import os
@@ -59,6 +60,13 @@ TRADE = (
     "2020,JPN,cars,90,100\n"
 )
 
+META = (
+    "country,population,avg_trade\n"
+    "USA,330000000,2000000000000\n"
+    "DEU,83000000,1500000000000\n"
+    "JPN,125000000,700000000000\n"
+)
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -72,6 +80,34 @@ def read_rows(path):
 
 def manifest_of(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def assert_inputs_hashed(manifest_path, inputs):
+    """The manifest records exactly these inputs, each with its sha256."""
+    recorded = manifest_of(manifest_path)["inputs"]
+    assert sorted(recorded) == sorted(str(path) for path in inputs)
+    for path, digest in recorded.items():
+        assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Counter of reads per path, through open() or Path.read_bytes/read_text."""
+    counter = Counter()
+
+    def counted_open(file, *args, **kwargs):
+        counter[str(file)] += 1
+        return _open(file, *args, **kwargs)
+
+    _open = builtins.open
+    monkeypatch.setattr(builtins, "open", counted_open)
+    for name in ("read_bytes", "read_text"):
+        def counted(self, *args, _read=getattr(Path, name), **kwargs):
+            counter[str(self)] += 1
+            return _read(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, name, counted)
+    return counter
 
 
 @pytest.fixture
@@ -234,6 +270,7 @@ class TestConverge:
                 assert float(row[3]) == 0.0
 
     def test_models_are_the_step_registry(self, tmp_path, toy):
+        assert MODELS == (*STEP_FUNCTIONS, "null") == ("degs", "joint", "degs-mh", "null")
         out = tmp_path / "arsd.csv"
         for model in STEP_FUNCTIONS:
             assert run(["converge", "--input", toy, "--model", model, "--f", 5,
@@ -255,25 +292,14 @@ class TestConverge:
 
 class TestMetric:
     def test_each_input_is_read_once_per_use(self, tmp_path, toy, sample_dir,
-                                             monkeypatch):
-        reads = Counter()
-        for name in ("read_bytes", "read_text"):
-            def counted(self, *args, _read=getattr(Path, name), **kwargs):
-                reads[str(self)] += 1
-                return _read(self, *args, **kwargs)
-
-            monkeypatch.setattr(Path, name, counted)
+                                             reads):
         out = tmp_path / "core.csv"
         assert run(["metric", "coreness", "--input", toy, "--samples", sample_dir,
                     "--output", out]) == 0
-        monkeypatch.undo()
         samples = sorted(str(path) for path in sample_dir.glob("*.dhg"))
         assert reads[str(toy)] == 1
         assert [reads[path] for path in samples] == [2, 2, 2]  # verify, then load
-        inputs = manifest_of(tmp_path / "core.csv.manifest.json")["inputs"]
-        assert sorted(inputs) == sorted([str(toy), *samples])
-        for path, digest in inputs.items():
-            assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert_inputs_hashed(tmp_path / "core.csv.manifest.json", [toy, *samples])
 
     def test_reciprocity_against_itself_has_unit_ratio(self, tmp_path, toy):
         mirror = tmp_path / "mirror"
@@ -522,6 +548,17 @@ class TestEcon:
         assert header == ["node_id", "label"]
         assert [row[1] for row in rows] == ["DEU", "JPN", "USA"]
 
+    def test_build_reads_each_input_once(self, tmp_path, reads):
+        trade = tmp_path / "trade.csv"
+        trade.write_text(TRADE, encoding="utf-8")
+        meta = tmp_path / "meta.csv"
+        meta.write_text(META, encoding="utf-8")
+        out = tmp_path / "trade.dhg"
+        assert run(["econ", "build", "--trade", trade, "--metadata", meta,
+                    "--year", 2020, "--output", out]) == 0
+        assert (reads[str(trade)], reads[str(meta)]) == (1, 1)
+        assert_inputs_hashed(tmp_path / "trade.dhg.manifest.json", [trade, meta])
+
     def test_scores_writes_country_and_product_tables(self, tmp_path,
                                                       econ_graph):
         out_dir = tmp_path / "scores"
@@ -619,6 +656,42 @@ class TestContagion:
                     "--sample-count", 5, "--output", out]) == 0
         _, rows = read_rows(out)
         assert float(rows[0][5]) == pytest.approx(1.0)
+
+    @pytest.fixture
+    def thresholds(self, tmp_path):
+        path = tmp_path / "thresholds.json"
+        entry = {"lambda_c_linear": 0.25, "lambda_c_superlinear": 0.5, "nu_c": 2.0}
+        path.write_text(json.dumps({"toy": entry}), encoding="utf-8")
+        return path
+
+    def test_thresholds_file_sets_rescaled_lambda(self, tmp_path, toy, thresholds):
+        out = tmp_path / "sis.csv"
+        assert run(["contagion", "--input", toy, "--dataset", "toy", "--nu", 1,
+                    "--nu", 2, "--lambda-grid", "0.5", "--burn-in", 1,
+                    "--sample-count", 5, "--thresholds", thresholds,
+                    "--output", out]) == 0
+        _, rows = read_rows(out)
+        assert [(row[3], row[5]) for row in rows] == [("1", "2"), ("2", "1")]
+
+    def test_thresholds_file_is_read_once(self, tmp_path, toy, thresholds, reads):
+        out = tmp_path / "sis.csv"
+        assert run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid", "0.5",
+                    "--burn-in", 1, "--sample-count", 5, "--thresholds", thresholds,
+                    "--output", out]) == 0
+        assert (reads[str(toy)], reads[str(thresholds)]) == (1, 1)
+        assert_inputs_hashed(tmp_path / "sis.csv.manifest.json", [toy, thresholds])
+
+    def test_lambda_c_and_thresholds_are_exclusive(self, tmp_path, toy, thresholds,
+                                                   capsys, reads):
+        out = tmp_path / "sis.csv"
+        code = run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid", "0.5",
+                    "--lambda-c", 0.2, "--thresholds", thresholds, "--output", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --lambda-c and --thresholds are exclusive\n"
+        )
+        assert (reads[str(toy)], reads[str(thresholds)]) == (0, 0)
+        assert sorted(tmp_path.iterdir()) == sorted([thresholds, toy])
 
     def test_superlinear_nu_uses_other_threshold(self, tmp_path, toy):
         out = tmp_path / "sis.csv"

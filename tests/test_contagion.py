@@ -379,34 +379,29 @@ class TestThresholds:
     def test_load_without_path_returns_defaults(self):
         assert load_thresholds() == DEFAULT_THRESHOLDS
 
-    def test_load_merges_overrides(self, tmp_path):
-        path = tmp_path / "thresholds.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "lyon": {
-                        "lambda_c_linear": 0.05,
-                        "lambda_c_superlinear": 0.04,
-                        "nu_c": 2.6,
-                    },
-                    "toy": {
-                        "lambda_c_linear": 1.0,
-                        "lambda_c_superlinear": 0.9,
-                        "nu_c": 2.0,
-                    },
-                }
-            )
+    def test_load_merges_overrides(self):
+        text = json.dumps(
+            {
+                "lyon": {
+                    "lambda_c_linear": 0.05,
+                    "lambda_c_superlinear": 0.04,
+                    "nu_c": 2.6,
+                },
+                "toy": {
+                    "lambda_c_linear": 1.0,
+                    "lambda_c_superlinear": 0.9,
+                    "nu_c": 2.0,
+                },
+            }
         )
-        merged = load_thresholds(path)
+        merged = load_thresholds(text)
         assert merged["lyon"] == Thresholds(0.05, 0.04, 2.6)
         assert merged["toy"] == Thresholds(1.0, 0.9, 2.0)
         assert merged["high"] == DEFAULT_THRESHOLDS["high"]
 
-    def test_load_rejects_incomplete_entry(self, tmp_path):
-        path = tmp_path / "thresholds.json"
-        path.write_text(json.dumps({"toy": {"lambda_c_linear": 1.0}}))
-        with pytest.raises(ValueError):
-            load_thresholds(path)
+    def test_load_rejects_incomplete_entry(self):
+        with pytest.raises(ValueError, match="'toy' is missing key"):
+            load_thresholds(json.dumps({"toy": {"lambda_c_linear": 1.0}}))
 
 
 class TestStationarityWarning:

@@ -29,11 +29,18 @@ from hypernull.econ import (
     fitness_quality,
     genepy,
     hypergraph_biadjacency,
+    parse_trade_table,
     proximity,
     rank_compare,
     rca,
     read_trade_table,
     trade_to_hypergraph,
+)
+
+TRADE_CSV = (
+    "year,country,product,export_value,import_value\n"
+    "2019,A,x,5.0,1.0\n"
+    "2019,B,x,0.0,2.5\n"
 )
 
 
@@ -101,11 +108,7 @@ class TestTradeTable:
 
     def test_csv_round_trip(self, tmp_path):
         trade = tmp_path / "trade.csv"
-        trade.write_text(
-            "year,country,product,export_value,import_value\n"
-            "2019,A,x,5.0,1.0\n"
-            "2019,B,x,0.0,2.5\n"
-        )
+        trade.write_text(TRADE_CSV)
         meta = tmp_path / "meta.csv"
         meta.write_text(
             "country,population,avg_trade\n"
@@ -122,11 +125,26 @@ class TestTradeTable:
             "B": CountryMeta(500_000.0, 2_000_000_000.0),
         }
 
-    def test_csv_missing_column_rejected(self, tmp_path):
+    def test_csv_missing_column_rejected(self):
+        trade = "year,country,export_value,import_value\n2019,A,1.0,0.0\n"
+        with pytest.raises(ValueError, match=r"trade table .* \['product'\]"):
+            parse_trade_table(trade)
+        meta = "country,population\nA,2000000\n"
+        with pytest.raises(ValueError, match=r"metadata table .* \['avg_trade'\]"):
+            parse_trade_table(TRADE_CSV, meta)
+
+    def test_text_parses_as_the_file_does(self, tmp_path):
+        # CRLF line endings, and one kept inside a quoted field, parse as a
+        # file opened with newline="" reads them.
+        text = TRADE_CSV.replace("\n", "\r\n").replace("2019,A,x", '2019,"A","x\r\ny"')
         trade = tmp_path / "trade.csv"
-        trade.write_text("year,country,export_value,import_value\n2019,A,1.0,0.0\n")
-        with pytest.raises(ValueError):
-            read_trade_table(trade)
+        trade.write_bytes(text.encode())
+        table = parse_trade_table(text)
+        assert table == read_trade_table(trade)
+        assert table.records == (
+            TradeRecord(2019, "A", "x\r\ny", 5.0, 1.0),
+            TradeRecord(2019, "B", "x", 0.0, 2.5),
+        )
 
 
 class TestRca:

@@ -1,6 +1,7 @@
-"""README's Library section runs as written and names only exported pieces."""
+"""README's Library section runs as written and names exactly the exported pieces."""
 
 import re
+import types
 from pathlib import Path
 
 import hypernull
@@ -25,8 +26,24 @@ def test_library_example_runs_unchanged(tmp_path, monkeypatch, capsys):
     assert all(0.0 <= float(value) <= 1.0 for value in printed)
 
 
-def test_lower_level_pieces_are_exported():
+def lower_level_pieces():
     sentence = library_section().split("Lower-level pieces are exported too:", 1)[1]
-    names = re.findall(r"`(\w+)`", sentence.split("\n\n", 1)[0])
+    return re.findall(r"`(\w+)`", sentence.split("\n\n", 1)[0])
+
+
+def test_lower_level_pieces_are_exported():
+    names = lower_level_pieces()
     assert len(names) == 11
     assert [name for name in names if not hasattr(hypernull, name)] == []
+
+
+def test_namespace_is_exactly_the_documented_names():
+    (block,) = re.findall(r"```python\n(.*?)```", library_section(), re.DOTALL)
+    documented = {*re.findall(r"\bhn\.(\w+)", block), *lower_level_pieces()}
+    assert len(documented) == 15
+    exported = {
+        name
+        for name, value in vars(hypernull).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == documented

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import itertools
 import json
@@ -28,6 +29,8 @@ import statistics
 import sys
 import time
 import warnings
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import metadata
 from pathlib import Path
@@ -40,8 +43,6 @@ from hypernull.core import (
     SIDES,
     DirectedHypergraph,
     ParseError,
-    compute_joint,
-    degree_profile,
     format_hypergraph,
     format_undirected,
     merge_to_undirected,
@@ -289,22 +290,60 @@ def cmd_convert(args, manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _invariants(H: DirectedHypergraph, model: str) -> str:
-    """The structure a sampler must preserve, as canonical JSON text.
+def _invariants(H: DirectedHypergraph, model: str):
+    """The structure a sampler must preserve, compared by value.
 
     Edge copies carry no identity across serialization, so sizes are compared
     as a sorted list of (head size, tail size) pairs; node degrees align by
-    external id because swaps never change any node's degree.  The text is
-    compared, hashed and printed as is, and is far smaller than the joint
-    tensor it encodes.
+    external id because swaps never change any node's degree.  The joint
+    tensor is kept compact: the distinct (in, out) node degrees and (head,
+    tail) edge sizes, each sorted, and one int64 code per arc that indexes
+    both and holds d, sorted.  Codes order as the (i, j, k, l, d) keys do.
     """
+    left_in, left_out = [0] * H.num_nodes, [0] * H.num_nodes
+    for e in H.edges:
+        for v in e.tail:
+            left_in[v] += e.multiplicity
+        for v in e.head:
+            left_out[v] += e.multiplicity
+    sizes = [(len(e.head), len(e.tail)) for e in H.expanded_edges()]
     if model == "joint":
-        return json.dumps(sorted(compute_joint(to_bipartite(H)).counts.items()))
-    profile = degree_profile(to_bipartite(H))
-    sizes = sorted(zip(profile.right_in, profile.right_out))
+        nodes = list(zip(left_in, left_out))
+        lefts, rights = sorted(set(nodes)), sorted(set(sizes))
+        left = {key: 2 * len(rights) * n for n, key in enumerate(lefts)}
+        right = {key: 2 * n for n, key in enumerate(rights)}
+        node, codes = [left[key] for key in nodes], []
+        for e in H.edges:
+            edge = right[len(e.head), len(e.tail)]
+            codes += ([node[v] + edge + 1 for v in e.head] + [node[v] + edge for v in e.tail]) * e.multiplicity
+        return lefts, rights, array("q", sorted(codes))
     if model in ("degs", "degs-mh"):
-        return json.dumps([profile.left_in, profile.left_out, sizes])
-    return json.dumps(sizes)
+        return [left_in, left_out, sorted(sizes)]
+    return sorted(sizes)
+
+
+def _invariant_text(invariant) -> str:
+    """Canonical JSON of an invariant; the joint tensor's is its sorted
+    ((i, j, k, l, d), count) items."""
+    if isinstance(invariant, tuple):
+        lefts, rights, codes = invariant
+        invariant = [  # codes are sorted, so Counter keeps their order
+            (lefts[c // 2 // len(rights)] + rights[c // 2 % len(rights)] + ((-1, 1)[c % 2],), n)
+            for c, n in Counter(codes).items()
+        ]
+    return json.dumps(invariant)
+
+
+def _first_difference(expected: str, found: str) -> tuple:
+    """The index path to the first entry where two invariant texts differ,
+    entering lists longer than a (head size, tail size) pair, and each side's
+    entry there (None past its end)."""
+    where, sides = "", (json.loads(expected), json.loads(found))
+    while all(isinstance(side, list) for side in sides) and max(map(len, sides)) > 2:
+        n = next((n for n, (x, y) in enumerate(zip(*sides)) if x != y), min(map(len, sides)))
+        where += f"[{n}]"
+        sides = [side[n] if n < len(side) else None for side in sides]
+    return where, *sides
 
 
 def cmd_sample(args, manifest: RunManifest) -> int:
@@ -320,7 +359,7 @@ def cmd_sample(args, manifest: RunManifest) -> int:
         thinning=args.thinning,
     )
     expected = _invariants(H, args.model)
-    expected_sha256 = _sha256(expected.encode())
+    expected_sha256 = _sha256(_invariant_text(expected).encode())
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
@@ -330,12 +369,11 @@ def cmd_sample(args, manifest: RunManifest) -> int:
         data = path.read_bytes()
         written = _invariants(parse_hypergraph(data.decode("utf-8")), args.model)
         if written != expected:
-            print(
-                f"invariant verification failed for {path}\n"
-                f"expected: {expected}\n"
-                f"found:    {written}",
-                file=sys.stderr,
-            )
+            texts = _invariant_text(expected), _invariant_text(written)
+            where, *entries = _first_difference(*texts)
+            print(f"invariant verification failed for {path}", file=sys.stderr)
+            for label, text, entry in zip(("expected:", "found:   "), texts, entries):
+                print(f"{label} sha256 {_sha256(text.encode())}, entry{where} = {json.dumps(entry)}", file=sys.stderr)
             return 1
         records.append(
             {"file": path.name, "sha256": _sha256(data), "invariant_sha256": expected_sha256}
@@ -801,6 +839,12 @@ def main(argv=None) -> int:
     manifest = RunManifest(command=["hypernull", *argv])
     manifest.seed = getattr(args, "seed", None)
     started = time.perf_counter()
+    # A subcommand's graphs of sets and tuples live until it returns and hold
+    # no cycles: the cyclic collector would walk them again and again (0.3 to
+    # 0.4 s of a trade-scale `sample` on two x86 cores) and free only a few
+    # hundred objects.
+    collecting = gc.isenabled()
+    gc.disable()
     with warnings.catch_warnings():
         # No source location, so stderr is the same in every checkout.
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
@@ -809,6 +853,9 @@ def main(argv=None) -> int:
         except (ParseError, ValueError, OSError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        finally:
+            if collecting:
+                gc.enable()
     manifest.timings["total_s"] = time.perf_counter() - started
     if code == 0 and manifest.destination is not None:
         manifest.write(manifest.destination)

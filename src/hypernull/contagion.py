@@ -56,7 +56,12 @@ def load_thresholds(text=None) -> dict:
     merged = dict(DEFAULT_THRESHOLDS)
     if text is None:
         return merged
-    for name, entry in json.loads(text).items():
+    entries = json.loads(text)
+    if not isinstance(entries, dict):
+        raise ValueError(f"thresholds must be a JSON object, not {type(entries).__name__}")
+    for name, entry in entries.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"thresholds entry {name!r} must be a JSON object, not {type(entry).__name__}")
         try:
             merged[name] = Thresholds(
                 float(entry["lambda_c_linear"]),
@@ -67,6 +72,8 @@ def load_thresholds(text=None) -> dict:
             raise ValueError(
                 f"thresholds entry {name!r} is missing key {missing}"
             ) from None
+        except TypeError as exc:  # a value that is not a number, such as null
+            raise ValueError(f"thresholds entry {name!r}: {exc}") from None
     return merged
 
 

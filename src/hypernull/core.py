@@ -78,10 +78,10 @@ class DirectedHypergraph:
         self.edges = sorted(
             (Hyperedge(h, t, m) for (h, t), m in folded.items()), key=lambda e: e.key
         )
-        for e in self.edges:
-            for v in e.head | e.tail:
-                if not 0 <= v < self.num_nodes:
-                    raise ValueError(f"node {v} out of range 0..{self.num_nodes - 1}")
+        nodes = frozenset().union(*(e.head for e in self.edges), *(e.tail for e in self.edges))
+        if nodes and not 0 <= min(nodes) <= max(nodes) < self.num_nodes:
+            v = next(v for e in self.edges for v in e.head | e.tail if not 0 <= v < self.num_nodes)
+            raise ValueError(f"node {v} out of range 0..{self.num_nodes - 1}")
         if self.labels is not None and len(self.labels) != self.num_nodes:
             raise ValueError("labels must list one external id per node")
 
@@ -206,6 +206,17 @@ class UndirectedHypergraph:
 
 
 def _parse_side(text, lineno, side):
+    try:  # a well-formed side at once: int() strips whitespace as str.strip does
+        nodes = [int(token) for token in text.split(",")]
+        if len(frozenset(nodes)) == len(nodes) and min(nodes) >= 0:
+            return frozenset(nodes)
+    except ValueError:
+        pass
+    return _parse_side_checked(text, lineno, side)
+
+
+def _parse_side_checked(text, lineno, side):
+    """Parse one side token by token; a ParseError names the first fault."""
     text = text.strip()
     if not text:
         return frozenset()
@@ -246,23 +257,20 @@ def parse_hypergraph(text: str) -> DirectedHypergraph:
         if not head and not tail:
             raise ParseError(f"line {lineno}: head and tail are both empty")
         raw.append((head, tail))
-        seen |= head | tail
+        seen.update(head, tail)
     labels = sorted(seen)
-    index = {ext: i for i, ext in enumerate(labels)}
-    edges = [
-        Hyperedge(frozenset(index[v] for v in h), frozenset(index[v] for v in t))
-        for h, t in raw
-    ]
+    relabel = {ext: i for i, ext in enumerate(labels)}.__getitem__
+    edges = [Hyperedge(frozenset(map(relabel, h)), frozenset(map(relabel, t))) for h, t in raw]
     return DirectedHypergraph(edges, len(labels), labels)
 
 
 def format_hypergraph(H: DirectedHypergraph) -> str:
     """Serialize to the text format, one line per edge copy, external ids."""
+    names = [str(H.label_of(v)) for v in range(H.num_nodes)]
     lines = []
-    for e in H.expanded_edges():
-        head = ",".join(str(H.label_of(v)) for v in sorted(e.head))
-        tail = ",".join(str(H.label_of(v)) for v in sorted(e.tail))
-        lines.append(f"{head}|{tail}")
+    for e in H.edges:
+        head, tail = ([names[v] for v in side] for side in e.key)
+        lines += [",".join(head) + "|" + ",".join(tail)] * e.multiplicity
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -5,6 +5,7 @@ output, the run manifest, exit codes, and byte-for-byte determinism.
 """
 
 import builtins
+import gc
 import hashlib
 import json
 import os
@@ -17,8 +18,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import metabolic_scale
 import hypernull.cli
-from hypernull.cli import RunManifest, _fmt, _load_samples, _parse_model_dirs, main
+from hypernull.cli import RunManifest, _fmt, _load_samples, _parse_model_dirs, build_parser, main
 from hypernull.core import (
     format_hypergraph,
     merge_to_undirected,
@@ -234,6 +236,40 @@ class TestSample:
         err = capsys.readouterr().err
         assert "invariant verification failed" in err
         assert "expected:" in err and "found:" in err
+
+    @pytest.mark.parametrize("model, written, entries", [
+        # degs: [in-degrees, out-degrees, sorted (head, tail) sizes]
+        ("degs", "0|1\n", ("[0][0] = 1", "[0][0] = 0")),
+        # joint: sorted ((i, j, k, l, d), count) items
+        ("joint", "0,1|2\n2|0,1\n1|3\n3|1\n0,1|3\n",
+         ("[0] = [[1, 2, 1, 2, -1], 1]", "[0] = [[1, 1, 1, 2, 1], 1]")),
+        # null: sorted sizes; the sample lacks the toy's last one
+        ("null", "0,1|2\n2|0,1\n1|3\n3|1\n", ("[4] = [2, 1]", "[4] = null")),
+    ], ids=["degs", "joint", "null"])
+    def test_verification_failure_shows_digests_and_first_difference(
+            self, tmp_path, toy, monkeypatch, capsys, model, written, entries):
+        # Each side's digest is the invariant_sha256 that sampling it records.
+        def invariant_sha256(path):
+            out = tmp_path / f"{path.stem}_samples"
+            assert run(["sample", "--input", path, "--model", model, "--samples", 1,
+                        "--output-dir", out]) == 0
+            (record,) = manifest_of(out / "manifest.json")["invariants"]["samples"]
+            return record["invariant_sha256"]
+
+        other = tmp_path / "written.dhg"
+        other.write_text(written, encoding="utf-8")
+        digests = invariant_sha256(toy), invariant_sha256(other)
+        capsys.readouterr()
+        monkeypatch.setattr("hypernull.cli.run_chain",
+                            lambda H, config: iter([parse_hypergraph(written)]))
+        out = tmp_path / "bad"
+        assert run(["sample", "--input", toy, "--model", model, "--samples", 1,
+                    "--output-dir", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"invariant verification failed for {out / 'sample_0.dhg'}",
+            f"expected: sha256 {digests[0]}, entry{entries[0]}",
+            f"found:    sha256 {digests[1]}, entry{entries[1]}",
+        ]
 
     @pytest.mark.parametrize("thinning", [0, -1])
     def test_thinning_below_one_fails_cleanly(self, tmp_path, toy, capsys, thinning):
@@ -744,6 +780,101 @@ class TestContagion:
                     ",", "--output", tmp_path / "x.csv"])
         assert code == 1
         assert "empty --lambda-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "thresholds must be a JSON object, not list"),
+        ('{"toy": 1}', "thresholds entry 'toy' must be a JSON object, not int"),
+    ], ids=["array", "number-entry"])
+    def test_thresholds_of_the_wrong_shape_fail_cleanly(self, tmp_path, toy, capsys,
+                                                         text, message):
+        path = tmp_path / "thresholds.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "sis.csv"
+        code = run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid", "0.5",
+                    "--thresholds", path, "--output", out])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+class TestCollector:
+    """main() turns the cyclic garbage collector off while a subcommand runs.
+
+    That is safe because a subcommand leaves next to no cyclic garbage: after
+    one, gc.collect() finds at most CYCLIC_GARBAGE objects, however large the
+    input (none once warm; a first import of numpy leaves 11).  With the
+    collector on, it would walk every live set and tuple of the graphs over
+    and over and free nothing more.
+    """
+
+    CYCLIC_GARBAGE = 32
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_main_restores_the_collector(self, tmp_path, toy, monkeypatch, enabled):
+        convert = ["convert", "--to", "directed", "--output", tmp_path / "out.dhg"]
+        states = []
+
+        def fails(args, manifest):
+            states.append(gc.isenabled())
+            raise KeyError("a programming error propagates")
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run([*convert, "--input", toy]) == 0
+            states.append(gc.isenabled())
+            assert run([*convert, "--input", tmp_path / "missing.dhg"]) == 1
+            states.append(gc.isenabled())
+            monkeypatch.setattr(hypernull.cli, "cmd_convert", fails)
+            with pytest.raises(KeyError):
+                run([*convert, "--input", toy])
+            states.append(gc.isenabled())
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert states == [enabled, enabled, False, enabled]
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--model", "degs", "--samples", 3, "--steps", 200, "--output-dir", "OUT"],
+        ["sample", "--model", "joint", "--samples", 3, "--steps", 200, "--output-dir", "OUT"],
+        ["sample", "--model", "degs-mh", "--samples", 3, "--steps", 200, "--output-dir", "OUT"],
+        ["sample", "--model", "null", "--samples", 3, "--output-dir", "OUT"],
+        ["metric", "reciprocity", "--samples", "SAMPLES", "--output", "OUT"],
+        ["metric", "coreness", "--samples", "SAMPLES", "--output", "OUT"],
+        ["metric", "centrality", "--samples", "SAMPLES", "--output", "OUT"],
+        ["metric", "spectrum", "--samples", "SAMPLES", "--output", "OUT"],
+        ["contagion", "--samples", "degs=SAMPLES", "--nu", 1, "--lambda-grid", "0.3,0.6",
+         "--burn-in", 2, "--sample-count", 10, "--output", "OUT"],
+    ], ids=lambda argv: "-".join(str(a) for a in argv[:3]))
+    def test_a_subcommand_leaves_no_cyclic_garbage(self, tmp_path, toy, argv):
+        samples = tmp_path / "samples"
+        assert run(["sample", "--input", toy, "--samples", 2, "--output-dir", samples]) == 0
+        argv = [str(a).replace("SAMPLES", str(samples)).replace("OUT", str(tmp_path / "out"))
+                for a in [*argv, "--input", toy]]
+        assert self.cyclic_garbage(argv) <= self.CYCLIC_GARBAGE
+
+    @pytest.mark.parametrize("model", ["degs", "joint", "degs-mh", "null"])
+    def test_sampling_a_larger_graph_leaves_no_more(self, tmp_path, model):
+        observed = tmp_path / "metabolic.dhg"
+        observed.write_text(format_hypergraph(metabolic_scale(101)), encoding="utf-8")
+        steps = [] if model == "null" else ["--steps", "2000"]
+        argv = ["sample", "--input", str(observed), "--model", model, "--samples", "2",
+                *steps, "--output-dir", str(tmp_path / "out")]
+        assert self.cyclic_garbage(argv) <= self.CYCLIC_GARBAGE
+
+    @staticmethod
+    def cyclic_garbage(argv) -> int:
+        """Objects gc.collect() finds after one subcommand run with the
+        collector off, as main() runs it."""
+        args, manifest = build_parser().parse_args(argv), RunManifest(command=[])
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert args.func(args, manifest) == 0
+        finally:
+            if was:
+                gc.enable()
+        return gc.collect()
 
 
 class TestHelpers:

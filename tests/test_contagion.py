@@ -403,6 +403,18 @@ class TestThresholds:
         with pytest.raises(ValueError, match="'toy' is missing key"):
             load_thresholds(json.dumps({"toy": {"lambda_c_linear": 1.0}}))
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "thresholds must be a JSON object, not list"),
+        ('{"toy": 1}', "thresholds entry 'toy' must be a JSON object, not int"),
+        ('{"toy": {"lambda_c_linear": null, "lambda_c_superlinear": 1, "nu_c": 2}}',
+         "thresholds entry 'toy': float() argument must be a string or a real number"),
+    ], ids=["array", "number-entry", "null-value"])
+    def test_load_rejects_json_of_the_wrong_shape(self, text, message):
+        with pytest.raises(ValueError) as err:
+            load_thresholds(text)
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith(message)
+
 
 class TestStationarityWarning:
     def test_warns_when_density_drifts_through_sampling(self):

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from helpers import random_hypergraph, recount_degrees, recount_joint, validate
+from hypernull import core
 from hypernull.core import (
     BipartiteDigraph,
     DirectedHypergraph,
@@ -74,6 +75,46 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_hypergraph(text)
         assert "line 1" in str(err.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,x|3", "bad node id 'x'"),
+        (" 1 , +x |3", "bad node id '+x'"),
+        ("1,,2|3", "bad node id ''"),
+        ("1,-2|3", "negative node id -2"),
+        ("-1,x|3", "negative node id -1"),
+        ("x,-1|3", "bad node id 'x'"),
+        ("1,1,x|3", "bad node id 'x'"),
+        ("1,1,-1|3", "negative node id -1"),
+        ("1,1|3", "duplicate node within head"),
+        ("2|3, 3", "duplicate node within tail"),
+        (" | ", "head and tail are both empty"),
+        ("1|2|3", "expected exactly one '|'"),
+    ])
+    def test_malformed_line_messages(self, text, message):
+        # The first fault of the line, in token order, as the per-token
+        # checks name it.
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph("0|1\n" + text)
+        assert str(err.value) == f"line 2: {message}"
+
+    def test_padded_and_signed_ids_parse_as_the_per_token_path(self, monkeypatch):
+        rng = random.Random(16)
+
+        def padded(side):
+            return ",".join(
+                rng.choice(["", " ", "\t"]) + rng.choice(["", "+"]) + str(v)
+                + rng.choice(["", " ", "  "])
+                for v in sorted(side)
+            ) or rng.choice(["", " "])
+
+        for _ in range(200):
+            H = random_hypergraph(rng, max_nodes=12, max_edges=8, max_side=5)
+            text = "\n".join(f"{padded(e.head)}|{padded(e.tail)}" for e in H.expanded_edges())
+            fast = parse_hypergraph(text)
+            with monkeypatch.context() as patched:
+                patched.setattr(core, "_parse_side", core._parse_side_checked)
+                assert parse_hypergraph(text) == fast
+            assert fast == parse_hypergraph(format_hypergraph(H))
 
     def test_error_reports_line_number(self):
         with pytest.raises(ParseError) as err:

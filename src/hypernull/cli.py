@@ -433,7 +433,7 @@ def _metric_coreness(args, H, samples):
 
 
 def _metric_entropy(args, H, samples):
-    if not samples:
+    if not args.samples:
         raise ValueError("entropy needs --samples: it measures the ensemble")
     entropy = structural_entropy(H, samples, args.group_size, args.side)
     keyed = sorted(
@@ -488,7 +488,7 @@ _METRICS = {
 def cmd_metric(args, manifest: RunManifest) -> int:
     H = parse_hypergraph(manifest.read(args.input))
     files = {"": _sample_files(args.samples) if args.samples else []}
-    samples = [S for _, _, S in _load_samples(manifest, files)]
+    samples = (S for _, _, S in _load_samples(manifest, files))
     header, rows = _METRICS[args.metric](args, H, samples)
     _write_csv(args.output, header, rows)
     return _finish(manifest, args.output)

@@ -299,17 +299,17 @@ def format_undirected(U: UndirectedHypergraph) -> str:
 
 
 def read_labels(text: str) -> dict:
-    """Read node-category CSV text (a str of "node_id,category" lines); a header row is skipped."""
+    """Read node-category CSV text (a str of "node_id,category" lines); blank
+    and "#" lines are skipped, and so is a header as the first other line."""
     categories = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        node_text, _, category = stripped.partition(",")
+    lines = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1)]
+    rows = [(lineno, row) for lineno, row in lines if row and not row.startswith("#")]
+    for position, (lineno, row) in enumerate(rows):
+        node_text, _, category = row.partition(",")
         try:
             node = int(node_text.strip())
         except ValueError:
-            if lineno == 1:  # tolerate a header row
+            if position == 0:  # tolerate a header row
                 continue
             raise ParseError(f"line {lineno}: bad node id {node_text!r}") from None
         categories[node] = category.strip()

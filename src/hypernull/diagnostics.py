@@ -11,6 +11,7 @@ observed and randomized metric rankings (Spearman, Kendall's tau-b).
 from __future__ import annotations
 
 import math
+import warnings
 
 from hypernull.core import SIDES, DirectedHypergraph, check_side
 from hypernull.sampling import STEP_FUNCTIONS, ChainConfig, run_chain
@@ -23,41 +24,31 @@ def transaction_db(H: DirectedHypergraph, side: str) -> tuple:
     return tuple(e.head if side == "head" else e.tail for e in H.expanded_edges())
 
 
-def _mine_at_threshold(item_tids, threshold, min_len, cap=None):
+def _mine_at_threshold(item_bits, threshold, min_len, cap=None):
     """All itemsets with support >= threshold and length >= min_len, as
-    (sorted item tuple, support) pairs; level-wise generation over vertical
-    transaction-id sets.  With cap, stops as soon as cap results are found
-    (used only to answer "are there at least cap?")."""
+    (sorted item tuple, support) pairs.  One depth-first walk over the item
+    bitsets (bit i set when transaction i holds the item) extends each itemset
+    only by later items still frequent with it.  With cap, stops as soon as
+    cap results are found (used only to answer "are there at least cap?")."""
     results = []
-    current = {
-        (item,): tids
-        for item, tids in sorted(item_tids.items())
-        if len(tids) >= threshold
-    }
-    level = 1
-    while current:
-        if level >= min_len:
-            for itemset, tids in current.items():
-                results.append((itemset, len(tids)))
-                if cap is not None and len(results) >= cap:
-                    return results
-        following = {}
-        keys = sorted(current)
-        for i, a in enumerate(keys):
-            for b in keys[i + 1 :]:
-                if a[:-1] != b[:-1]:
-                    break
-                candidate = a + (b[-1],)
-                if any(
-                    candidate[:m] + candidate[m + 1 :] not in current
-                    for m in range(level - 1)
-                ):
-                    continue
-                tids = current[a] & current[b]
-                if len(tids) >= threshold:
-                    following[candidate] = tids
-        current = following
-        level += 1
+
+    def walk(prefix, bits, candidates):
+        extensions = [
+            (item, joined)
+            for item, other in candidates
+            if (joined := bits & other).bit_count() >= threshold
+        ]
+        for index, (item, joined) in enumerate(extensions):
+            itemset = prefix + (item,)
+            if len(itemset) >= min_len:
+                results.append((itemset, joined.bit_count()))
+                if len(results) == cap:
+                    return True
+            if walk(itemset, joined, extensions[index + 1 :]):
+                return True
+        return False
+
+    walk((), -1, sorted(item_bits.items()))  # -1 has every transaction's bit set
     return results
 
 
@@ -71,20 +62,18 @@ def mine_top_frequent(db: tuple, f: int = 20, l: int = 3) -> tuple:
     """
     if f < 1 or l < 1:
         raise ValueError("f and l must be positive")
-    item_tids = {}
+    item_bits = {}
     for index, transaction in enumerate(db):
         for item in transaction:
-            item_tids.setdefault(item, set()).add(index)
-    if not item_tids:
-        return ()
+            item_bits[item] = item_bits.get(item, 0) | 1 << index
     low, high = 1, len(db)
     while low < high:
         mid = (low + high + 1) // 2
-        if len(_mine_at_threshold(item_tids, mid, l, cap=f)) >= f:
+        if len(_mine_at_threshold(item_bits, mid, l, cap=f)) >= f:
             low = mid
         else:
             high = mid - 1
-    mined = _mine_at_threshold(item_tids, low, l)
+    mined = _mine_at_threshold(item_bits, low, l)
     mined.sort(key=lambda pair: (-pair[1], pair[0]))
     return tuple((frozenset(items), support) for items, support in mined[:f])
 
@@ -118,7 +107,8 @@ def arsd_trace(
     Checkpoint k is sample k of run_chain(H, ChainConfig(model, 0, seed,
     max_multiplier + 1, thinning=w)).  Returns {side: [(k, arsd), ...]} with
     a side present only when the observed database yields at least one
-    frequent itemset at (f, l); with no such side the chain is not run.
+    frequent itemset at (f, l); with no such side the chain is not run.  A
+    side whose mined itemsets reach down to support 1 draws a RuntimeWarning.
     """
     if model not in STEP_FUNCTIONS:
         raise ValueError(f"model must be one of {sorted(STEP_FUNCTIONS)}, got {model!r}")
@@ -129,6 +119,10 @@ def arsd_trace(
     sides = [side for side in SIDES if mined[side]]
     if not sides:
         return {}
+    for side in sides:
+        if mined[side][-1][1] == 1:
+            warnings.warn(f"{side} side: the lowest support among the mined itemsets is 1, so "
+                          "its ARSD only tracks whether single hyperedges survive", RuntimeWarning)
     w = sum(len(transaction) for side in SIDES for transaction in observed[side])
     config = ChainConfig(model, 0, seed, max_multiplier + 1, thinning=w)
     trace = {side: [] for side in sides}
@@ -139,18 +133,22 @@ def arsd_trace(
     return trace
 
 
-def plateau_checkpoint(values, window: int = 10, rel_tol: float = 0.01):
-    """Index of the first checkpoint whose trailing `window` values have a
-    least-squares slope smaller than rel_tol relative to the window mean, or
-    None when the trace never flattens."""
-    xs = list(range(window))
-    x_mean = (window - 1) / 2
+# A trace has flattened once the least-squares slope of its last PLATEAU_WINDOW
+# values is below PLATEAU_REL_TOL times their mean.
+PLATEAU_WINDOW = 10
+PLATEAU_REL_TOL = 0.01
+
+
+def plateau_checkpoint(values):
+    """Index of the first checkpoint at which the trace has flattened, or None if it never does."""
+    xs = list(range(PLATEAU_WINDOW))
+    x_mean = (PLATEAU_WINDOW - 1) / 2
     x_var = sum((x - x_mean) ** 2 for x in xs)
-    for end in range(window, len(values) + 1):
-        ys = values[end - window : end]
-        y_mean = sum(ys) / window
+    for end in range(PLATEAU_WINDOW, len(values) + 1):
+        ys = values[end - PLATEAU_WINDOW : end]
+        y_mean = sum(ys) / PLATEAU_WINDOW
         slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / x_var
-        if abs(slope) < rel_tol * max(abs(y_mean), 1e-12):
+        if abs(slope) < PLATEAU_REL_TOL * max(abs(y_mean), 1e-12):
             return end - 1
     return None
 

@@ -281,17 +281,17 @@ def structural_entropy(observed: DirectedHypergraph, samples, group_size: int, s
     check_side(side)
     if group_size < 1:
         raise ValueError("group_size must be at least 1")
-    samples = list(samples)
-    if not samples:
-        raise ValueError("at least one sample is required")
     groups = _groups_of(observed, side, group_size)
     counts = dict.fromkeys(groups, 0)
-    for sample in samples:
+    total = 0
+    for total, sample in enumerate(samples, start=1):
         present = _groups_of(sample, side, group_size)
         for g in groups:
             if g in present:
                 counts[g] += 1
-    return {g: binary_entropy(c / len(samples)) for g, c in counts.items()}
+    if not total:
+        raise ValueError("at least one sample is required")
+    return {g: binary_entropy(c / total) for g, c in counts.items()}
 
 
 # ---------------------------------------------------------------------------

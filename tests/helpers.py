@@ -1,10 +1,10 @@
 """Shared test helpers: deterministic random generators, brute-force recount
 oracles used to cross-check the package implementations, reference versions
-of the structure kernels, the thinned visit counter of the chain uniformity
-tests, the reverse of a swap proposal and the kernel's probability of
-proposing it, the consistency checks that a checked chain walk runs after every
-step (a degs-mh state's co-degree tables among them), and the rate-class
-check of a contagion state."""
+of the structure kernels and of the itemset miner, the thinned visit counter
+of the chain uniformity tests, the reverse of a swap proposal and the kernel's
+probability of proposing it, the consistency checks that a checked chain walk
+runs after every step (a degs-mh state's co-degree tables among them), and the
+rate-class check of a contagion state."""
 
 import itertools
 import math
@@ -353,3 +353,75 @@ def hits_reference(G, tol=1e-10, max_iter=10_000):
         if delta <= tol:
             return (hubs, auths)
     raise RuntimeError(f"hits did not converge in {max_iter} iterations")
+
+
+# ---------------------------------------------------------------------------
+# Reference itemset miner: the level-wise Apriori join over transaction-id
+# sets that diagnostics.mine_top_frequent must reproduce exactly.
+# ---------------------------------------------------------------------------
+
+
+def _mine_at_threshold_tids(item_tids, threshold, min_len, cap=None):
+    """All itemsets with support >= threshold and length >= min_len, as
+    (sorted item tuple, support) pairs; level-wise generation over vertical
+    transaction-id sets.  With cap, stops as soon as cap results are found
+    (used only to answer "are there at least cap?")."""
+    results = []
+    current = {
+        (item,): tids
+        for item, tids in sorted(item_tids.items())
+        if len(tids) >= threshold
+    }
+    level = 1
+    while current:
+        if level >= min_len:
+            for itemset, tids in current.items():
+                results.append((itemset, len(tids)))
+                if cap is not None and len(results) >= cap:
+                    return results
+        following = {}
+        keys = sorted(current)
+        for i, a in enumerate(keys):
+            for b in keys[i + 1 :]:
+                if a[:-1] != b[:-1]:
+                    break
+                candidate = a + (b[-1],)
+                if any(
+                    candidate[:m] + candidate[m + 1 :] not in current
+                    for m in range(level - 1)
+                ):
+                    continue
+                tids = current[a] & current[b]
+                if len(tids) >= threshold:
+                    following[candidate] = tids
+        current = following
+        level += 1
+    return results
+
+
+def mine_top_frequent_reference(db: tuple, f: int = 20, l: int = 3) -> tuple:
+    """Exact top-f frequent itemsets of length >= l, as (itemset, support)
+    pairs sorted by support descending with lexicographic tie-breaking.
+
+    The support threshold of the f-th best itemset is located by binary
+    search (each probe counts itemsets above a candidate threshold, stopping
+    at f), then one full mining pass at that threshold is sorted and cut.
+    """
+    if f < 1 or l < 1:
+        raise ValueError("f and l must be positive")
+    item_tids = {}
+    for index, transaction in enumerate(db):
+        for item in transaction:
+            item_tids.setdefault(item, set()).add(index)
+    if not item_tids:
+        return ()
+    low, high = 1, len(db)
+    while low < high:
+        mid = (low + high + 1) // 2
+        if len(_mine_at_threshold_tids(item_tids, mid, l, cap=f)) >= f:
+            low = mid
+        else:
+            high = mid - 1
+    mined = _mine_at_threshold_tids(item_tids, low, l)
+    mined.sort(key=lambda pair: (-pair[1], pair[0]))
+    return tuple((frozenset(items), support) for items, support in mined[:f])

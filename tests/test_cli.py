@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from collections import Counter
 from importlib import metadata
 from pathlib import Path
@@ -20,6 +21,7 @@ import pytest
 
 from helpers import metabolic_scale
 import hypernull.cli
+import hypernull.structure
 from hypernull.cli import RunManifest, _fmt, _load_samples, _parse_model_dirs, build_parser, main
 from hypernull.core import (
     format_hypergraph,
@@ -314,6 +316,16 @@ class TestConverge:
         with pytest.raises(SystemExit):
             run(["converge", "--input", toy, "--model", "null", "--output", out])
 
+    def test_support_one_sides_warn(self, tmp_path, toy, capsys):
+        out = tmp_path / "arsd.csv"
+        assert run(["converge", "--input", toy, "--f", 5, "--l", 2, "--max-k", 1,
+                    "--output", out]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {side} side: the lowest support among the mined itemsets is 1, "
+            "so its ARSD only tracks whether single hyperedges survive"
+            for side in ("head", "tail")
+        ]
+
     def test_negative_max_k_fails_cleanly(self, tmp_path, capsys):
         dense = tmp_path / "dense.dhg"
         dense.write_text("1,2,3|4,5,6\n1,2,4|3,5,6\n1,3,5|2,4,6\n2,3,6|1,4,5\n",
@@ -371,6 +383,29 @@ class TestMetric:
         assert header == ["node", "observed", "sample_mean", "sample_std",
                           "ratio"]
         assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+
+    @pytest.mark.parametrize("metric, module, measure", [
+        ("coreness", hypernull.cli, "hyper_core_decomposition"),
+        ("entropy", hypernull.structure, "_groups_of"),
+    ], ids=["coreness", "entropy"])
+    def test_samples_are_streamed(self, tmp_path, toy, sample_dir, monkeypatch,
+                                  metric, module, measure):
+        # Every graph the metric measures is watched through a weak reference:
+        # at each measurement only the observed graph and the sample in hand
+        # may still be alive.
+        watched = []
+        alive = []
+        original = getattr(module, measure)
+
+        def watching(G, *rest):
+            watched.append(weakref.ref(G))
+            alive.append(sum(ref() is not None for ref in watched))
+            return original(G, *rest)
+
+        monkeypatch.setattr(module, measure, watching)
+        assert run(["metric", metric, "--input", toy, "--samples", sample_dir,
+                    "--output", tmp_path / f"{metric}.csv"]) == 0
+        assert alive == [1, 2, 2, 2]
 
     def test_entropy_requires_samples(self, tmp_path, toy, capsys):
         code = run(["metric", "entropy", "--input", toy,

@@ -327,6 +327,14 @@ class TestLabels:
         cats = read_labels("node_id,category\n5,core\n")
         assert cats == {5: "core"}
 
+    def test_read_labels_header_after_comment_or_blank_line(self):
+        assert read_labels("# categories\nnode_id,category\n0,a\n") == {0: "a"}
+        assert read_labels("\nnode_id,category\n0,a\n") == {0: "a"}
+
+    def test_read_labels_header_only_before_the_first_row(self):
+        with pytest.raises(ParseError, match="line 3: bad node id 'node_id'"):
+            read_labels("# categories\n0,a\nnode_id,category\n")
+
 
 class TestHyperedgeInvariants:
     def test_empty_edge_rejected(self):

@@ -1,19 +1,23 @@
 """Tests for convergence diagnostics and rank-comparison statistics.
 
-Oracles: exhaustive powerset enumeration for the itemset miner, and direct
-O(n^2) definition-based implementations for both correlation coefficients
-(cross-checked against scipy).
+Oracles: exhaustive powerset enumeration and the level-wise reference miner
+of helpers.py for the itemset miner, and direct O(n^2) definition-based
+implementations for both correlation coefficients (cross-checked against
+scipy).
 """
 
 import itertools
 import math
 import random
+import warnings
 
 import pytest
 from scipy import stats
 
-from hypernull.core import parse_hypergraph, to_bipartite
+from helpers import metabolic_scale, mine_top_frequent_reference, trade_like
+from hypernull.core import SIDES, parse_hypergraph, to_bipartite
 from hypernull.diagnostics import (
+    _mine_at_threshold,
     arsd,
     arsd_trace,
     kendall_tau,
@@ -174,6 +178,55 @@ class TestMineTopFrequent:
         fi = mine_top_frequent(database([]), f=3, l=1)
         assert fi == ()
 
+    def test_capped_probe_stops_at_cap(self):
+        # Six items in every transaction: 57 itemsets of length >= 2, all of
+        # support 3.
+        db = database([set(range(6))] * 3)
+        item_bits = {item: 0b111 for item in range(6)}
+        full = _mine_at_threshold(item_bits, 3, 2)
+        assert len(full) == 57
+        probe = _mine_at_threshold(item_bits, 3, 2, cap=5)
+        assert len(probe) == 5
+        assert set(probe) <= set(full)
+        assert len(mine_top_frequent(db, f=5, l=2)) == 5
+
+
+@pytest.fixture(scope="module")
+def metabolic():
+    return metabolic_scale(101)
+
+
+class TestMineAgainstReference:
+    """The level-wise tid-set miner in tests/helpers.py is the reference."""
+
+    def test_random_databases_beyond_the_powerset_oracle(self):
+        rng = random.Random(2000)
+        for _ in range(400):
+            n_items = rng.randint(9, 30)
+            # Transactions drawn inside a few patterns share long itemsets.
+            patterns = [
+                rng.sample(range(n_items), rng.randint(1, min(n_items, 10)))
+                for _ in range(rng.randint(1, 8))
+            ]
+            transactions = []
+            for _ in range(rng.randint(1, 60)):
+                pattern = rng.choice(patterns)
+                transactions.append(set(rng.sample(pattern, rng.randint(0, len(pattern)))))
+            f = rng.randint(1, 25)
+            l = rng.randint(1, 4)
+            db = database(transactions)
+            assert mine_top_frequent(db, f, l) == mine_top_frequent_reference(db, f, l)
+
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize("f, l", [(5, 2), (20, 3), (50, 3), (20, 4)])
+    def test_metabolic_scale(self, metabolic, side, f, l):
+        db = transaction_db(metabolic, side)
+        assert mine_top_frequent(db, f, l) == mine_top_frequent_reference(db, f, l)
+
+    def test_trade_scale_head(self):
+        db = transaction_db(trade_like(2024), "head")
+        assert mine_top_frequent(db, 20, 3) == mine_top_frequent_reference(db, 20, 3)
+
 
 # ---------------------------------------------------------------------------
 # ARSD
@@ -258,6 +311,20 @@ class TestArsdTrace:
             assert rows == list(enumerate(expected))
             assert any(value > 0.0 for _, value in rows)
 
+    def test_support_one_itemsets_warn(self):
+        # Every head triple lies in one edge only; the tails are singletons.
+        H = parse_hypergraph("1,2,3|4\n1,2,4|5\n1,3,5|6\n2,3,6|7\n")
+        with pytest.warns(RuntimeWarning, match="head side: the lowest support") as record:
+            arsd_trace(H, model="degs", seed=1, f=5, l=3, max_multiplier=1)
+        assert len(record) == 1
+
+    def test_supports_of_two_do_not_warn(self):
+        H = parse_hypergraph("1,2,3|4,5,6\n1,2,3|4,5,6\n7|8\n8|7\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = arsd_trace(H, model="degs", seed=1, f=1, l=3, max_multiplier=1)
+        assert set(trace) == {"head", "tail"}
+
     def test_no_itemsets_returns_before_stepping(self):
         # One hyperedge admits no swap, so any degs-mh step would raise
         # FrozenEnsembleError; with no mined itemset the chain never starts.
@@ -268,23 +335,23 @@ class TestArsdTrace:
 class TestPlateau:
     def test_flat_trace_plateaus_immediately(self):
         values = [0.5] * 20
-        assert plateau_checkpoint(values, window=10, rel_tol=0.01) == 9
+        assert plateau_checkpoint(values) == 9
 
     def test_rising_then_flat(self):
         values = [k / 10 for k in range(10)] + [1.0] * 15
-        found = plateau_checkpoint(values, window=10, rel_tol=0.01)
+        found = plateau_checkpoint(values)
         assert found is not None
         assert 10 <= found < 25
 
     def test_steady_climb_never_plateaus(self):
         values = [float(k) for k in range(30)]
-        assert plateau_checkpoint(values, window=10, rel_tol=0.01) is None
+        assert plateau_checkpoint(values) is None
 
     def test_all_zero_plateaus(self):
-        assert plateau_checkpoint([0.0] * 12, window=10, rel_tol=0.01) == 9
+        assert plateau_checkpoint([0.0] * 12) == 9
 
     def test_short_trace(self):
-        assert plateau_checkpoint([0.1, 0.1], window=10, rel_tol=0.01) is None
+        assert plateau_checkpoint([0.1, 0.1]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -425,7 +425,8 @@ class TestStructuralEntropy:
             [edge({0, 1, 2}, {4}), edge({2, 3}, {4})], 5
         )
         sample2 = DirectedHypergraph([edge({2, 3}, {4})], 5)
-        result = structural_entropy(observed, [sample1, sample2], 2, "head")
+        # A one-pass iterator, as `metric entropy` streams its samples.
+        result = structural_entropy(observed, iter([sample1, sample2]), 2, "head")
         assert result == {
             frozenset({0, 1}): pytest.approx(1.0),
             frozenset({2, 3}): pytest.approx(0.0),
@@ -435,6 +436,8 @@ class TestStructuralEntropy:
         H = parse_hypergraph(TOY)
         with pytest.raises(ValueError):
             structural_entropy(H, [], 2, "head")
+        with pytest.raises(ValueError):
+            structural_entropy(H, iter([]), 2, "head")
 
     def test_tail_side(self):
         observed = DirectedHypergraph([edge({0}, {1, 2})], 3)

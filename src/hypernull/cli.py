@@ -267,20 +267,12 @@ def _finish(manifest: RunManifest, *outputs, destination=None) -> int:
 
 def cmd_convert(args, manifest: RunManifest) -> int:
     text = manifest.read(args.input)
-    if _sniff_directed(text):
-        H = parse_hypergraph(text)
-        out = (
-            format_hypergraph(H)
-            if args.to == "directed"
-            else format_undirected(merge_to_undirected(H))
-        )
+    if args.to == "undirected":
+        out = format_undirected(_undirected_substrate(text))
+    elif _sniff_directed(text):
+        out = format_hypergraph(parse_hypergraph(text))
     else:
-        U = parse_undirected(text)
-        out = (
-            format_undirected(U)
-            if args.to == "undirected"
-            else format_hypergraph(undirected_to_directed(U))
-        )
+        out = format_hypergraph(undirected_to_directed(parse_undirected(text)))
     Path(args.output).write_text(out, encoding="utf-8")
     return _finish(manifest, args.output)
 
@@ -296,9 +288,11 @@ def _invariants(H: DirectedHypergraph, model: str):
     Edge copies carry no identity across serialization, so sizes are compared
     as a sorted list of (head size, tail size) pairs; node degrees align by
     external id because swaps never change any node's degree.  The joint
-    tensor is kept compact: the distinct (in, out) node degrees and (head,
-    tail) edge sizes, each sorted, and one int64 code per arc that indexes
-    both and holds d, sorted.  Codes order as the (i, j, k, l, d) keys do.
+    invariant is the degree one followed by the joint tensor, which alone
+    cannot tell nodes apart.  The tensor is kept compact: the distinct (in,
+    out) node degrees and (head, tail) edge sizes, each sorted, and one int64
+    code per arc that indexes both and holds d, sorted.  Codes order as the
+    (i, j, k, l, d) keys do.
     """
     left_in, left_out = [0] * H.num_nodes, [0] * H.num_nodes
     for e in H.edges:
@@ -307,6 +301,7 @@ def _invariants(H: DirectedHypergraph, model: str):
         for v in e.head:
             left_out[v] += e.multiplicity
     sizes = [(len(e.head), len(e.tail)) for e in H.expanded_edges()]
+    degrees = [left_in, left_out, sorted(sizes)]
     if model == "joint":
         nodes = list(zip(left_in, left_out))
         lefts, rights = sorted(set(nodes)), sorted(set(sizes))
@@ -316,21 +311,21 @@ def _invariants(H: DirectedHypergraph, model: str):
         for e in H.edges:
             edge = right[len(e.head), len(e.tail)]
             codes += ([node[v] + edge + 1 for v in e.head] + [node[v] + edge for v in e.tail]) * e.multiplicity
-        return lefts, rights, array("q", sorted(codes))
+        return (*degrees, lefts, rights, array("q", sorted(codes)))
     if model in ("degs", "degs-mh"):
-        return [left_in, left_out, sorted(sizes)]
-    return sorted(sizes)
+        return degrees
+    return degrees[2]
 
 
 def _invariant_text(invariant) -> str:
-    """Canonical JSON of an invariant; the joint tensor's is its sorted
+    """Canonical JSON of an invariant; a joint one ends in the tensor's sorted
     ((i, j, k, l, d), count) items."""
     if isinstance(invariant, tuple):
-        lefts, rights, codes = invariant
-        invariant = [  # codes are sorted, so Counter keeps their order
+        *degrees, lefts, rights, codes = invariant
+        invariant = [*degrees, [  # codes are sorted, so Counter keeps their order
             (lefts[c // 2 // len(rights)] + rights[c // 2 % len(rights)] + ((-1, 1)[c % 2],), n)
             for c, n in Counter(codes).items()
-        ]
+        ]]
     return json.dumps(invariant)
 
 
@@ -349,6 +344,8 @@ def _first_difference(expected: str, found: str) -> tuple:
 def cmd_sample(args, manifest: RunManifest) -> int:
     if args.model == "null" and (args.steps != "auto" or args.thinning is not None):
         raise ValueError("--steps and --thinning do not apply to --model null")
+    if args.thinning is not None and args.samples == 1:
+        raise ValueError("--thinning needs --samples of at least 2: one sample is taken after --steps swaps")
     H = parse_hypergraph(manifest.read(args.input))
     steps = args.steps if args.steps == "auto" else int(args.steps)
     config = ChainConfig(
@@ -636,16 +633,17 @@ def _lambda_c_for(args, thresholds, nu: float):
     return entry.lambda_linear if nu == 1.0 else entry.lambda_superlinear
 
 
+# The SISConfig fields that contagion's flags set; a flag not given keeps its default.
+_SIS_FLAGS = ("mu", "rho0", "burn_in", "sample_count", "decorrelation", "qs_history_size", "snapshot_interval")
+
+
 def cmd_contagion(args, manifest: RunManifest) -> int:
     if args.lambda_c is not None and args.thresholds is not None:
         raise ValueError("--lambda-c and --thresholds are exclusive")
     if args.dataset is None:
         args.dataset = Path(args.input).stem
-    # Quasi-stationary settings given on the command line; the rest keep
-    # SISConfig's defaults.
-    quasi = {"qs_history_size": args.qs_history, "snapshot_interval": args.snapshot_interval}
-    quasi = {key: value for key, value in quasi.items() if value is not None}
-    if quasi and args.method == "stationary":
+    settings = {key: getattr(args, key) for key in _SIS_FLAGS if getattr(args, key) is not None}
+    if args.method == "stationary" and settings.keys() & {"qs_history_size", "snapshot_interval"}:
         raise ValueError("--qs-history and --snapshot-interval need --method quasi-stationary")
     observed = [("observed", "", _undirected_substrate(manifest.read(args.input)))]
     files = _parse_model_dirs(args.samples)
@@ -667,12 +665,7 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
                 cfg = SISConfig(
                     lam=lam,
                     nu=nu,
-                    mu=args.mu,
-                    rho0=args.rho0,
-                    burn_in=args.burn_in,
-                    sample_count=args.sample_count,
-                    decorrelation=args.decorrelation,
-                    **quasi,
+                    **settings,
                     seed=derive_seed(
                         args.seed, f"contagion:{sampler}:{sample_id}:{nu!r}", index
                     ),
@@ -819,13 +812,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--thresholds", default=None, help="JSON thresholds config file"
     )
     contagion.add_argument("--seed", type=int, default=0)
-    contagion.add_argument("--mu", type=float, default=1.0)
-    contagion.add_argument("--rho0", type=float, default=0.01)
-    contagion.add_argument("--burn-in", type=float, default=10_000.0)
-    contagion.add_argument("--sample-count", type=int, default=10_000)
-    contagion.add_argument("--decorrelation", type=float, default=1.0)
-    contagion.add_argument("--qs-history", type=int, default=None)
-    contagion.add_argument("--snapshot-interval", type=float, default=None)
+    contagion.add_argument("--mu", type=float)
+    contagion.add_argument("--rho0", type=float)
+    contagion.add_argument("--burn-in", type=float)
+    contagion.add_argument("--sample-count", type=int)
+    contagion.add_argument("--decorrelation", type=float)
+    contagion.add_argument("--qs-history", type=int, dest="qs_history_size", metavar="QS_HISTORY")
+    contagion.add_argument("--snapshot-interval", type=float)
     contagion.add_argument("--output", required=True)
     contagion.set_defaults(func=cmd_contagion)
 

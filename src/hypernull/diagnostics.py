@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right, insort
+from collections import Counter
 
 from hypernull.core import SIDES, DirectedHypergraph, check_side
 from hypernull.sampling import STEP_FUNCTIONS, ChainConfig, run_chain
@@ -195,38 +197,13 @@ def spearman(x, y) -> float:
     return cov / math.sqrt(vx * vy)
 
 
-def _merge_count_inversions(values):
-    """Number of index pairs i < j with values[i] > values[j]."""
-    if len(values) <= 1:
-        return values, 0
-    mid = len(values) // 2
-    left, inv_left = _merge_count_inversions(values[:mid])
-    right, inv_right = _merge_count_inversions(values[mid:])
-    merged = []
-    inversions = inv_left + inv_right
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            inversions += len(left) - i
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged, inversions
-
-
 def _tie_pairs(values):
-    groups = {}
-    for v in values:
-        groups[v] = groups.get(v, 0) + 1
-    return sum(c * (c - 1) // 2 for c in groups.values())
+    return sum(c * (c - 1) // 2 for c in Counter(values).values())
 
 
 def kendall_tau(x, y) -> float:
-    """Kendall's tau-b (tie-corrected), via merge-sort inversion counting.
+    """Kendall's tau-b (tie-corrected); the discordant pairs are the
+    inversions of y in (x, y) order, counted against a sorted prefix.
 
     Returns nan when either input is constant.
     """
@@ -241,7 +218,10 @@ def kendall_tau(x, y) -> float:
     ties_x = _tie_pairs(x)
     ties_y = _tie_pairs(y)
     ties_both = _tie_pairs(paired)
-    _, discordant = _merge_count_inversions([b for _, b in paired])
+    seen, discordant = [], 0
+    for _, b in paired:
+        discordant += len(seen) - bisect_right(seen, b)
+        insort(seen, b)
     denominator = (n0 - ties_x) * (n0 - ties_y)
     if denominator == 0:
         return math.nan

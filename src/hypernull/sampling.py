@@ -146,8 +146,9 @@ class _ClassPairs:
     Only vertices with an arc in the slice take part.  A class is drawn with
     probability proportional to C(|class|, 2) by binary search, then a uniform
     ordered pair inside it, so each unordered same-class pair has probability
-    1/total.  Classes are invariant under the swaps, so the tables are built
-    once.
+    1/total; a single class is taken without a draw, which makes one class of
+    every sender the "degs" source.  Classes are invariant under the swaps, so
+    the tables are built once.
     """
 
     def __init__(self, view, classes):
@@ -172,21 +173,10 @@ class _ClassPairs:
         """A uniform ordered pair from a weight-picked class, or None."""
         if self.total == 0:
             return None
+        if len(self.members) == 1:
+            return _pick_pair(rng, self.members[0])
         draw = rng.randrange(self.total)
         return _pick_pair(rng, self.members[bisect_right(self.cumulative, draw)])
-
-
-class _Pool(_ClassPairs):
-    """Every vertex with an arc in the slice as one class, drawn without a
-    class draw: the "degs" source."""
-
-    def __init__(self, view):
-        super().__init__(view, [None] * len(view))
-
-    def sample_pair(self, rng):
-        if self.total == 0:
-            return None
-        return _pick_pair(rng, self.members[0])
 
 
 @dataclass(frozen=True)
@@ -219,7 +209,7 @@ def _slices(G: BipartiteDigraph, model: str) -> dict:
     for direction, (_, _, sender) in _SLICE_LAYOUT.items():
         views = _views(G, direction)
         if model == "degs":
-            sources = ((sender, _Pool(views[sender])),)
+            sources = ((sender, _ClassPairs(views[sender], [0] * len(views[sender]))),)
         elif model == "joint":
             sources = tuple(
                 (side, _ClassPairs(views[side], degree_classes[side])) for side in (LEFT, RIGHT)

@@ -396,24 +396,23 @@ def hits(G: BipartiteDigraph):
 MAX_ORDER = 8
 
 
-def multi_order_laplacian(U: UndirectedHypergraph, order_is_size_minus_one: bool = False):
+def multi_order_laplacian(U: UndirectedHypergraph):
     """Sum of per-order Laplacians L(d) = d*K(d) - A(d) for d = 2..D, where D
     is the largest order present, capped at MAX_ORDER.
 
     K(d) counts each node's order-d hyperedges, A(d) counts order-d
     co-memberships (zero diagonal), and each L(d) is divided by the mean of
     K(d) over all nodes.  Orders without hyperedges are skipped; if none
-    contribute, raises ValueError.  With order_is_size_minus_one, a
-    hyperedge of size s counts toward order s-1.
+    contribute, raises ValueError.  A hyperedge of size s counts toward
+    order s.
     """
     import numpy as np
     n = U.num_nodes
-    orders = [len(m) - 1 if order_is_size_minus_one else len(m) for m in U.edges]
-    D = min(MAX_ORDER, max(orders, default=0))
+    D = min(MAX_ORDER, max(map(len, U.edges), default=0))
     laplacian = np.zeros((n, n))
     contributed = False
     for d in range(2, D + 1):
-        members = [m for m, o in zip(U.edges, orders) if o == d]
+        members = [m for m in U.edges if len(m) == d]
         if not members:
             continue
         degree = np.zeros(n)

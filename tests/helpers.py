@@ -3,8 +3,9 @@ oracles used to cross-check the package implementations, reference versions
 of the structure kernels and of the itemset miner, the thinned visit counter
 of the chain uniformity tests, the reverse of a swap proposal and the kernel's
 probability of proposing it, the consistency checks that a checked chain walk
-runs after every step (a degs-mh state's co-degree tables among them), and the
-rate-class check of a contagion state."""
+runs after every step (a degs-mh state's co-degree tables among them), the
+rate-class check of a contagion state, and the merge-sort Kendall tau that
+diagnostics.kendall_tau must reproduce bit for bit."""
 
 import itertools
 import math
@@ -425,3 +426,63 @@ def mine_top_frequent_reference(db: tuple, f: int = 20, l: int = 3) -> tuple:
     mined = _mine_at_threshold_tids(item_tids, low, l)
     mined.sort(key=lambda pair: (-pair[1], pair[0]))
     return tuple((frozenset(items), support) for items, support in mined[:f])
+
+
+# ---------------------------------------------------------------------------
+# Reference Kendall tau: tau-b with the discordant pairs counted as merge-sort
+# inversions, which diagnostics.kendall_tau must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _merge_count_inversions(values):
+    """Number of index pairs i < j with values[i] > values[j]."""
+    if len(values) <= 1:
+        return values, 0
+    mid = len(values) // 2
+    left, inv_left = _merge_count_inversions(values[:mid])
+    right, inv_right = _merge_count_inversions(values[mid:])
+    merged = []
+    inversions = inv_left + inv_right
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if left[i] <= right[j]:
+            merged.append(left[i])
+            i += 1
+        else:
+            merged.append(right[j])
+            inversions += len(left) - i
+            j += 1
+    merged.extend(left[i:])
+    merged.extend(right[j:])
+    return merged, inversions
+
+
+def _tie_pairs(values):
+    groups = {}
+    for v in values:
+        groups[v] = groups.get(v, 0) + 1
+    return sum(c * (c - 1) // 2 for c in groups.values())
+
+
+def kendall_tau_reference(x, y) -> float:
+    """Kendall's tau-b (tie-corrected), via merge-sort inversion counting.
+
+    Returns nan when either input is constant.
+    """
+    x, y = list(x), list(y)
+    if len(x) != len(y):
+        raise ValueError("rankings must have equal length")
+    n = len(x)
+    if n < 2:
+        raise ValueError("need at least two items")
+    paired = sorted(zip(x, y))
+    n0 = n * (n - 1) // 2
+    ties_x = _tie_pairs(x)
+    ties_y = _tie_pairs(y)
+    ties_both = _tie_pairs(paired)
+    _, discordant = _merge_count_inversions([b for _, b in paired])
+    denominator = (n0 - ties_x) * (n0 - ties_y)
+    if denominator == 0:
+        return math.nan
+    numerator = n0 - ties_x - ties_y + ties_both - 2 * discordant
+    return numerator / math.sqrt(denominator)

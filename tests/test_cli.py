@@ -7,6 +7,7 @@ output, the run manifest, exit codes, and byte-for-byte determinism.
 import builtins
 import gc
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from helpers import metabolic_scale
 import hypernull.cli
 import hypernull.structure
 from hypernull.cli import RunManifest, _fmt, _load_samples, _parse_model_dirs, build_parser, main
+from hypernull.contagion import SISConfig
 from hypernull.core import (
     format_hypergraph,
     merge_to_undirected,
@@ -239,15 +241,29 @@ class TestSample:
         assert "invariant verification failed" in err
         assert "expected:" in err and "found:" in err
 
+    def test_joint_verification_catches_relabelled_nodes(self, tmp_path, toy, monkeypatch,
+                                                         capsys):
+        # Nodes 0 and 3 trade roles: the joint tensor is unchanged, while
+        # each node's degrees are not.
+        relabelled = "3,1|2\n2|3,1\n1|0\n0|1\n3,2|0\n"
+        monkeypatch.setattr("hypernull.cli.run_chain",
+                            lambda H, config: iter([parse_hypergraph(relabelled)]))
+        out = tmp_path / "bad"
+        assert run(["sample", "--input", toy, "--model", "joint", "--samples", 1,
+                    "--output-dir", out]) == 1
+        assert "invariant verification failed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("model, written, entries", [
         # degs: [in-degrees, out-degrees, sorted (head, tail) sizes]
         ("degs", "0|1\n", ("[0][0] = 1", "[0][0] = 0")),
-        # joint: sorted ((i, j, k, l, d), count) items
-        ("joint", "0,1|2\n2|0,1\n1|3\n3|1\n0,1|3\n",
-         ("[0] = [[1, 2, 1, 2, -1], 1]", "[0] = [[1, 1, 1, 2, 1], 1]")),
+        # joint: the degs invariant, then sorted ((i, j, k, l, d), count) items
+        ("joint", "0,1|2\n2|0,1\n1|3\n3|1\n0,1|3\n", ("[1][1] = 2", "[1][1] = 3")),
+        # a degs sample of the toy: equal degrees, a different tensor
+        ("joint", "0|1\n0,2|3\n1|0,2\n1,2|3\n3|1\n",
+         ("[3][0] = [[1, 2, 1, 2, -1], 1]", "[3][0] = [[1, 2, 1, 1, 1], 1]")),
         # null: sorted sizes; the sample lacks the toy's last one
         ("null", "0,1|2\n2|0,1\n1|3\n3|1\n", ("[4] = [2, 1]", "[4] = null")),
-    ], ids=["degs", "joint", "null"])
+    ], ids=["degs", "joint", "joint-tensor", "null"])
     def test_verification_failure_shows_digests_and_first_difference(
             self, tmp_path, toy, monkeypatch, capsys, model, written, entries):
         # Each side's digest is the invariant_sha256 that sampling it records.
@@ -280,6 +296,18 @@ class TestSample:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: thinning")
         assert not list((tmp_path / "thin").glob("*.dhg"))
+
+    def test_thinning_needs_two_samples(self, tmp_path, toy, capsys):
+        # A single sample is the chain after --steps swaps; --thinning would
+        # be read by nothing.
+        out = tmp_path / "one"
+        code = run(["sample", "--input", toy, "--samples", 1, "--steps", 50,
+                    "--thinning", 7, "--output-dir", out])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --thinning needs --samples of at least 2")
+        assert not out.exists()
+        assert run(["sample", "--input", toy, "--samples", 2, "--steps", 50,
+                    "--thinning", 7, "--output-dir", out]) == 0
 
     @pytest.mark.parametrize("flags", [["--steps", 500], ["--thinning", 7]])
     def test_null_rejects_chain_flags(self, tmp_path, toy, capsys, flags):
@@ -809,6 +837,33 @@ class TestContagion:
         )
         assert warnings.showwarning is showwarning
         assert warnings.filters == filters
+
+    @pytest.mark.filterwarnings("ignore:infected density:RuntimeWarning")
+    def test_sis_flags_at_their_defaults_change_nothing(self, tmp_path, toy):
+        defaults = SISConfig(lam=0.0, nu=1.0)
+        flags = {
+            "--mu": defaults.mu, "--rho0": defaults.rho0, "--burn-in": defaults.burn_in,
+            "--sample-count": defaults.sample_count, "--decorrelation": defaults.decorrelation,
+            "--qs-history": defaults.qs_history_size,
+            "--snapshot-interval": defaults.snapshot_interval,
+        }
+        outs = []
+        for name, given in (("bare.csv", []), ("given.csv", [*itertools.chain(*flags.items())])):
+            out = tmp_path / name
+            assert run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid", "0.3",
+                        "--method", "quasi-stationary", "--seed", 3, *given,
+                        "--output", out]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_usage_names_every_sis_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["contagion", "--help"])
+        usage = " ".join(capsys.readouterr().out.split())
+        for flag in ("--mu MU", "--rho0 RHO0", "--burn-in BURN_IN", "--sample-count SAMPLE_COUNT",
+                     "--decorrelation DECORRELATION", "--qs-history QS_HISTORY",
+                     "--snapshot-interval SNAPSHOT_INTERVAL"):
+            assert f"[{flag}]" in usage
 
     def test_empty_grid_fails(self, tmp_path, toy, capsys):
         code = run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid",

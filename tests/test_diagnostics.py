@@ -9,12 +9,13 @@ scipy).
 import itertools
 import math
 import random
+import struct
 import warnings
 
 import pytest
 from scipy import stats
 
-from helpers import metabolic_scale, mine_top_frequent_reference, trade_like
+from helpers import kendall_tau_reference, metabolic_scale, mine_top_frequent_reference, trade_like
 from hypernull.core import SIDES, parse_hypergraph, to_bipartite
 from hypernull.diagnostics import (
     _mine_at_threshold,
@@ -415,6 +416,18 @@ class TestKendall:
             ours = kendall_tau(x, y)
             assert ours == pytest.approx(kendall_oracle(x, y))
             assert ours == pytest.approx(stats.kendalltau(x, y).statistic)
+
+    def test_bit_equal_to_merge_sort_reference(self):
+        rng = random.Random(23)
+        for n in [*range(2, 301), 5000]:
+            # Draws from a pool of 1 to n finite values: constant inputs, heavy
+            # ties and (nearly) tie-free ones, ints and floats mixed.
+            pool = [rng.choice((rng.randint(-3, 3), rng.uniform(-1e3, 1e3)))
+                    for _ in range(rng.randint(1, n))]
+            x = [rng.choice(pool) for _ in range(n)]
+            y = [rng.choice(pool) for _ in range(n)]
+            ours, reference = kendall_tau(x, y), kendall_tau_reference(x, y)
+            assert struct.pack("<d", ours) == struct.pack("<d", reference), n
 
     def test_too_short(self):
         with pytest.raises(ValueError):

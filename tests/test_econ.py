@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from helpers import kendall_tau_reference, trade_like
 from hypernull import econ
 from hypernull.core import DirectedHypergraph, Hyperedge
 from hypernull.diagnostics import kendall_tau, spearman
@@ -632,6 +633,24 @@ class TestRankCompare:
     def test_missing_score_rejected(self):
         with pytest.raises(ValueError):
             rank_compare({"eci": (1.0, 2.0)}, {"degs": {"fitness": [(1.0, 2.0)]}})
+
+    def test_rows_match_the_merge_sort_kendall_on_trade_scores(self, monkeypatch):
+        scores = complexity_scores(hypergraph_biadjacency(trade_like(2024)))
+        observed = {"eci": scores.eci, "fitness": scores.fitness, "genepy": scores.genepy}
+        rng = random.Random(29)
+
+        def variants(vector):
+            shuffled = list(vector)
+            rng.shuffle(shuffled)
+            return [[float(f"{v:.2g}") for v in vector], shuffled, sorted(vector)]
+
+        samples = {
+            "perturbed": {score: variants(vector) for score, vector in observed.items()},
+            "crossed": {"eci": [scores.fitness, scores.genepy], "genepy": [scores.eci]},
+        }
+        rows = rank_compare(observed, samples)
+        monkeypatch.setattr(econ, "kendall_tau", kendall_tau_reference)
+        assert rank_compare(observed, samples) == rows
 
 
 class TestComplexityScores:

@@ -344,6 +344,24 @@ class TestDegsStep:
         _, p_value = stats.chisquare(list(visits.values()))
         assert p_value > 0.001
 
+    @pytest.mark.parametrize(
+        "instance, steps, seed, digest",
+        [
+            ("toy", 200, 0, "e96e28eb74a8e3c0ed8667a11c3bdc5ff41b47560941e5672ae7279a0c41092b"),
+            ("toy", 200, 1, "8b49e0a6ebe4a3ff898844957d6e20c6f1da61a2a123571b6a910fcf3f7f961f"),
+            ("toy", 200, 2, "530ce018395e5e2a089a1d3bc143fdb7fdf0123222a8dcb8c34a5f26f410ace7"),
+            ("metabolic", 5000, 0, "5a61b186d244dd3f2285a1fc12b7bfbe81fd89084fd3526a721dab4c5016827b"),
+            ("metabolic", 5000, 1, "3d63c1de9f6a8c61919acef622eb35d653e1cda0ce38ab102db00ae9f6c0ae82"),
+            ("metabolic", 5000, 2, "14d7851261653aa77141a07a85d8c2d37eb2ab0e26252c4d48b9e988d3bb2764"),
+        ],
+    )
+    def test_output_bytes_pinned(self, instance, steps, seed, digest):
+        # Taken when "degs" drew from a pool of its own that made no class
+        # draw; the one-class _ClassPairs must make the same draws.
+        H = parse_hypergraph(TOY) if instance == "toy" else metabolic_scale(101)
+        (S,) = run_chain(H, ChainConfig("degs", steps, seed))
+        assert hashlib.sha256(format_hypergraph(S).encode()).hexdigest() == digest
+
     def test_heads_prob_override_freezes_tails(self):
         # The direction coin is shared by both slice-kernel models.
         H = parse_hypergraph("1,2|3,4\n3,4|1,2\n1,3|2,4\n")

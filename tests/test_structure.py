@@ -642,16 +642,6 @@ class TestMultiOrderLaplacian:
         # K doubles and A doubles; the mean-degree normalization halves both.
         assert np.allclose(L, np.array([[2.0, -1.0], [-1.0, 2.0]]))
 
-    def test_order_minus_one_flag(self):
-        U = UndirectedHypergraph([{0, 1, 2}], 3)
-        L = multi_order_laplacian(U, order_is_size_minus_one=True)
-        assert np.allclose(L.sum(axis=1), np.zeros(3))
-        assert np.allclose(L, np.array([
-            [2.0, -1.0, -1.0],
-            [-1.0, 2.0, -1.0],
-            [-1.0, -1.0, 2.0],
-        ]))
-
     def test_sizes_beyond_d_ignored(self, monkeypatch):
         monkeypatch.setattr(structure, "MAX_ORDER", 2)
         U = UndirectedHypergraph([{0, 1}, {0, 1, 2, 3}], 4)

@@ -6,11 +6,11 @@ tail memberships).  Every chain move is a parity swap inside one slice: arcs
 (u, a) and (v, b) become (u, b) and (v, a).  A swap keeps all four degree
 sequences and never touches the other slice.
 
-One kernel runs every step of the degree-preserving chain (model "degs") and
-of the joint-preserving chain (model "joint").  A biased coin picks the slice;
-a pair source on one side of it gives two distinct vertices x, y; a uniform
-draw from each of N(x) - N(y) and N(y) - N(x) gives the crossed endpoints.
-The models differ only in their pair sources:
+One kernel runs the degree-preserving chain (model "degs") and the
+joint-preserving chain (model "joint").  Each step, a biased coin picks the
+slice; a pair source on one side of it gives two distinct vertices x, y; a
+uniform draw from each of N(x) - N(y) and N(y) - N(x) gives the crossed
+endpoints.  The models differ only in their pair sources:
 
 - "degs" draws a uniform pair among the vertices that send the slice's arcs:
   left vertices for +1 arcs, right vertices for -1 arcs;
@@ -37,6 +37,11 @@ sum_a C(|N(a)|, 2) node pairs, so a step that swaps between right vertices a
 and b costs O(|N(a) ^ N(b)|) table lookups and updates;
 delta_state_degree_pso is the set-based reference for its swap-count delta.
 The "null" model keeps only the head/tail size sequences.
+
+Each swap model's kernel runs a batch of steps as one loop, kernel(state,
+count) -> applied, called once per sample or thinning interval.  Every
+bounded integer is getrandbits(n.bit_length()) redrawn until below n, exactly
+as random.randrange(n) draws it, so samples keep their bytes.
 """
 
 from __future__ import annotations
@@ -113,11 +118,12 @@ class ChainConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if self.steps != "auto" and (not isinstance(self.steps, int) or self.steps < 0):
+        # type() rather than isinstance(): a bool is an int, but not a count.
+        if self.steps != "auto" and (type(self.steps) is not int or self.steps < 0):
             raise ValueError("steps must be 'auto' or a non-negative integer")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be positive")
-        if self.thinning is not None and self.thinning < 1:
+        if type(self.sample_count) is not int or self.sample_count < 1:
+            raise ValueError("sample_count must be a positive integer")
+        if self.thinning is not None and (type(self.thinning) is not int or self.thinning < 1):
             raise ValueError("thinning must be a positive integer")
 
     def resolved_steps(self, G: BipartiteDigraph) -> int:
@@ -131,24 +137,15 @@ class ChainConfig:
 # ---------------------------------------------------------------------------
 
 
-def _pick_pair(rng, pool):
-    """Uniform ordered pair of distinct entries of pool."""
-    i = rng.randrange(len(pool))
-    j = rng.randrange(len(pool) - 1)
-    if j >= i:
-        j += 1
-    return pool[i], pool[j]
-
-
 class _ClassPairs:
     """Pairs of distinct same-class vertices on one side of a slice.
 
-    Only vertices with an arc in the slice take part.  A class is drawn with
-    probability proportional to C(|class|, 2) by binary search, then a uniform
-    ordered pair inside it, so each unordered same-class pair has probability
-    1/total; a single class is taken without a draw, which makes one class of
-    every sender the "degs" source.  Classes are invariant under the swaps, so
-    the tables are built once.
+    Only vertices with an arc in the slice take part.  The kernel draws a class
+    with probability proportional to C(|class|, 2) by binary search, then a
+    uniform ordered pair inside it, so each unordered same-class pair has
+    probability 1/total; a single class is taken without a draw, which makes
+    one class of every sender the "degs" source.  Classes are invariant under
+    the swaps, so the tables are built once.
     """
 
     def __init__(self, view, classes):
@@ -168,15 +165,6 @@ class _ClassPairs:
             self.members.append(groups[k])
             self.cumulative.append(total)
         self.total = total
-
-    def sample_pair(self, rng):
-        """A uniform ordered pair from a weight-picked class, or None."""
-        if self.total == 0:
-            return None
-        if len(self.members) == 1:
-            return _pick_pair(rng, self.members[0])
-        draw = rng.randrange(self.total)
-        return _pick_pair(rng, self.members[bisect_right(self.cumulative, draw)])
 
 
 @dataclass(frozen=True)
@@ -295,62 +283,99 @@ def apply_pso(G: BipartiteDigraph, p: SwapProposal) -> None:
     _swap(left, right, p.left1, p.right1, p.left2, p.right2)
 
 
-def _draw_diff(rng, order: list, v: int, first: set, second: set):
-    """(position, element) of a uniform element of first - second in v's
-    draw list order[v], or None if the difference is empty.
+def _randbelow(getrandbits, n: int) -> int:
+    """Uniform int in [0, n), drawn as randrange(n) draws it on Python 3.10-3.13."""
+    if n <= 0:
+        raise ValueError(f"empty range for a bounded draw: {n}")
+    k = n.bit_length()
+    while (r := getrandbits(k)) >= n:
+        pass
+    return r
 
-    first is v's neighbour set; its list is built sorted on first use, so the
-    draw depends only on the rng stream, not on set iteration order.
+
+def _draw_outside(getrandbits, listed: list, other: set):
+    """Position of a uniform element of listed outside other, or None: the
+    _DRAW_TRIES - 1 tries after the kernel's first, then the exact scan."""
+    for _ in range(_DRAW_TRIES - 1):
+        position = _randbelow(getrandbits, len(listed))
+        if listed[position] not in other:
+            return position
+    positions = [i for i, element in enumerate(listed) if element not in other]
+    return positions[_randbelow(getrandbits, len(positions))] if positions else None
+
+
+def _slice_steps(state: ChainState, count: int) -> int:
+    """Run count "degs" or "joint" steps; returns how many applied a swap.
+
+    The direction coin (heads probability |D+|/|D|) picks the slice; when the
+    slice has two routes a fair coin picks the side.  Any shortage (no pair
+    to draw, an empty crossed set) is a self-loop.
     """
-    listed = order[v]
-    if listed is None:
-        listed = order[v] = sorted(first)
-    for _ in range(_DRAW_TRIES):
-        position = rng.randrange(len(listed))
-        if listed[position] not in second:
-            return position, listed[position]
-    positions = [i for i, element in enumerate(listed) if element not in second]
-    if not positions:
-        return None
-    position = positions[rng.randrange(len(positions))]
-    return position, listed[position]
+    rng, slices, orders = state.rng, state.slices, state.order
+    random, getrandbits, heads_prob = rng.random, rng.getrandbits, state.heads_prob
+    plus = slices[+1].sources, slices[+1].views, orders[+1]
+    minus = slices[-1].sources, slices[-1].views, orders[-1]
+    applied = 0
+    for _ in range(count):
+        routes, views, order = plus if random() < heads_prob else minus
+        side, pairs = routes[0] if len(routes) == 1 or random() < 0.5 else routes[1]
+        members = pairs.members
+        if not members:
+            continue
+        pool = members[0] if len(members) == 1 else members[
+            bisect_right(pairs.cumulative, _randbelow(getrandbits, pairs.total))]
+        k = (n := len(pool)).bit_length()
+        while (i := getrandbits(k)) >= n:
+            pass
+        k = (n := n - 1).bit_length()
+        while (j := getrandbits(k)) >= n:
+            pass
+        x, y = pool[i], pool[j + 1 if j >= i else j]
+        near, near_order = views[side], order[side]
+        near_x, near_y = near[x], near[y]
+        if (x_list := near_order[x]) is None:
+            x_list = near_order[x] = sorted(near_x)
+        k = (n := len(x_list)).bit_length()
+        while (x_position := getrandbits(k)) >= n:
+            pass
+        if x_list[x_position] in near_y:
+            x_position = _draw_outside(getrandbits, x_list, near_y)
+            if x_position is None:
+                continue
+        if (y_list := near_order[y]) is None:
+            y_list = near_order[y] = sorted(near_y)
+        k = (n := len(y_list)).bit_length()
+        while (y_position := getrandbits(k)) >= n:
+            pass
+        if y_list[y_position] in near_x:
+            y_position = _draw_outside(getrandbits, y_list, near_x)
+            if y_position is None:
+                continue
+        x_end, y_end = x_list[x_position], y_list[y_position]
+        assert x != y and x_end != y_end, "swap endpoints must be distinct"
+        assert x_end in near_x and y_end in near_y, "swapped arcs must exist"
+        assert y_end not in near_x and x_end not in near_y, "crossed arcs must be absent"
+        near_x.remove(x_end)
+        near_x.add(y_end)
+        near_y.remove(y_end)
+        near_y.add(x_end)
+        far, far_order = views[1 - side], order[1 - side]
+        far[x_end].remove(x)
+        far[x_end].add(y)
+        far[y_end].remove(y)
+        far[y_end].add(x)
+        x_list[x_position], y_list[y_position] = y_end, x_end
+        far_order[x_end] = far_order[y_end] = None
+        applied += 1
+    return applied
 
 
-def _slice_step(state: ChainState) -> bool:
-    """One "degs" or "joint" step; returns True when a swap was applied.
-
-    The direction coin (heads probability |D+|/|D|) picks the slice; when
-    the slice has two routes a fair coin picks the side.  Any shortage (no
-    pair to draw, an empty crossed set) is a self-loop.
-    """
-    rng, slices = state.rng, state.slices
-    piece = slices[+1] if rng.random() < state.heads_prob else slices[-1]
-    routes = piece.sources
-    side, pairs = routes[0] if len(routes) == 1 or rng.random() < 0.5 else routes[1]
-    pair = pairs.sample_pair(rng)
-    if pair is None:
-        return False
-    x, y = pair
-    near, order = piece.views[side], state.order[piece.direction][side]
-    x_draw = _draw_diff(rng, order, x, near[x], near[y])
-    if x_draw is None:
-        return False
-    y_draw = _draw_diff(rng, order, y, near[y], near[x])
-    if y_draw is None:
-        return False
-    (x_position, x_end), (y_position, y_end) = x_draw, y_draw
-    _swap(near, piece.views[1 - side], x, x_end, y, y_end)
-    order[x][x_position] = y_end
-    order[y][y_position] = x_end
-    far_order = state.order[piece.direction][1 - side]
-    far_order[x_end] = far_order[y_end] = None
-    return True
+def nudhy_degs_step(state: ChainState) -> bool:
+    """One "degs" step, or one "joint" step on a state made with model="joint"."""
+    return _slice_steps(state, 1) == 1
 
 
-# One degree-preserving step on a state made with model="degs" and one
-# joint-preserving step on a state made with model="joint" are the same
-# kernel: the state's pair sources make the difference.
-nudhy_degs_step = nudhy_joint_step = _slice_step
+nudhy_joint_step = nudhy_degs_step
 
 
 # ---------------------------------------------------------------------------
@@ -422,52 +447,68 @@ def _shift(co: list, shared: set, up: int, down: int) -> None:
             del fall[w], co[w][down]
 
 
-def nudhy_degs_mh_step(state: ChainState) -> bool:
-    """One Metropolis-Hastings step on the degree ensemble.
+def _mh_steps(state: ChainState, count: int) -> int:
+    """Run count Metropolis-Hastings steps on the degree ensemble; returns
+    how many applied a swap.
 
     Uniform arc pairs are rejection-sampled until they form an applicable
     swap (u, a), (v, b) -> (u, b), (v, a), which is then accepted with
     probability min(1, d(G)/d(G')).  The swap changes only the co-degrees of
     u and v with gain = N(b) - N(a) - {v} and loss = N(a) - N(b) - {u}, so
     the swap-count delta and the table update read those two sets alone.
-    Raises FrozenEnsembleError when the graph admits no swap at all.
+    Raises FrozenEnsembleError when count > 0 and the graph admits no swap
+    at all (a graph that has just swapped can swap back).
     """
-    rng = state.rng
-    if state.swap_count == 0:
+    if count > 0 and state.swap_count == 0:
         raise FrozenEnsembleError("no applicable swap exists in this graph")
-    edges = state.edge_list
-    while True:
-        i, j = _pick_pair(rng, range(len(edges)))
-        u, a, d1 = edges[i]
-        v, b, d2 = edges[j]
-        if d1 != d2 or u == v or a == b:
+    rng, edges, swap_count = state.rng, state.edge_list, state.swap_count
+    random, getrandbits = rng.random, rng.getrandbits
+    tables = {d: (*s.views, state.co_degrees[d]) for d, s in state.slices.items()}
+    n, n1 = len(edges), len(edges) - 1
+    k, k1 = n.bit_length(), n1.bit_length()
+    applied = 0
+    for _ in range(count):
+        while True:
+            while (i := getrandbits(k)) >= n:
+                pass
+            while (j := getrandbits(k1)) >= n1:
+                pass
+            if j >= i:
+                j += 1
+            u, a, d1 = edges[i]
+            v, b, d2 = edges[j]
+            if d1 != d2 or u == v or a == b:
+                continue
+            left, right, co = tables[d1]
+            if b not in left[u] and a not in left[v]:
+                break
+        gain = right[b] - right[a]
+        gain.discard(v)
+        loss = right[a] - right[b]
+        loss.discard(u)
+        co_u, co_v = co[u], co[v]
+        d_bicliques = len(gain) + len(loss)
+        for w in gain:
+            d_bicliques += co_u.get(w, 0) - co_v[w]
+        for w in loss:
+            d_bicliques += co_v.get(w, 0) - co_u[w]
+        d_paths = (len(left[u]) - len(left[v])) * (len(right[b]) - len(right[a]))
+        new_count = swap_count + 2 * d_bicliques - d_paths
+        ratio = swap_count / new_count
+        if ratio < 1.0 and random() >= ratio:
             continue
-        left, right = state.slices[d1].views
-        if b in left[u] or a in left[v]:
-            continue
-        break
-    co = state.co_degrees[d1]
-    gain = right[b] - right[a]
-    gain.discard(v)
-    loss = right[a] - right[b]
-    loss.discard(u)
-    co_u, co_v = co[u], co[v]
-    d_bicliques = len(gain) + len(loss)
-    for w in gain:
-        d_bicliques += co_u.get(w, 0) - co_v[w]
-    for w in loss:
-        d_bicliques += co_v.get(w, 0) - co_u[w]
-    d_paths = (len(left[u]) - len(left[v])) * (len(right[b]) - len(right[a]))
-    new_count = state.swap_count + 2 * d_bicliques - d_paths
-    ratio = state.swap_count / new_count
-    if ratio < 1.0 and rng.random() >= ratio:
-        return False
-    _shift(co, gain, u, v)
-    _shift(co, loss, v, u)
-    _swap(left, right, u, a, v, b)
-    edges[i], edges[j] = (u, b, d1), (v, a, d1)
-    state.swap_count = new_count
-    return True
+        _shift(co, gain, u, v)
+        _shift(co, loss, v, u)
+        _swap(left, right, u, a, v, b)
+        edges[i], edges[j] = (u, b, d1), (v, a, d1)
+        state.swap_count = swap_count = new_count
+        applied += 1
+    return applied
+
+
+def nudhy_degs_mh_step(state: ChainState) -> bool:
+    """One step of _mh_steps; True when it applied a swap."""
+    return _mh_steps(state, 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +532,11 @@ def null_sample(H: DirectedHypergraph, seed: int) -> DirectedHypergraph:
     return DirectedHypergraph(edges, n, labels)
 
 
-# The chain step of every swap model.
+# The batched chain kernel of every swap model: kernel(state, count) -> applied.
 STEP_FUNCTIONS = {
-    "degs": nudhy_degs_step,
-    "joint": nudhy_joint_step,
-    "degs-mh": nudhy_degs_mh_step,
+    "degs": _slice_steps,
+    "joint": _slice_steps,
+    "degs-mh": _mh_steps,
 }
 MODELS = (*STEP_FUNCTIONS, "null")
 
@@ -523,6 +564,5 @@ def run_chain(H: DirectedHypergraph, config: ChainConfig):
             state = make_chain_state(
                 G0.copy(), derive_seed(config.seed, "chain", index), config.model
             )
-        for _ in range(steps if fresh else thinning):
-            step(state)
+        step(state, steps if fresh else thinning)
         yield to_hypergraph(state.graph)

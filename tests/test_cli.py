@@ -335,6 +335,20 @@ class TestConverge:
             if row[2] == "0":
                 assert float(row[3]) == 0.0
 
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            ("degs", "b69b876cdcd19c9fbf2bc1eda0525068bc23e1f8e92f294bf8bd83612b668112"),
+            ("joint", "8c4ade96fb4b34a3c86c351f3dd07caf030f7a765acfb4b6d8ef32e6f3151df4"),
+            ("degs-mh", "0f47d9d6992b20f61a17bea32405cde179ee94996d1a878971b4676707bcb4f4"),
+        ],
+    )
+    def test_csv_bytes_pinned(self, tmp_path, toy, model, digest):
+        out = tmp_path / "arsd.csv"
+        assert run(["converge", "--input", toy, "--model", model, "--seed", 3, "--f", 5,
+                    "--l", 2, "--max-k", 8, "--output", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_models_are_the_step_registry(self, tmp_path, toy):
         assert MODELS == (*STEP_FUNCTIONS, "null") == ("degs", "joint", "degs-mh", "null")
         out = tmp_path / "arsd.csv"

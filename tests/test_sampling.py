@@ -18,6 +18,7 @@ from helpers import (
     thinned_visits,
     validate,
 )
+from test_acceptance import contact_scale
 from hypernull.core import (
     DirectedHypergraph,
     Hyperedge,
@@ -27,6 +28,7 @@ from hypernull.core import (
     parse_hypergraph,
     to_bipartite,
     to_hypergraph,
+    undirected_to_directed,
 )
 from hypernull.sampling import (
     ChainConfig,
@@ -34,7 +36,8 @@ from hypernull.sampling import (
     STEP_FUNCTIONS,
     SwapProposal,
     LEFT,
-    _draw_diff,
+    _draw_outside,
+    _randbelow,
     apply_pso,
     delta_state_degree_pso,
     derive_seed,
@@ -48,6 +51,47 @@ from hypernull.sampling import (
 )
 
 TOY = "1|2,6\n3|4\n6|3,5\n"
+
+# (instance, steps, seed, sha256 of the formatted run_chain sample).
+DEGS_PINS = [
+    ("toy", 200, 0, "e96e28eb74a8e3c0ed8667a11c3bdc5ff41b47560941e5672ae7279a0c41092b"),
+    ("toy", 200, 1, "8b49e0a6ebe4a3ff898844957d6e20c6f1da61a2a123571b6a910fcf3f7f961f"),
+    ("toy", 200, 2, "530ce018395e5e2a089a1d3bc143fdb7fdf0123222a8dcb8c34a5f26f410ace7"),
+    ("metabolic", 5000, 0, "5a61b186d244dd3f2285a1fc12b7bfbe81fd89084fd3526a721dab4c5016827b"),
+    ("metabolic", 5000, 1, "3d63c1de9f6a8c61919acef622eb35d653e1cda0ce38ab102db00ae9f6c0ae82"),
+    ("metabolic", 5000, 2, "14d7851261653aa77141a07a85d8c2d37eb2ab0e26252c4d48b9e988d3bb2764"),
+]
+JOINT_PINS = [
+    ("metabolic", 5000, 0, "80db354124014d46dcaa8510cde26d7b45043a90460fefd09fe3d74f0f931350"),
+    ("metabolic", 5000, 1, "76278b7989c4d9196db0be758f43c8ad75e452c92f941d9ca4d25896d20e0258"),
+    ("metabolic", 5000, 2, "619b163057c5df83e1812e5d1764ab5f109952d47d3227846503b29da1bd8eae"),
+    ("contact", 5000, 0, "b83123faefd07e86e204ac37d95f75af47abec34b723180bb2a9cb7b90eee50b"),
+    ("contact", 5000, 1, "f8114d90d31b34681a523bae31dcc71d8c428c4b3d8e11e79982d08d57255bff"),
+    ("contact", 5000, 2, "b410c27363d948e7a4549545a317987dd39b3f155d1f3f1c100b9fba323f1a60"),
+]
+MH_PINS = [
+    ("toy", 200, 0, "c73d6be765a969b86ae933861d275d41b55adc28c305581f2a95be752ee1bb26"),
+    ("toy", 200, 1, "3ccb2698fe8a6f294b081c0ea508bd72db86119615472c015a7386f5d03b6d2e"),
+    ("toy", 200, 2, "5d7950bb01de11a3ca9d96e0aa53d6a7ceb857c28d9d225d3e1bfbc87e862e59"),
+    ("metabolic", 5000, 0, "f87714afe8d43b0053a6541f411ced40f6ae3a79c3f0c88d409bf07c3701f557"),
+    ("metabolic", 5000, 1, "f25a1a21f1b1594a505bbc2eca1746fa805d6b23b3c2240b91f43a76cfefe450"),
+    ("metabolic", 5000, 2, "716172e29d8571c8ef8261731837ac584deb052d6972d773ac49969e06bc35ec"),
+]
+PINS = {"degs": DEGS_PINS, "joint": JOINT_PINS, "degs-mh": MH_PINS}
+
+
+def pinned_instance(name):
+    """The toy, metabolic_scale(101), or contact_scale() lifted to head = tail."""
+    if name == "toy":
+        return parse_hypergraph(TOY)
+    if name == "metabolic":
+        return metabolic_scale(101)
+    return undirected_to_directed(contact_scale())
+
+
+def sample_digest(model, H, steps, seed):
+    (S,) = run_chain(H, ChainConfig(model, steps, seed))
+    return hashlib.sha256(format_hypergraph(S).encode()).hexdigest()
 
 
 def profile_key(G):
@@ -269,19 +313,29 @@ class TestDrawDiff:
     )
     def test_uniform_over_difference(self, first, second):
         rng = random.Random(79)
-        order = [None]
+        listed = sorted(first)
         counts = Counter()
         for _ in range(30_000):
-            position, element = _draw_diff(rng, order, 0, first, second)
-            assert order[0][position] == element
-            counts[element] += 1
+            counts[listed[_draw_outside(rng.getrandbits, listed, second)]] += 1
         assert set(counts) == first - second
         _, p_value = stats.chisquare(list(counts.values()))
         assert p_value > 0.001
-        assert sorted(order[0]) == sorted(first)
 
     def test_empty_difference_is_none(self):
-        assert _draw_diff(random.Random(1), [None], 0, {1, 2}, {1, 2, 3}) is None
+        rng = random.Random(1)
+        assert _draw_outside(rng.getrandbits, [1, 2], {1, 2, 3}) is None
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bounded_draw_rejects_empty_range(self, bound):
+        # getrandbits(0) is always 0, so an unchecked zero bound never returns.
+        with pytest.raises(ValueError, match="empty range"):
+            _randbelow(random.Random(1).getrandbits, bound)
+
+    def test_bounded_draw_is_randrange(self):
+        ours, library = random.Random(17), random.Random(17)
+        for n in [1, 2, 3, 5, 8, 127, 128, 129, 1000, 2**32 - 1, 2**32, 2**40 + 3] * 50:
+            assert _randbelow(ours.getrandbits, n) == library.randrange(n)
+        assert ours.getstate() == library.getstate()
 
     @pytest.mark.parametrize("model", ["degs", "joint"])
     def test_draw_lists_stay_permutations(self, model):
@@ -297,7 +351,7 @@ class TestDrawDiff:
         )
         G = to_bipartite(H)
         state = make_chain_state(G, seed=1, model=model)
-        assert checked_walk(STEP_FUNCTIONS[model], state, 10_000) > 0
+        assert checked_walk(lambda s: STEP_FUNCTIONS[model](s, 1), state, 10_000) > 0
         built = 0
         for direction, piece in state.slices.items():
             for view, lists in zip(piece.views, state.order[direction]):
@@ -344,23 +398,11 @@ class TestDegsStep:
         _, p_value = stats.chisquare(list(visits.values()))
         assert p_value > 0.001
 
-    @pytest.mark.parametrize(
-        "instance, steps, seed, digest",
-        [
-            ("toy", 200, 0, "e96e28eb74a8e3c0ed8667a11c3bdc5ff41b47560941e5672ae7279a0c41092b"),
-            ("toy", 200, 1, "8b49e0a6ebe4a3ff898844957d6e20c6f1da61a2a123571b6a910fcf3f7f961f"),
-            ("toy", 200, 2, "530ce018395e5e2a089a1d3bc143fdb7fdf0123222a8dcb8c34a5f26f410ace7"),
-            ("metabolic", 5000, 0, "5a61b186d244dd3f2285a1fc12b7bfbe81fd89084fd3526a721dab4c5016827b"),
-            ("metabolic", 5000, 1, "3d63c1de9f6a8c61919acef622eb35d653e1cda0ce38ab102db00ae9f6c0ae82"),
-            ("metabolic", 5000, 2, "14d7851261653aa77141a07a85d8c2d37eb2ab0e26252c4d48b9e988d3bb2764"),
-        ],
-    )
+    @pytest.mark.parametrize("instance, steps, seed, digest", DEGS_PINS)
     def test_output_bytes_pinned(self, instance, steps, seed, digest):
         # Taken when "degs" drew from a pool of its own that made no class
         # draw; the one-class _ClassPairs must make the same draws.
-        H = parse_hypergraph(TOY) if instance == "toy" else metabolic_scale(101)
-        (S,) = run_chain(H, ChainConfig("degs", steps, seed))
-        assert hashlib.sha256(format_hypergraph(S).encode()).hexdigest() == digest
+        assert sample_digest("degs", pinned_instance(instance), steps, seed) == digest
 
     def test_heads_prob_override_freezes_tails(self):
         # The direction coin is shared by both slice-kernel models.
@@ -417,6 +459,12 @@ class TestJointStep:
         assert set(visits) == same_joint
         _, p_value = stats.chisquare(list(visits.values()))
         assert p_value > 0.001
+
+    @pytest.mark.parametrize("instance, steps, seed, digest", JOINT_PINS)
+    def test_output_bytes_pinned(self, instance, steps, seed, digest):
+        # Contact lifted to head = tail makes every left vertex's two slices
+        # alike; metabolic has many small degree classes.
+        assert sample_digest("joint", pinned_instance(instance), steps, seed) == digest
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +540,7 @@ class TestMhStep:
         state = make_chain_state(G, seed=1, model="degs-mh")
         with pytest.raises(FrozenEnsembleError):
             nudhy_degs_mh_step(state)
+        assert STEP_FUNCTIONS["degs-mh"](state, 0) == 0
 
     def test_swap_count_stays_exact(self):
         rng = random.Random(73)
@@ -524,24 +573,12 @@ class TestMhStep:
         checked_walk(nudhy_degs_mh_step, state, 500)
         assert degree_profile(G) == before
 
-    @pytest.mark.parametrize(
-        "instance, steps, seed, digest",
-        [
-            ("toy", 200, 0, "c73d6be765a969b86ae933861d275d41b55adc28c305581f2a95be752ee1bb26"),
-            ("toy", 200, 1, "3ccb2698fe8a6f294b081c0ea508bd72db86119615472c015a7386f5d03b6d2e"),
-            ("toy", 200, 2, "5d7950bb01de11a3ca9d96e0aa53d6a7ceb857c28d9d225d3e1bfbc87e862e59"),
-            ("metabolic", 5000, 0, "f87714afe8d43b0053a6541f411ced40f6ae3a79c3f0c88d409bf07c3701f557"),
-            ("metabolic", 5000, 1, "f25a1a21f1b1594a505bbc2eca1746fa805d6b23b3c2240b91f43a76cfefe450"),
-            ("metabolic", 5000, 2, "716172e29d8571c8ef8261731837ac584deb052d6972d773ac49969e06bc35ec"),
-        ],
-    )
+    @pytest.mark.parametrize("instance, steps, seed, digest", MH_PINS)
     def test_output_bytes_pinned(self, instance, steps, seed, digest):
         # The digests were taken from the kernel that recomputed every
         # swap-count delta by set intersection; the co-degree table must
         # reproduce its acceptance decisions, and so its samples, exactly.
-        H = parse_hypergraph(TOY) if instance == "toy" else metabolic_scale(101)
-        (S,) = run_chain(H, ChainConfig("degs-mh", steps, seed))
-        assert hashlib.sha256(format_hypergraph(S).encode()).hexdigest() == digest
+        assert sample_digest("degs-mh", pinned_instance(instance), steps, seed) == digest
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +680,18 @@ class TestRunChain:
         for S in samples:
             assert profile_key(to_bipartite(S)) == target
 
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            ("degs", "3cd47099b082731edd84810e255ff91f65fe8800622a75c8c3b638bf54bc3c4d"),
+            ("joint", "c25e3270d1913d5e0a442c7c3cd4a1853af932ccfe43da1397c590fa078ef86b"),
+        ],
+    )
+    def test_thinned_output_bytes_pinned(self, model, digest):
+        cfg = ChainConfig(model, steps=2000, seed=4, sample_count=3, thinning=500)
+        text = "".join(format_hypergraph(S) for S in run_chain(metabolic_scale(101), cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_auto_steps_resolution(self):
         H = parse_hypergraph(TOY)
         G = to_bipartite(H)
@@ -654,12 +703,59 @@ class TestRunChain:
         with pytest.raises(ValueError):
             ChainConfig(model="bogus", steps=1, seed=1, sample_count=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("steps", True), ("thinning", 2.5), ("thinning", True),
+         ("sample_count", 2.0), ("sample_count", True)],
+    )
+    def test_non_count_rejected(self, field, value):
+        # The kernels pass these counts straight to range().
+        fields = {"steps": 30, "sample_count": 3, "thinning": None, field: value}
+        with pytest.raises(ValueError, match=field):
+            ChainConfig(model="degs", seed=1, **fields)
+
     @pytest.mark.parametrize("thinning", [0, -3])
     def test_thinning_below_one_rejected(self, thinning):
         # Thinning 0 would emit the burn-in state again for every sample.
         with pytest.raises(ValueError, match="thinning"):
             ChainConfig(model="degs", steps=30, seed=1, sample_count=3, thinning=thinning)
         ChainConfig(model="degs", steps=30, seed=1, sample_count=3, thinning=1)
+
+
+def chain_snapshot(state):
+    G = state.graph
+    return (G.left_in, G.left_out, G.right_in, G.right_out, state.order,
+            state.co_degrees, state.swap_count, state.rng.getstate())
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("instance", ["toy", "metabolic"])
+    @pytest.mark.parametrize(
+        "model, step",
+        [("degs", nudhy_degs_step), ("joint", nudhy_joint_step), ("degs-mh", nudhy_degs_mh_step)],
+    )
+    @pytest.mark.parametrize("count", [0, 1, 2000])
+    def test_batch_equals_single_steps(self, instance, model, step, count):
+        H = pinned_instance(instance)
+        batched = make_chain_state(to_bipartite(H), seed=21, model=model)
+        stepped = make_chain_state(to_bipartite(H), seed=21, model=model)
+        applied = STEP_FUNCTIONS[model](batched, count)
+        assert applied == sum(step(stepped) for _ in range(count))
+        assert chain_snapshot(batched) == chain_snapshot(stepped)
+
+    @pytest.mark.parametrize("model", ["degs", "joint", "degs-mh"])
+    def test_chains_draw_only_from_random_and_getrandbits(self, monkeypatch, model):
+        # randrange, choice, sample and shuffle reduce getrandbits output by
+        # rules of their own; a chain that calls none of them keeps its
+        # samples' bytes however those rules change.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a chain step drew through a library reduction")
+
+        cases = [(pinned_instance(instance), *pin) for instance, *pin in PINS[model]]
+        for name in ("randrange", "choice", "sample", "shuffle"):
+            monkeypatch.setattr(random.Random, name, forbidden)
+        for H, steps, seed, digest in cases:
+            assert sample_digest(model, H, steps, seed) == digest
 
 
 class TestSeedDerivation:

@@ -21,12 +21,14 @@ from pathlib import Path
 import pytest
 
 from helpers import metabolic_scale
+from test_acceptance import contact_scale
 import hypernull.cli
 import hypernull.structure
 from hypernull.cli import RunManifest, _fmt, _load_samples, _parse_model_dirs, build_parser, main
 from hypernull.contagion import SISConfig
 from hypernull.core import (
     format_hypergraph,
+    format_undirected,
     merge_to_undirected,
     parse_hypergraph,
     parse_undirected,
@@ -716,6 +718,29 @@ class TestEcon:
 
 
 class TestContagion:
+    def test_contact_csv_bytes_pinned(self, tmp_path, capsys):
+        # The contact benchmark's pipeline at a smaller size: the contact-scale
+        # instance lifted to head = tail, one degs sample of it, and the
+        # quasi-stationary sweep over both.
+        contact, observed = tmp_path / "contact.hg", tmp_path / "observed.dhg"
+        samples, out = tmp_path / "degs", tmp_path / "sis.csv"
+        contact.write_text(format_undirected(contact_scale()), encoding="utf-8")
+        assert run(["convert", "--input", contact, "--to", "directed", "--output", observed]) == 0
+        assert run(["sample", "--input", observed, "--samples", 1, "--steps", 20000,
+                    "--seed", 5, "--output-dir", samples]) == 0
+        capsys.readouterr()
+        assert run(["contagion", "--input", observed, "--dataset", "lyon",
+                    "--samples", f"degs={samples}", "--nu", 1, "--nu", 2,
+                    "--lambda-grid", "0.03,0.06,0.12", "--method", "quasi-stationary",
+                    "--burn-in", 10, "--sample-count", 30, "--seed", 5, "--output", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b795520ed8b56a9b01ea705f50e73c5e91801f42533da6e244f1554772381c02"
+        )
+        assert capsys.readouterr().err == (
+            "warning: infected density is still drifting across the sampling "
+            "window; consider a longer burn-in\n"
+        )
+
     def test_exact_columns_and_zero_lambda(self, tmp_path, toy):
         out = tmp_path / "sis.csv"
         assert run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid",

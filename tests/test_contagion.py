@@ -10,10 +10,12 @@ waiting-time statistics against the analytic mean.
 import json
 import math
 import random
+import warnings
 
 import pytest
 
 from helpers import check_buckets
+from test_acceptance import contact_scale
 from hypernull.contagion import (
     DEFAULT_THRESHOLDS,
     SISConfig,
@@ -30,7 +32,9 @@ from hypernull.core import (
     Hyperedge,
     UndirectedHypergraph,
     merge_to_undirected,
+    undirected_to_directed,
 )
+from hypernull.sampling import ChainConfig, run_chain
 
 
 def undirected(edge_sets, num_nodes):
@@ -454,3 +458,92 @@ class TestStationarityWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             run_stationary(H, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Pinned runs on the contact-scale instance
+# ---------------------------------------------------------------------------
+
+# (graph, method, SISConfig fields over PIN_DEFAULTS, repr of (mean, std,
+# absorbed), whether the drift warning fires).  The graphs are the acceptance
+# suite's contact_scale(2024) and one degs sample of it lifted to head = tail
+# and merged back, as the contact benchmark runs them.  The quasi-stationary
+# runs on the observed graph at lambda 0.03 and 0.06 revive from the buffer;
+# the mu = 0 runs end frozen at full infection.
+PIN_DEFAULTS = {"burn_in": 10.0, "sample_count": 30}
+RUN_PINS = [
+    ("observed", "stationary", {"nu": 1.0, "lam": 0.03, "seed": 10}, "(0.0, 0.0, True)", False),
+    ("observed", "stationary", {"nu": 1.0, "lam": 0.06, "seed": 11}, "(0.0, 0.0, True)", False),
+    ("observed", "stationary", {"nu": 1.0, "lam": 0.12, "seed": 12},
+     "(0.4950617283950617, 0.03559373426529829, False)", True),
+    ("observed", "stationary", {"nu": 2.0, "lam": 0.03, "seed": 20}, "(0.0, 0.0, True)", False),
+    ("observed", "stationary", {"nu": 2.0, "lam": 0.06, "seed": 21}, "(0.0, 0.0, True)", False),
+    ("observed", "stationary", {"nu": 2.0, "lam": 0.12, "seed": 22},
+     "(0.6569272976680385, 0.031546788163686675, False)", False),
+    ("observed", "quasi-stationary", {"nu": 1.0, "lam": 0.03, "seed": 10},
+     "(0.007544581618655693, 0.004126641689023682, True)", True),
+    ("observed", "quasi-stationary", {"nu": 1.0, "lam": 0.06, "seed": 11},
+     "(0.03662551440329218, 0.033081744580258456, True)", True),
+    ("observed", "quasi-stationary", {"nu": 1.0, "lam": 0.12, "seed": 12},
+     "(0.4950617283950617, 0.03559373426529829, False)", True),
+    ("observed", "quasi-stationary", {"nu": 2.0, "lam": 0.03, "seed": 20},
+     "(0.00823045267489712, 0.006195659693078856, True)", True),
+    ("observed", "quasi-stationary", {"nu": 2.0, "lam": 0.06, "seed": 21},
+     "(0.11193415637860081, 0.06946001451220982, True)", True),
+    ("observed", "quasi-stationary", {"nu": 2.0, "lam": 0.12, "seed": 22},
+     "(0.6569272976680385, 0.031546788163686675, False)", False),
+    ("degs", "stationary", {"nu": 1.0, "lam": 0.03, "seed": 10},
+     "(0.629355281207133, 0.04143841981444159, False)", True),
+    ("degs", "stationary", {"nu": 1.0, "lam": 0.06, "seed": 11},
+     "(0.8078189300411522, 0.027072017842343556, False)", False),
+    ("degs", "stationary", {"nu": 1.0, "lam": 0.12, "seed": 12},
+     "(0.9075445816186557, 0.018850352138602904, False)", False),
+    ("degs", "stationary", {"nu": 2.0, "lam": 0.03, "seed": 20},
+     "(0.9042524005486968, 0.022886315761837188, False)", False),
+    ("degs", "stationary", {"nu": 2.0, "lam": 0.06, "seed": 21},
+     "(0.9513031550068587, 0.012665422025116177, False)", False),
+    ("degs", "stationary", {"nu": 2.0, "lam": 0.12, "seed": 22},
+     "(0.9810699588477366, 0.009944893805427632, False)", True),
+    ("degs", "quasi-stationary", {"nu": 1.0, "lam": 0.03, "seed": 10},
+     "(0.629355281207133, 0.04143841981444159, False)", True),
+    ("degs", "quasi-stationary", {"nu": 1.0, "lam": 0.06, "seed": 11},
+     "(0.8078189300411522, 0.027072017842343556, False)", False),
+    ("degs", "quasi-stationary", {"nu": 1.0, "lam": 0.12, "seed": 12},
+     "(0.9075445816186557, 0.018850352138602904, False)", False),
+    ("degs", "quasi-stationary", {"nu": 2.0, "lam": 0.03, "seed": 20},
+     "(0.9042524005486968, 0.022886315761837188, False)", False),
+    ("degs", "quasi-stationary", {"nu": 2.0, "lam": 0.06, "seed": 21},
+     "(0.9513031550068587, 0.012665422025116177, False)", False),
+    ("degs", "quasi-stationary", {"nu": 2.0, "lam": 0.12, "seed": 22},
+     "(0.9810699588477366, 0.009944893805427632, False)", True),
+    ("observed", "stationary",
+     {"nu": 1.0, "lam": 0.12, "mu": 0.0, "rho0": 0.05, "burn_in": 200.0, "seed": 3},
+     "(1.0, 0.0, False)", False),
+    ("observed", "quasi-stationary",
+     {"nu": 1.0, "lam": 0.12, "mu": 0.0, "rho0": 0.05, "burn_in": 200.0, "seed": 3},
+     "(1.0, 0.0, False)", False),
+]
+RUNNERS = {"stationary": run_stationary, "quasi-stationary": run_quasi_stationary}
+
+
+@pytest.fixture(scope="module")
+def pinned_graphs():
+    H = contact_scale()
+    lifted = run_chain(undirected_to_directed(H), ChainConfig(steps=20_000, seed=5))
+    return {"observed": H, "degs": merge_to_undirected(next(iter(lifted)))}
+
+
+def pinned_runs(graphs):
+    """(expected, got) reprs and (expected, got) warning flags of every pin."""
+    for graph, method, fields, expected, warns in RUN_PINS:
+        cfg = SISConfig(**{**PIN_DEFAULTS, **fields})
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            result = RUNNERS[method](graphs[graph], cfg)
+        yield (expected, warns), (repr(tuple(result)), bool(record))
+
+
+class TestPinnedRuns:
+    def test_results_pinned(self, pinned_graphs):
+        for expected, got in pinned_runs(pinned_graphs):
+            assert got == expected

@@ -24,6 +24,7 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import platform
 import statistics
 import sys
@@ -637,6 +638,45 @@ def _lambda_c_for(args, thresholds, nu: float):
 _SIS_FLAGS = ("mu", "rho0", "burn_in", "sample_count", "decorrelation", "qs_history_size", "snapshot_interval")
 
 
+def _sis_run(task):
+    """One contagion run: its StationaryResult, its wall seconds, and the
+    warnings it raised, recorded rather than shown."""
+    method, substrate, cfg = task
+    runner = run_stationary if method == "stationary" else run_quasi_stationary
+    started = time.perf_counter()
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        result = runner(substrate, cfg)
+    return result, time.perf_counter() - started, [record.message for record in raised]
+
+
+def _map_runs(tasks) -> tuple:
+    """(_sis_run of every task in task order, the worker count).
+
+    The runs are independent and each is seeded on its own, so they spread
+    over one forked process per usable CPU, at most one per run, and give the
+    same results for any worker count; with one worker they run in this
+    process.  No worker outlives the call."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    workers = max(1, min(cpus, len(tasks)))
+    if workers == 1:
+        return [_sis_run(task) for task in tasks], 1
+    import multiprocessing  # only a run over several workers pays its import
+
+    # fork, not spawn: this process runs no other thread (contagion imports
+    # no numpy), and a spawned worker would import and compile hypernull anew.
+    # On a failure, leaving the block terminates and joins the workers.
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        # imap raises the first failure in task order, as the loop above would.
+        results = list(pool.imap(_sis_run, tasks, chunksize=1))
+        pool.close()
+        pool.join()
+    return results, workers
+
+
 def cmd_contagion(args, manifest: RunManifest) -> int:
     if args.lambda_c is not None and args.thresholds is not None:
         raise ValueError("--lambda-c and --thresholds are exclusive")
@@ -653,10 +693,7 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
     grid = [float(x) for x in args.lambda_grid.split(",") if x.strip()]
     if not grid:
         raise ValueError("empty --lambda-grid")
-    runner = (
-        run_stationary if args.method == "stationary" else run_quasi_stationary
-    )
-    rows = []
+    cells, tasks = [], []
     samples = _load_samples(manifest, files, _undirected_substrate)
     for sampler, sample_id, substrate in itertools.chain(observed, samples):
         for nu in args.nu:
@@ -670,12 +707,17 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
                         args.seed, f"contagion:{sampler}:{sample_id}:{nu!r}", index
                     ),
                 )
-                result = runner(substrate, cfg)
                 rescaled = lam / lambda_c if lambda_c else None
-                rows.append((
-                    args.dataset, sampler, sample_id, nu, lam, rescaled,
-                    result.mean, result.std, args.method,
-                ))
+                cells.append((args.dataset, sampler, sample_id, nu, lam, rescaled))
+                tasks.append((args.method, substrate, cfg))
+    results, workers = _map_runs(tasks)
+    rows = []
+    for cell, (result, _, raised) in zip(cells, results):
+        for message in raised:  # in row order, as a run in this process shows them
+            warnings.warn(message)
+        rows.append((*cell, result.mean, result.std, args.method))
+    manifest.timings["runs_s"] = [seconds for _, seconds, _ in results]
+    manifest.timings["workers"] = workers
     header = (
         "dataset", "sampler", "sampleId", "nu", "lambda",
         "lambdaOverLambdaC", "rhoMean", "rhoStd", "method",

@@ -9,6 +9,8 @@ rates are precomputed (composition method: Slepoy, Thompson and Plimpton,
 J. Chem. Phys. 128, 2008; St-Onge et al., Comput. Phys. Commun. 240, 2019).
 A toggle moves each incident edge to the neighbouring class in O(1), and a
 draw scans the classes, O(#classes), then picks an edge uniformly inside one.
+One loop, _events, runs every event from one recording time to the next;
+gillespie_step is its one-event call.
 Stationary densities come either from a plain run, which stops at the
 absorbing state, or from the quasi-stationary method, which revives the
 chain from a buffer of recent snapshots whenever it absorbs and thereby
@@ -24,9 +26,11 @@ import statistics
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
 from hypernull.core import UndirectedHypergraph
+from hypernull.sampling import _randbelow
 
 # Fraction of the mean the two halves of the sample window may drift apart
 # before the burn-in adequacy warning fires.
@@ -193,12 +197,13 @@ class SISState:
         for index, c in enumerate(self.edge_class):
             self.slot.append(len(self.buckets[c]))
             self.buckets[c].append(index)
-        # Buckets change in place, so these references stay current.
-        self.live = [
-            (bucket, rate)
-            for bucket, rate in zip(self.buckets, self.class_rate)
-            if rate > 0.0
-        ]
+        # The classes of positive rate, in class order.  Buckets change in
+        # place, so these references stay current.
+        self.live_buckets, self.live_rates = [], []
+        for bucket, rate in zip(self.buckets, self.class_rate):
+            if rate > 0.0:
+                self.live_buckets.append(bucket)
+                self.live_rates.append(rate)
 
     def _edge_rate(self, infected, susceptible) -> float:
         if infected == 0 or susceptible == 0:
@@ -207,7 +212,7 @@ class SISState:
 
     def infection_rate(self) -> float:
         """Summed infection rate of all edges."""
-        return sum(len(bucket) * rate for bucket, rate in self.live)
+        return sum(map(mul, map(len, self.live_buckets), self.live_rates))
 
     def total_rate(self) -> float:
         return self.recovery_rate + self.infection_rate()
@@ -215,48 +220,71 @@ class SISState:
     def rho(self) -> float:
         return self.infected_count / self.num_nodes
 
-    def draw_event(self, rng: random.Random, total: float):
-        """Pick the next event proportionally to the current rates, given
-        total == total_rate(), without committing it; returns (kind, node)."""
-        target = rng.random() * total - self.recovery_rate
-        if target < 0.0:
-            return "recovery", self.infected_list[rng.randrange(self.infected_count)]
-        chosen = None
-        for bucket, rate in self.live:
-            if bucket:
-                chosen = bucket
-                mass = len(bucket) * rate
-                if target < mass:
-                    break
-                target -= mass
-        # Rounding can run the target past the last live class; the loop then
-        # ends on the last non-empty bucket, which is where it belongs.
-        edge = self.edges[chosen[rng.randrange(len(chosen))]]
-        susceptibles = [v for v in edge if not self.infected[v]]
-        return "infection", susceptibles[rng.randrange(len(susceptibles))]
 
-    def apply(self, kind: str, node: int):
-        """Commit a toggle and move every incident edge to its new class."""
-        if kind == "recovery":
-            self.infected[node] = 0
-            last = self.infected_list.pop()
-            slot = self.position[node]
+def make_sis_state(
+    H: UndirectedHypergraph, infected_nodes, cfg: SISConfig
+) -> SISState:
+    """State for H with the given nodes initially infected."""
+    return SISState(H.num_nodes, H.edges, cfg, infected_nodes)
+
+
+def _events(state: SISState, rng: random.Random, until: float):
+    """Run events until one ends at or after until and return it, or None as
+    soon as no event can fire (the absorbing state, or a fully frozen
+    configuration when mu == 0).
+
+    Each event takes an Exp(total rate) waiting time, computed as
+    expovariate computes it, then picks recovery or an infecting edge
+    proportionally to the rates, then a uniform infected node or a uniform
+    susceptible member of that edge (bounded draws through
+    sampling._randbelow), and moves every incident edge of the toggled node
+    to its neighbouring rate class."""
+    random, getrandbits, log = rng.random, rng.getrandbits, math.log
+    infection_rate, live_buckets, live_rates = state.infection_rate, state.live_buckets, state.live_rates
+    edges, incidence, infected = state.edges, state.incidence, state.infected
+    infected_list, position, mu = state.infected_list, state.position, state.mu
+    buckets, slots, edge_class = state.buckets, state.slot, state.edge_class
+    infected_per_edge, susceptible_per_edge = state.infected_per_edge, state.susceptible_per_edge
+    clock, count, recovery = state.clock, state.infected_count, state.recovery_rate
+    event = None
+    while True:
+        total = recovery + infection_rate()
+        if total <= 0.0:
+            break
+        clock += -log(1.0 - random()) / total
+        target = random() * total - recovery
+        if target < 0.0:
+            node = infected_list[_randbelow(getrandbits, count)]
+            infected[node] = 0
+            last = infected_list.pop()
             if last != node:
-                self.infected_list[slot] = last
-                self.position[last] = slot
-            self.position[node] = -1
-            self.infected_count -= 1
+                slot = position[node]
+                infected_list[slot] = last
+                position[last] = slot
+            position[node] = -1
+            count -= 1
             delta = -1
         else:
-            self.infected[node] = 1
-            self.position[node] = len(self.infected_list)
-            self.infected_list.append(node)
-            self.infected_count += 1
+            chosen = None
+            for bucket, rate in zip(live_buckets, live_rates):
+                if bucket:
+                    chosen = bucket
+                    mass = len(bucket) * rate
+                    if target < mass:
+                        break
+                    target -= mass
+            # Rounding can run the target past the last live class; the loop
+            # then ends on the last non-empty bucket, which is where it belongs.
+            edge = edges[chosen[_randbelow(getrandbits, len(chosen))]]
+            susceptibles = [v for v in edge if not infected[v]]
+            node = susceptibles[_randbelow(getrandbits, len(susceptibles))]
+            infected[node] = 1
+            position[node] = len(infected_list)
+            infected_list.append(node)
+            count += 1
             delta = 1
-        self.recovery_rate = self.mu * self.infected_count
-        buckets, slots, edge_class = self.buckets, self.slot, self.edge_class
-        infected, susceptible = self.infected_per_edge, self.susceptible_per_edge
-        for index in self.incidence[node]:
+        recovery = mu * count
+        for index in incidence[node]:
             c = edge_class[index]
             bucket = buckets[c]
             last = bucket.pop()
@@ -269,29 +297,19 @@ class SISState:
             bucket = buckets[c]
             slots[index] = len(bucket)
             bucket.append(index)
-            infected[index] += delta
-            susceptible[index] -= delta
-
-
-def make_sis_state(
-    H: UndirectedHypergraph, infected_nodes, cfg: SISConfig
-) -> SISState:
-    """State for H with the given nodes initially infected."""
-    return SISState(H.num_nodes, H.edges, cfg, infected_nodes)
+            infected_per_edge[index] += delta
+            susceptible_per_edge[index] -= delta
+        if clock >= until:
+            event = Event(clock, "recovery" if delta < 0 else "infection", node)
+            break
+    state.clock, state.infected_count, state.recovery_rate = clock, count, recovery
+    return event
 
 
 def gillespie_step(state: SISState, rng: random.Random):
-    """Advance one event: exponential waiting time at the total rate, event
-    choice proportional to the individual rates, incremental state update.
-    Returns the committed Event, or None when no event can fire (the
-    absorbing state, or a fully frozen configuration when mu == 0)."""
-    total = state.total_rate()
-    if total <= 0.0:
-        return None
-    state.clock += rng.expovariate(total)
-    kind, node = state.draw_event(rng, total)
-    state.apply(kind, node)
-    return Event(state.clock, kind, node)
+    """Advance one event (the event loop run up to the current clock).
+    Returns the committed Event, or None when no event can fire."""
+    return _events(state, rng, state.clock)
 
 
 def _initial_infected(num_nodes: int, rho0: float, rng: random.Random) -> list:
@@ -326,15 +344,14 @@ def _run(H: UndirectedHypergraph, cfg: SISConfig, quasi_stationary: bool):
     revived = False
     samples = []
     next_sample = cfg.burn_in + cfg.decorrelation
-    next_snapshot = cfg.snapshot_interval
+    next_snapshot = cfg.snapshot_interval if quasi_stationary else math.inf
     while len(samples) < cfg.sample_count:
-        rho = state.rho()
-        event = gillespie_step(state, rng)
+        event = _events(state, rng, min(next_sample, next_snapshot))
         if event is None:
             if state.infected_count > 0:
                 # mu == 0 with nothing left to infect: the configuration is
                 # frozen, so every remaining sample reads the same density.
-                samples.extend([rho] * (cfg.sample_count - len(samples)))
+                samples.extend([state.rho()] * (cfg.sample_count - len(samples)))
                 break
             if not quasi_stationary:
                 return StationaryResult(0.0, 0.0, True)
@@ -345,7 +362,9 @@ def _run(H: UndirectedHypergraph, cfg: SISConfig, quasi_stationary: bool):
             state.reset_infected(restored)
             continue
         # Every recording time before the event reads the state before it.
-        if quasi_stationary and next_snapshot <= event.time:
+        toggled = 1 if event.kind == "infection" else -1
+        rho = (state.infected_count - toggled) / state.num_nodes
+        if next_snapshot <= event.time:
             before = tuple(sorted(set(state.infected_list) ^ {event.node}))
             while next_snapshot <= event.time:
                 buffer.append(before)

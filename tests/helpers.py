@@ -50,7 +50,7 @@ def metabolic_scale(seed):
     return DirectedHypergraph(edges, n)
 
 
-def trade_like(seed, m=4600):
+def trade_scale(seed, m=4600):
     """Country x product hypergraph at the scale of the trade data: 133
     countries and one edge per product, exporters in the head and importers
     in the tail, side sizes exponential with means 16 and 20 (at least 1).
@@ -59,7 +59,8 @@ def trade_like(seed, m=4600):
     each product a complexity, both uniform on [0, 1], and a product's
     exporters are the countries of largest -5 |capability - complexity|
     plus Gumbel noise (a weighted draw without replacement).  Importers are
-    a uniform draw.
+    a uniform draw.  perfbench/instances.py's trade_like draws the same kind
+    of graph from numpy, so the two give different graphs for one seed.
     """
     rng = random.Random(seed)
     n = 133

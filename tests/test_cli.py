@@ -9,6 +9,7 @@ import gc
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -876,6 +877,53 @@ class TestContagion:
         )
         assert warnings.showwarning is showwarning
         assert warnings.filters == filters
+
+    def test_any_worker_count_gives_the_same_bytes(self, tmp_path, toy, sample_dir,
+                                                   capsys, monkeypatch):
+        # Recovery from full infection drifts, so runs warn; the CSV, the
+        # warning lines and the manifest (but for timings) must not depend on
+        # how many processes the runs were spread over.
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            (tmp_path / str(cpus)).mkdir()
+            out = tmp_path / str(cpus) / "sis.csv"
+            assert run(["contagion", "--input", toy, "--samples", f"degs={sample_dir}",
+                        "--nu", 1, "--nu", 2, "--lambda-grid", "0,0.3",
+                        "--method", "quasi-stationary", "--mu", 0.05, "--rho0", 1,
+                        "--burn-in", 0, "--sample-count", 40, "--seed", 14,
+                        "--output", out]) == 0
+            assert multiprocessing.active_children() == []
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+            timings = manifest.pop("timings")
+            assert timings["workers"] == cpus
+            assert len(timings["runs_s"]) == 16  # 4 graphs x 2 nu x 2 lambda
+            manifest["command"].remove(str(out))
+            outputs.append((out.read_bytes(), capsys.readouterr().err, manifest))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1] == (
+            "warning: infected density is still drifting across the sampling "
+            "window; consider a longer burn-in\n"
+        )
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_error_in_a_run_fails_cleanly(self, tmp_path, toy, capsys, monkeypatch, cpus):
+        def fails(substrate, cfg):
+            raise ValueError(f"no run at lambda {cfg.lam}")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(hypernull.cli, "run_stationary", fails)
+        out = tmp_path / "sis.csv"
+        code = run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid", "0.1,0.2,0.3",
+                    "--output", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no run at lambda 0.1\n"
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+        code = run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid", "0.1,0.2",
+                    "--rho0", 2, "--output", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: rho0 must lie in [0, 1], got 2.0\n"
 
     @pytest.mark.filterwarnings("ignore:infected density:RuntimeWarning")
     def test_sis_flags_at_their_defaults_change_nothing(self, tmp_path, toy):

@@ -10,7 +10,9 @@ waiting-time statistics against the analytic mean.
 import json
 import math
 import random
+import sys
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -186,7 +188,7 @@ class TestGillespieStep:
             check_buckets(state)
 
     def test_event_frequencies_match_analytic_rates(self):
-        # Frozen three-node state: edges {0,1}, {0,1,2}, {2}; node 0 infected;
+        # Three-node state: edges {0,1}, {0,1,2}, {2}; node 0 infected;
         # lam = 0.6, nu = 2, mu = 1.  Categories and analytic rates:
         #   recover node 0:          mu            = 1.0
         #   infect node 1 via {0,1}: 1 * 0.6 * 1^2 = 0.6
@@ -199,10 +201,11 @@ class TestGillespieStep:
         rng = random.Random(123)
         draws = 1_000_000
         counts = {("recovery", 0): 0, ("infection", 1): 0, ("infection", 2): 0}
-        total = state.total_rate()
+        assert state.total_rate() == pytest.approx(2.8)
         for _ in range(draws):
-            kind, node = state.draw_event(rng, total)
-            counts[(kind, node)] += 1
+            state.reset_infected([0])  # every event starts from the same state
+            event = gillespie_step(state, rng)
+            counts[(event.kind, event.node)] += 1
         expected = {
             ("recovery", 0): 1.0 / 2.8,
             ("infection", 1): 1.2 / 2.8,
@@ -213,7 +216,7 @@ class TestGillespieStep:
             assert abs(counts[key] / draws - p) < 4 * sigma
 
     def test_event_frequencies_with_shared_classes(self):
-        # Frozen five-node state, nodes 0 and 4 infected, lam = 0.5, nu = 2,
+        # Five-node state, nodes 0 and 4 infected, lam = 0.5, nu = 2,
         # mu = 1.  Edges, classes (|e|, i) and rates s * lam * i**nu:
         #   {0,1} twice, {0,2}: (2, 1), 1 * 0.5 * 1 = 0.5 each
         #   {0,2,3}:            (3, 1), 2 * 0.5 * 1 = 1.0, split over 2 and 3
@@ -241,7 +244,9 @@ class TestGillespieStep:
             0,
         )
         for _ in range(draws):
-            counts[state.draw_event(rng, total)] += 1
+            state.reset_infected([0, 4])  # every event starts from the same state
+            event = gillespie_step(state, rng)
+            counts[(event.kind, event.node)] += 1
         expected = {
             ("recovery", 0): 1.0 / 8,
             ("recovery", 4): 1.0 / 8,
@@ -547,3 +552,27 @@ class TestPinnedRuns:
     def test_results_pinned(self, pinned_graphs):
         for expected, got in pinned_runs(pinned_graphs):
             assert got == expected
+
+    def test_runs_draw_only_from_random_and_getrandbits(self, pinned_graphs, monkeypatch):
+        # randrange and shuffle reduce getrandbits output by rules of their
+        # own; the event loop calls neither, so the pins hold however those
+        # rules change.  sample draws each run's initial infected set and
+        # choice each quasi-stationary revival's snapshot, and nothing else.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an SIS event drew through a library reduction")
+
+        def counted(method):
+            def wrapper(self, *args, **kwargs):
+                callers[method.__name__, sys._getframe(1).f_code.co_name] += 1
+                return method(self, *args, **kwargs)
+            return wrapper
+
+        callers = Counter()
+        for name in ("randrange", "shuffle"):
+            monkeypatch.setattr(random.Random, name, forbidden)
+        for name in ("sample", "choice"):
+            monkeypatch.setattr(random.Random, name, counted(getattr(random.Random, name)))
+        for expected, got in pinned_runs(pinned_graphs):
+            assert got == expected
+        assert callers.keys() == {("sample", "_initial_infected"), ("choice", "_run")}
+        assert callers["sample", "_initial_infected"] == len(RUN_PINS)

@@ -15,7 +15,7 @@ import warnings
 import pytest
 from scipy import stats
 
-from helpers import kendall_tau_reference, metabolic_scale, mine_top_frequent_reference, trade_like
+from helpers import kendall_tau_reference, metabolic_scale, mine_top_frequent_reference, trade_scale
 from hypernull.core import SIDES, parse_hypergraph, to_bipartite
 from hypernull.diagnostics import (
     _mine_at_threshold,
@@ -225,7 +225,7 @@ class TestMineAgainstReference:
         assert mine_top_frequent(db, f, l) == mine_top_frequent_reference(db, f, l)
 
     def test_trade_scale_head(self):
-        db = transaction_db(trade_like(2024), "head")
+        db = transaction_db(trade_scale(2024), "head")
         assert mine_top_frequent(db, 20, 3) == mine_top_frequent_reference(db, 20, 3)
 
 

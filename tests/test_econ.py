@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import kendall_tau_reference, trade_like
+from helpers import kendall_tau_reference, trade_scale
 from hypernull import econ
 from hypernull.core import DirectedHypergraph, Hyperedge
 from hypernull.diagnostics import kendall_tau, spearman
@@ -635,7 +635,7 @@ class TestRankCompare:
             rank_compare({"eci": (1.0, 2.0)}, {"degs": {"fitness": [(1.0, 2.0)]}})
 
     def test_rows_match_the_merge_sort_kendall_on_trade_scores(self, monkeypatch):
-        scores = complexity_scores(hypergraph_biadjacency(trade_like(2024)))
+        scores = complexity_scores(hypergraph_biadjacency(trade_scale(2024)))
         observed = {"eci": scores.eci, "fitness": scores.fitness, "genepy": scores.genepy}
         rng = random.Random(29)
 

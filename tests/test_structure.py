@@ -22,7 +22,7 @@ from helpers import (
     metabolic_scale,
     random_hypergraph,
     reciprocal_candidates,
-    trade_like,
+    trade_scale,
 )
 from hypernull import structure
 from hypernull.core import (
@@ -387,7 +387,7 @@ class TestHyperCoreMatchesReference:
 
     @pytest.mark.parametrize("side", ["head", "tail"])
     def test_trade_like_prefix(self, side):
-        T = trade_like(2024)
+        T = trade_scale(2024)
         H = DirectedHypergraph(T.edges[:60], T.num_nodes)
         assert hyper_core_decomposition(H, side).shells == core_shells_reference(H, side)
 
@@ -395,7 +395,7 @@ class TestHyperCoreMatchesReference:
         # 300 products, mean head size ~15, edges of up to 146 nodes: the
         # reference's full re-scans take seconds here, the incremental peel
         # about a tenth of a second.
-        H = trade_like(7, m=300)
+        H = trade_scale(7, m=300)
         assert hyper_core_decomposition(H, "head").shells == core_shells_reference(H, "head")
 
 

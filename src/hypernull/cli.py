@@ -24,6 +24,7 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import os
 import platform
 import statistics
@@ -680,6 +681,8 @@ def _map_runs(tasks) -> tuple:
 def cmd_contagion(args, manifest: RunManifest) -> int:
     if args.lambda_c is not None and args.thresholds is not None:
         raise ValueError("--lambda-c and --thresholds are exclusive")
+    if args.lambda_c is not None and not (math.isfinite(args.lambda_c) and args.lambda_c > 0):
+        raise ValueError(f"--lambda-c must be finite and > 0, got {args.lambda_c}")
     if args.dataset is None:
         args.dataset = Path(args.input).stem
     settings = {key: getattr(args, key) for key in _SIS_FLAGS if getattr(args, key) is not None}

@@ -67,17 +67,16 @@ def load_thresholds(text=None) -> dict:
         if not isinstance(entry, dict):
             raise ValueError(f"thresholds entry {name!r} must be a JSON object, not {type(entry).__name__}")
         try:
-            merged[name] = Thresholds(
-                float(entry["lambda_c_linear"]),
-                float(entry["lambda_c_superlinear"]),
-                float(entry["nu_c"]),
-            )
+            values = [float(entry[key]) for key in ("lambda_c_linear", "lambda_c_superlinear", "nu_c")]
         except KeyError as missing:
             raise ValueError(
                 f"thresholds entry {name!r} is missing key {missing}"
             ) from None
-        except TypeError as exc:  # a value that is not a number, such as null
+        except (TypeError, ValueError) as exc:  # a value that is not a number, such as null or "abc"
             raise ValueError(f"thresholds entry {name!r}: {exc}") from None
+        if not all(math.isfinite(value) and value > 0 for value in values):
+            raise ValueError(f"thresholds entry {name!r}: values must be finite and > 0, got {values}")
+        merged[name] = Thresholds(*values)
     return merged
 
 
@@ -107,12 +106,12 @@ class SISConfig:
             raise ValueError(f"rho0 must lie in [0, 1], got {self.rho0}")
         if self.burn_in < 0:
             raise ValueError("burn-in must be >= 0")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        if type(self.sample_count) is not int or self.sample_count < 1:
+            raise ValueError("sample_count must be a positive integer")
         if self.decorrelation <= 0:
             raise ValueError("decorrelation period must be > 0")
-        if self.qs_history_size < 1:
-            raise ValueError("qs_history_size must be >= 1")
+        if type(self.qs_history_size) is not int or self.qs_history_size < 1:
+            raise ValueError("qs_history_size must be a positive integer")
         if self.snapshot_interval <= 0:
             raise ValueError("snapshot interval must be > 0")
 
@@ -136,17 +135,18 @@ class StationaryResult(NamedTuple):
 
 
 class SISState:
-    """Dynamic state of one simulation: infected set, per-edge infected and
-    susceptible counts, and the edges grouped by rate class.
+    """Dynamic state of one simulation: the infected set and the edges
+    grouped by rate class.
 
     An edge's infection rate s_e * lam * i_e**nu depends only on its class
     (|e|, i_e), numbered class_base[|e|] + i_e, whose rate is precomputed in
-    class_rate.  buckets[c] lists the edges of class c and slot[e] is e's
-    index in its bucket.  Invariants after every event:
-    infected_per_edge[e] + susceptible_per_edge[e] == |e|, edge e sits at
-    buckets[edge_class[e]][slot[e]] with edge_class[e] == class_base[|e|] +
-    infected_per_edge[e], and recovery_rate == mu * infected_count.  Every
-    counter is an integer, so nothing drifts over a run.
+    class_rate; edge_class[e] holds that number, so it carries i_e.
+    buckets[c] lists the edges of class c and slot[e] is e's index in its
+    bucket.  Invariants after every event: edge_class[e] - class_base[|e|]
+    equals the number of infected members of e, edge e sits at
+    buckets[edge_class[e]][slot[e]], and recovery_rate == mu *
+    infected_count.  Every counter is an integer, so nothing drifts over a
+    run.
     """
 
     def __init__(self, num_nodes, edges, cfg: SISConfig, infected_nodes=()):
@@ -167,36 +167,7 @@ class SISState:
             self.class_rate.extend(
                 self._edge_rate(i, size - i) for i in range(size + 1)
             )
-        self.clock = 0.0
-        self.reset_infected(infected_nodes)
-
-    def reset_infected(self, infected_nodes):
-        """Reinitialize the infected set and rebuild every derived counter."""
-        self.infected = bytearray(self.num_nodes)
-        self.infected_list = []
-        self.position = [-1] * self.num_nodes
-        for v in infected_nodes:
-            if not self.infected[v]:
-                self.infected[v] = 1
-                self.position[v] = len(self.infected_list)
-                self.infected_list.append(v)
-        self.infected_count = len(self.infected_list)
-        self.recovery_rate = self.mu * self.infected_count
-        self.infected_per_edge = [
-            sum(self.infected[v] for v in edge) for edge in self.edges
-        ]
-        self.susceptible_per_edge = [
-            len(edge) - i for edge, i in zip(self.edges, self.infected_per_edge)
-        ]
-        self.edge_class = [
-            self.class_base[len(edge)] + i
-            for edge, i in zip(self.edges, self.infected_per_edge)
-        ]
         self.buckets = [[] for _ in self.class_rate]
-        self.slot = []
-        for index, c in enumerate(self.edge_class):
-            self.slot.append(len(self.buckets[c]))
-            self.buckets[c].append(index)
         # The classes of positive rate, in class order.  Buckets change in
         # place, so these references stay current.
         self.live_buckets, self.live_rates = [], []
@@ -204,6 +175,32 @@ class SISState:
             if rate > 0.0:
                 self.live_buckets.append(bucket)
                 self.live_rates.append(rate)
+        self.clock = 0.0
+        self.reset_infected(infected_nodes)
+
+    def reset_infected(self, infected_nodes):
+        """Reinitialize the infected set and every derived counter.  The
+        buckets are emptied in place and refilled in edge order, as a fresh
+        state holds them."""
+        infected = self.infected = bytearray(self.num_nodes)
+        infected_list = self.infected_list = []
+        position = self.position = [-1] * self.num_nodes
+        edge_class = self.edge_class = [self.class_base[len(edge)] for edge in self.edges]
+        for v in infected_nodes:
+            if not infected[v]:
+                infected[v] = 1
+                position[v] = len(infected_list)
+                infected_list.append(v)
+                for index in self.incidence[v]:
+                    edge_class[index] += 1
+        self.infected_count = len(infected_list)
+        self.recovery_rate = self.mu * self.infected_count
+        for bucket in self.buckets:
+            bucket.clear()
+        self.slot = []
+        for index, c in enumerate(edge_class):
+            self.slot.append(len(self.buckets[c]))
+            self.buckets[c].append(index)
 
     def _edge_rate(self, infected, susceptible) -> float:
         if infected == 0 or susceptible == 0:
@@ -244,7 +241,6 @@ def _events(state: SISState, rng: random.Random, until: float):
     edges, incidence, infected = state.edges, state.incidence, state.infected
     infected_list, position, mu = state.infected_list, state.position, state.mu
     buckets, slots, edge_class = state.buckets, state.slot, state.edge_class
-    infected_per_edge, susceptible_per_edge = state.infected_per_edge, state.susceptible_per_edge
     clock, count, recovery = state.clock, state.infected_count, state.recovery_rate
     event = None
     while True:
@@ -297,8 +293,6 @@ def _events(state: SISState, rng: random.Random, until: float):
             bucket = buckets[c]
             slots[index] = len(bucket)
             bucket.append(index)
-            infected_per_edge[index] += delta
-            susceptible_per_edge[index] -= delta
         if clock >= until:
             event = Event(clock, "recovery" if delta < 0 else "infection", node)
             break

@@ -177,7 +177,6 @@ class Slice:
     sources lists the (side, pair source) routes a chain step may take.
     """
 
-    direction: int
     views: tuple
     sources: tuple = ()
 
@@ -204,7 +203,7 @@ def _slices(G: BipartiteDigraph, model: str) -> dict:
             )
         else:
             sources = ()
-        slices[direction] = Slice(direction, views, sources)
+        slices[direction] = Slice(views, sources)
     return slices
 
 

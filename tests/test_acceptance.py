@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import metabolic_scale, random_hypergraph, thinned_visits
+from helpers import check_buckets, metabolic_scale, random_hypergraph, thinned_visits
 from hypernull.cli import main
 from hypernull.contagion import (
     DEFAULT_THRESHOLDS,
@@ -660,12 +660,9 @@ class TestContagionBehavior:
                 break
             for index, members in enumerate(state.edges):
                 infected = sum(1 for v in members if state.infected[v])
-                assert state.infected_per_edge[index] == infected
-                assert (
-                    state.infected_per_edge[index]
-                    + state.susceptible_per_edge[index]
-                    == len(members)
-                )
+                offset = state.edge_class[index] - state.class_base[len(members)]
+                assert offset == infected
+            check_buckets(state)
 
     def test_zero_rate_always_absorbs_at_zero_density(self):
         H = contact_scale()

@@ -855,8 +855,11 @@ class TestContagion:
                     "--sample-count", 5, *flag, "--output", out]) == 0
 
     @pytest.mark.parametrize("flag", [["--lambda-grid", "inf"], ["--lambda-grid", "nan"],
-                                      ["--mu", "nan"], ["--nu", "nan"]],
-                             ids=["lambda-inf", "lambda-nan", "mu-nan", "nu-nan"])
+                                      ["--mu", "nan"], ["--nu", "nan"],
+                                      ["--lambda-c", "nan"], ["--lambda-c", "inf"],
+                                      ["--lambda-c", "0"], ["--lambda-c", "-1"]],
+                             ids=["lambda-inf", "lambda-nan", "mu-nan", "nu-nan", "lambda-c-nan",
+                                  "lambda-c-inf", "lambda-c-zero", "lambda-c-negative"])
     def test_non_finite_parameters_fail_cleanly(self, tmp_path, toy, capsys, flag):
         out = tmp_path / "sis.csv"
         code = run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid", "0.3",
@@ -961,7 +964,13 @@ class TestContagion:
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", "thresholds must be a JSON object, not list"),
         ('{"toy": 1}', "thresholds entry 'toy' must be a JSON object, not int"),
-    ], ids=["array", "number-entry"])
+        ('{"toy": {"lambda_c_linear": "abc", "lambda_c_superlinear": 1, "nu_c": 2}}',
+         "thresholds entry 'toy': could not convert string to float: 'abc'"),
+        ('{"toy": {"lambda_c_linear": NaN, "lambda_c_superlinear": 1, "nu_c": 2}}',
+         "thresholds entry 'toy': values must be finite and > 0, got [nan, 1.0, 2.0]"),
+        ('{"toy": {"lambda_c_linear": -1, "lambda_c_superlinear": 1, "nu_c": 2}}',
+         "thresholds entry 'toy': values must be finite and > 0, got [-1.0, 1.0, 2.0]"),
+    ], ids=["array", "number-entry", "string-value", "nan-value", "negative-value"])
     def test_thresholds_of_the_wrong_shape_fail_cleanly(self, tmp_path, toy, capsys,
                                                          text, message):
         path = tmp_path / "thresholds.json"

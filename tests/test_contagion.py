@@ -59,6 +59,11 @@ def recount_infected(state, edges):
     return [sum(1 for v in e if state.infected[v]) for e in edges]
 
 
+def class_offsets(state):
+    """Each edge's infected count as its rate class records it."""
+    return [c - state.class_base[len(e)] for e, c in zip(state.edges, state.edge_class)]
+
+
 def edge_rates(state, lam, nu, edges):
     """Per-edge rates recomputed from scratch: s_e * lam * i_e**nu."""
     counts = recount_infected(state, edges)
@@ -99,6 +104,11 @@ class TestSISConfig:
                 for field in ("lam", "nu", "mu", "burn_in", "decorrelation", "snapshot_interval")
                 for value in (math.nan, math.inf)
             ),
+            *(
+                {"lam": 0.1, "nu": 1.0, field: value}
+                for field in ("sample_count", "qs_history_size")
+                for value in (2.5, 1.0, True, "3")
+            ),
         ],
     )
     def test_validation(self, kwargs):
@@ -116,8 +126,12 @@ class TestStateConstruction:
         cfg = SISConfig(lam=0.6, nu=2.0)
         state = make_sis_state(H, [0], cfg)
         assert state.infected_count == 1
-        assert list(state.infected_per_edge) == [1, 1, 0]
-        assert list(state.susceptible_per_edge) == [1, 2, 1]
+        # Classes (|e|, i) number from class_base[|e|]: sizes 1, 2, 3 start
+        # at 0, 2, 5, so the classes are (2, 1) = 3, (3, 1) = 6, (1, 0) = 0.
+        assert state.class_base == {1: 0, 2: 2, 3: 5}
+        assert state.edge_class == [3, 6, 0]
+        assert class_offsets(state) == [1, 1, 0]
+        assert [state.class_rate[c] for c in state.edge_class] == pytest.approx([0.6, 1.2, 0.0])
         assert state.infection_rate() == pytest.approx(1.8)
         assert state.recovery_rate == pytest.approx(1.0)
         assert state.total_rate() == pytest.approx(2.8)
@@ -173,12 +187,7 @@ class TestGillespieStep:
             assert event is not None
             assert event.kind in ("infection", "recovery")
             assert event.time == state.clock
-            expected_i = recount_infected(state, sorted_edges)
-            assert list(state.infected_per_edge) == expected_i
-            for e, i, s in zip(
-                sorted_edges, state.infected_per_edge, state.susceptible_per_edge
-            ):
-                assert i + s == len(e)
+            assert class_offsets(state) == recount_infected(state, sorted_edges)
             expected_rates = edge_rates(state, 0.8, 1.7, sorted_edges)
             assert state.infection_rate() == pytest.approx(
                 math.fsum(expected_rates), abs=1e-9
@@ -186,6 +195,31 @@ class TestGillespieStep:
             assert state.recovery_rate == pytest.approx(state.infected_count)
             assert 0.0 <= state.rho() <= 1.0
             check_buckets(state)
+
+    def test_reset_refills_the_buckets_in_place(self):
+        # A quasi-stationary revival resets a state that has run for a while;
+        # it must leave what a fresh build gives, bucket order included, with
+        # the live-class lists still holding the very bucket objects.
+        rng = random.Random(83)
+        H = random_undirected(rng, num_nodes=15, num_edges=30, max_size=5)
+        cfg = SISConfig(lam=0.8, nu=1.7)
+        state = make_sis_state(H, rng.sample(range(15), 5), cfg)
+        positive = [bucket for bucket, rate in zip(state.buckets, state.class_rate) if rate > 0.0]
+        assert state.live_buckets == positive
+        event_rng = random.Random(13)
+        for _ in range(300):
+            assert gillespie_step(state, event_rng) is not None
+        restored = tuple(sorted(rng.sample(range(15), 6)))
+        state.reset_infected(restored)
+        fresh = make_sis_state(H, restored, cfg)
+        assert state.edge_class == fresh.edge_class
+        assert state.slot == fresh.slot
+        assert state.buckets == fresh.buckets
+        assert state.infected_list == fresh.infected_list
+        assert state.total_rate() == fresh.total_rate()
+        assert len(state.live_buckets) == len(positive)
+        assert all(live is bucket for live, bucket in zip(state.live_buckets, positive))
+        check_buckets(state)
 
     def test_event_frequencies_match_analytic_rates(self):
         # Three-node state: edges {0,1}, {0,1,2}, {2}; node 0 infected;
@@ -417,7 +451,18 @@ class TestThresholds:
         ('{"toy": 1}', "thresholds entry 'toy' must be a JSON object, not int"),
         ('{"toy": {"lambda_c_linear": null, "lambda_c_superlinear": 1, "nu_c": 2}}',
          "thresholds entry 'toy': float() argument must be a string or a real number"),
-    ], ids=["array", "number-entry", "null-value"])
+        ('{"toy": {"lambda_c_linear": "abc", "lambda_c_superlinear": 1, "nu_c": 2}}',
+         "thresholds entry 'toy': could not convert string to float: 'abc'"),
+        ('{"toy": {"lambda_c_linear": NaN, "lambda_c_superlinear": 1, "nu_c": 2}}',
+         "thresholds entry 'toy': values must be finite and > 0"),
+        ('{"toy": {"lambda_c_linear": 1, "lambda_c_superlinear": Infinity, "nu_c": 2}}',
+         "thresholds entry 'toy': values must be finite and > 0"),
+        ('{"toy": {"lambda_c_linear": -1, "lambda_c_superlinear": 1, "nu_c": 2}}',
+         "thresholds entry 'toy': values must be finite and > 0"),
+        ('{"toy": {"lambda_c_linear": 1, "lambda_c_superlinear": 1, "nu_c": 0}}',
+         "thresholds entry 'toy': values must be finite and > 0"),
+    ], ids=["array", "number-entry", "null-value", "string-value", "nan-value",
+            "infinite-value", "negative-value", "zero-value"])
     def test_load_rejects_json_of_the_wrong_shape(self, text, message):
         with pytest.raises(ValueError) as err:
             load_thresholds(text)

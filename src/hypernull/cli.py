@@ -14,6 +14,11 @@ Every comparison of the observed hypergraph with its samples goes through one
 reducer, _reduce: a subcommand computes one statistic per row on each
 hypergraph, and each row reports the observed value with the mean, standard
 deviation and observed/mean ratio of the defined sample values.
+
+Every subcommand that measures several graphs runs one task per graph (per
+run for contagion, per chain for an unthinned sample) through one ordered
+map, _map, over forked workers: one per usable CPU, results in task order.
+main() pins BLAS to one thread, so no output depends on the CPU count.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import argparse
 import csv
 import gc
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -62,15 +66,16 @@ from hypernull.econ import (
     rank_compare,
     trade_to_hypergraph,
 )
-from hypernull.sampling import MODELS, STEP_FUNCTIONS, ChainConfig, derive_seed, run_chain
+from hypernull.sampling import MODELS, STEP_FUNCTIONS, ChainConfig, Chains, derive_seed
 from hypernull.structure import (
     hits,
     hyper_core_decomposition,
     hypergraph_reciprocity,
     laplacian_spectrum,
+    node_groups,
     pagerank,
+    presence_entropy,
     project_weighted,
-    structural_entropy,
 )
 
 
@@ -116,11 +121,9 @@ def _reduce(observed, values):
     return mean, statistics.pstdev(defined), ratio
 
 
-def _compare(measure, H, samples) -> list:
-    """(key, observed, mean, std, ratio) for each key of measure(H), a dict
-    of one hypergraph's values, reduced over the same key of every sample."""
-    observed = measure(H)
-    sampled = [measure(S) for S in samples]
+def _compare(observed: dict, sampled: list) -> list:
+    """(key, observed, mean, std, ratio) for each key of observed, one
+    hypergraph's values, reduced over the same key of every sample's."""
     return [
         (key, value, *_reduce(value, [s[key] for s in sampled]))
         for key, value in observed.items()
@@ -193,15 +196,104 @@ def _parse_model_dirs(entries) -> dict:
     return out
 
 
-def _load_samples(manifest, files_by_model: dict, parse=parse_hypergraph):
-    """Yield (model, index, graph) for each file of {model: _sample_files()},
-    parsing the bytes the run records; a file off its listed sha256 fails."""
-    for model, files in files_by_model.items():
-        for index, (path, digest, listing) in enumerate(files):
-            text = manifest.read(path)
-            if listing is not None and manifest.inputs[str(path)] != digest:
-                raise ValueError(f"{path} differs from its sha256 in {listing}")
-            yield model, index, parse(text)
+def _read_sample(path, digest, listing, parse=parse_hypergraph) -> tuple:
+    """(graph, sha256) of one file of _sample_files(), parsed from the bytes
+    whose sha256 it returns; a file off its listed sha256 fails."""
+    data = Path(path).read_bytes()
+    sha256 = _sha256(data)
+    if listing is not None and sha256 != digest:
+        raise ValueError(f"{path} differs from its sha256 in {listing}")
+    return parse(data.decode("utf-8")), sha256
+
+
+def _timed(fn, task) -> tuple:
+    """fn(task), its wall seconds, and the warnings it raised, recorded
+    rather than shown."""
+    started = time.perf_counter()
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        result = fn(task)
+    return result, time.perf_counter() - started, [record.message for record in raised]
+
+
+# The function of a forked worker's calls, set in the worker as it starts.
+# The fork hands it over with the rest of this process, so it is never
+# pickled and may close over graphs held here.
+_worker_fn = None
+
+
+def _start_worker(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _worker_call(task) -> tuple:
+    return _timed(_worker_fn, task)
+
+
+def _map(fn, tasks) -> tuple:
+    """(fn(task) for each task, each call's wall seconds, the worker count).
+
+    The calls are independent, so they spread over one forked process per
+    usable CPU, at most one per task; with one worker, or on a platform
+    without fork, they run in this process.  Only tasks and results are pickled.  The first failure in task
+    order is raised, as a loop over the tasks would raise it; otherwise the
+    warnings of every call are issued again here, in task order.  So no
+    output depends on the worker count.  No worker outlives the call.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    workers = max(1, min(cpus, len(tasks))) if hasattr(os, "fork") else 1
+    if workers == 1:
+        runs = [_timed(fn, task) for task in tasks]
+    else:
+        import multiprocessing  # only a map over several workers pays its import
+
+        # fork, not spawn: a spawned worker would import hypernull anew and
+        # could not run a closure.  main() pins BLAS to one thread, so this
+        # process runs no other thread.  On a failure, leaving the block
+        # terminates and joins the workers.
+        context = multiprocessing.get_context("fork")
+        with context.Pool(workers, initializer=_start_worker, initargs=(fn,)) as pool:
+            runs = list(pool.imap(_worker_call, tasks, chunksize=1))
+            pool.close()
+            pool.join()
+    for _, _, raised in runs:
+        for message in raised:
+            warnings.warn(message)
+    return [result for result, _, _ in runs], [seconds for _, seconds, _ in runs], workers
+
+
+def _measure(manifest, measure, observed, files: dict) -> tuple:
+    """(measure(observed, None), {model: [measure(S, model) for each sample S
+    of files[model]]}), files being {model: _sample_files()}.
+
+    Each graph is one task of _map: the observed one, held here (None skips
+    it), then the samples in order.  A sample's task reads its file, checks
+    it against its listed sha256 and parses it, so this process never holds
+    a sample; manifest.inputs records the sha256 it read.  timings gains
+    graphs_s and workers.
+    """
+    tasks = [(model, *file) for model, listed in files.items() for file in listed]
+
+    def job(task):
+        if task is None:
+            return measure(observed, None), None
+        model, *file = task
+        S, sha256 = _read_sample(*file)
+        return measure(S, model), sha256
+
+    results, manifest.timings["graphs_s"], manifest.timings["workers"] = _map(
+        job, [None] * (observed is not None) + tasks
+    )
+    value = results.pop(0)[0] if observed is not None else None
+    sampled = {model: [] for model in files}
+    for (model, path, _, _), (values, sha256) in zip(tasks, results):
+        manifest.inputs[str(path)] = sha256
+        sampled[model].append(values)
+    return value, sampled
 
 
 def _versions() -> dict:
@@ -343,6 +435,11 @@ def _first_difference(expected: str, found: str) -> tuple:
     return where, *sides
 
 
+class _Unverified(Exception):
+    """A written sample whose invariant differs from the observed graph's;
+    its args are the lines that report it."""
+
+
 def cmd_sample(args, manifest: RunManifest) -> int:
     if args.model == "null" and (args.steps != "auto" or args.thinning is not None):
         raise ValueError("--steps and --thinning do not apply to --model null")
@@ -361,8 +458,9 @@ def cmd_sample(args, manifest: RunManifest) -> int:
     expected_sha256 = _sha256(_invariant_text(expected).encode())
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = []
-    for index, sample in enumerate(run_chain(H, config)):
+
+    def verified(index, sample) -> dict:
+        """Write sample `index`, read it back and check its invariant."""
         path = out_dir / f"sample_{index}.dhg"
         path.write_text(format_hypergraph(sample), encoding="utf-8")
         data = path.read_bytes()
@@ -370,13 +468,24 @@ def cmd_sample(args, manifest: RunManifest) -> int:
         if written != expected:
             texts = _invariant_text(expected), _invariant_text(written)
             where, *entries = _first_difference(*texts)
-            print(f"invariant verification failed for {path}", file=sys.stderr)
-            for label, text, entry in zip(("expected:", "found:   "), texts, entries):
-                print(f"{label} sha256 {_sha256(text.encode())}, entry{where} = {json.dumps(entry)}", file=sys.stderr)
-            return 1
-        records.append(
-            {"file": path.name, "sha256": _sha256(data), "invariant_sha256": expected_sha256}
-        )
+            raise _Unverified(f"invariant verification failed for {path}", *(
+                f"{label} sha256 {_sha256(text.encode())}, entry{where} = {json.dumps(entry)}"
+                for label, text, entry in zip(("expected:", "found:   "), texts, entries)
+            ))
+        return {"file": path.name, "sha256": _sha256(data), "invariant_sha256": expected_sha256}
+
+    chains = Chains(H, config)
+    try:
+        if chains.independent:  # each sample has its own chain: one task each
+            records, manifest.timings["samples_s"], manifest.timings["workers"] = _map(
+                lambda index: verified(index, chains.draw(index)), range(args.samples)
+            )
+        else:  # one thinned chain
+            records = [verified(index, sample) for index, sample in enumerate(chains.run())]
+    except _Unverified as failure:
+        for line in failure.args:
+            print(line, file=sys.stderr)
+        return 1
     manifest.invariants["model"] = args.model
     manifest.invariants["samples"] = records
     manifest.destination = out_dir / "manifest.json"
@@ -413,31 +522,36 @@ def cmd_converge(args, manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _metric_reciprocity(args, H, samples):
-    observed = hypergraph_reciprocity(H).value
-    values = [hypergraph_reciprocity(S).value for S in samples]
+# Each metric takes (args, H, ensemble) and returns (header, rows), where
+# ensemble(measure) is (measure(H), [measure(S) for each sample S]) and
+# ensemble(measure, observed=False) leaves H out.
+
+
+def _metric_reciprocity(args, H, ensemble):
+    observed, values = ensemble(lambda G: hypergraph_reciprocity(G).value)
     mean, std, ratio = _reduce(observed, values)
     header = ("observed", "sample_mean", "sample_std", "samples", "ratio")
     return header, [(observed, mean, std, len(values), ratio)]
 
 
-def _metric_coreness(args, H, samples):
-    rows = _compare(
-        lambda G: dict(enumerate(hyper_core_decomposition(G, args.side).hypercoreness)),
-        H,
-        samples,
-    )
+def _metric_coreness(args, H, ensemble):
+    rows = _compare(*ensemble(
+        lambda G: dict(enumerate(hyper_core_decomposition(G, args.side).hypercoreness))
+    ))
     header = ("node", "observed", "sample_mean", "sample_std", "ratio")
     return header, [(H.label_of(v), *fields) for v, *fields in rows]
 
 
-def _metric_entropy(args, H, samples):
+def _metric_entropy(args, H, ensemble):
     if not args.samples:
         raise ValueError("entropy needs --samples: it measures the ensemble")
-    entropy = structural_entropy(H, samples, args.group_size, args.side)
+    groups = node_groups(H, args.side, args.group_size)
+    _, presents = ensemble(
+        lambda G: groups & node_groups(G, args.side, args.group_size), observed=False
+    )
     keyed = sorted(
         (tuple(sorted(H.label_of(v) for v in group)), value)
-        for group, value in entropy.items()
+        for group, value in presence_entropy(groups, presents).items()
     )
     rows = [("+".join(str(v) for v in group), value) for group, value in keyed]
     return ("group", "entropy"), rows
@@ -454,8 +568,8 @@ def _node_centralities(H: DirectedHypergraph) -> dict:
     }
 
 
-def _metric_centrality(args, H, samples):
-    compared = {key: fields for key, *fields in _compare(_node_centralities, H, samples)}
+def _metric_centrality(args, H, ensemble):
+    compared = {key: fields for key, *fields in _compare(*ensemble(_node_centralities))}
     rows = [
         (H.label_of(v), *(f for i in range(3) for f in compared[(v, i)][:3]))
         for v in range(H.num_nodes)
@@ -469,8 +583,8 @@ def _metric_centrality(args, H, samples):
     return header, rows
 
 
-def _metric_spectrum(args, H, samples):
-    rows = _compare(lambda G: dict(enumerate(laplacian_spectrum(G, k=args.k))), H, samples)
+def _metric_spectrum(args, H, ensemble):
+    rows = _compare(*ensemble(lambda G: dict(enumerate(laplacian_spectrum(G, k=args.k)))))
     header = ("index", "observed", "sample_mean", "sample_std", "ratio")
     return header, rows
 
@@ -486,9 +600,13 @@ _METRICS = {
 
 def cmd_metric(args, manifest: RunManifest) -> int:
     H = parse_hypergraph(manifest.read(args.input))
-    files = {"": _sample_files(args.samples) if args.samples else []}
-    samples = (S for _, _, S in _load_samples(manifest, files))
-    header, rows = _METRICS[args.metric](args, H, samples)
+    files = {"": _sample_files(args.samples)} if args.samples else {}
+
+    def ensemble(measure, observed=True):
+        value, sampled = _measure(manifest, lambda G, _: measure(G), H if observed else None, files)
+        return value, sampled.get("", [])
+
+    header, rows = _METRICS[args.metric](args, H, ensemble)
     _write_csv(args.output, header, rows)
     return _finish(manifest, args.output)
 
@@ -525,16 +643,14 @@ def cmd_affinity(args, manifest: RunManifest) -> int:
         sizes = range(args.k_min, args.k_max + 1)
     keys = [(category, k) for category in partition.categories for k in sizes]
 
-    def measure(G):
+    def measure(G, _=None):
         return {
             (category, k): affinity(G, partition, category, 1, 1, k) if k >= 1 else None
             for category, k in keys
         }
 
     observed = measure(H)
-    sampled = {}
-    for model, _, S in _load_samples(manifest, _parse_model_dirs(args.samples)):
-        sampled.setdefault(model, []).append(measure(S))
+    _, sampled = _measure(manifest, measure, None, _parse_model_dirs(args.samples))
     rows = []
     for key in keys:
         category, k = key
@@ -604,14 +720,18 @@ def _country_scores(H: DirectedHypergraph):
 
 def cmd_econ_compare(args, manifest: RunManifest) -> int:
     countries, observed = _country_scores(parse_hypergraph(manifest.read(args.observed)))
-    samples = {}
-    for model, _, S in _load_samples(manifest, _parse_model_dirs(args.samples)):
-        sample_countries, scored = _country_scores(S)
+
+    def measure(G, model):
+        sample_countries, scored = _country_scores(G)
         if sample_countries != countries:
             raise ValueError(f"sample country set differs from observed in {model!r}")
-        vectors = samples.setdefault(model, {score: [] for score in observed})
-        for score, vector in scored.items():
-            vectors[score].append(vector)
+        return scored
+
+    _, sampled = _measure(manifest, measure, None, _parse_model_dirs(args.samples))
+    samples = {
+        model: {score: [s[score] for s in scored] for score in observed}
+        for model, scored in sampled.items()
+    }
     header = (
         "sampler", "score", "samples",
         "spearman_mean", "spearman_std", "kendall_mean", "kendall_std",
@@ -639,45 +759,6 @@ def _lambda_c_for(args, thresholds, nu: float):
 _SIS_FLAGS = ("mu", "rho0", "burn_in", "sample_count", "decorrelation", "qs_history_size", "snapshot_interval")
 
 
-def _sis_run(task):
-    """One contagion run: its StationaryResult, its wall seconds, and the
-    warnings it raised, recorded rather than shown."""
-    method, substrate, cfg = task
-    runner = run_stationary if method == "stationary" else run_quasi_stationary
-    started = time.perf_counter()
-    with warnings.catch_warnings(record=True) as raised:
-        warnings.simplefilter("always")
-        result = runner(substrate, cfg)
-    return result, time.perf_counter() - started, [record.message for record in raised]
-
-
-def _map_runs(tasks) -> tuple:
-    """(_sis_run of every task in task order, the worker count).
-
-    The runs are independent and each is seeded on its own, so they spread
-    over one forked process per usable CPU, at most one per run, and give the
-    same results for any worker count; with one worker they run in this
-    process.  No worker outlives the call."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    workers = max(1, min(cpus, len(tasks)))
-    if workers == 1:
-        return [_sis_run(task) for task in tasks], 1
-    import multiprocessing  # only a run over several workers pays its import
-
-    # fork, not spawn: this process runs no other thread (contagion imports
-    # no numpy), and a spawned worker would import and compile hypernull anew.
-    # On a failure, leaving the block terminates and joins the workers.
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        # imap raises the first failure in task order, as the loop above would.
-        results = list(pool.imap(_sis_run, tasks, chunksize=1))
-        pool.close()
-        pool.join()
-    return results, workers
-
-
 def cmd_contagion(args, manifest: RunManifest) -> int:
     if args.lambda_c is not None and args.thresholds is not None:
         raise ValueError("--lambda-c and --thresholds are exclusive")
@@ -688,7 +769,7 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
     settings = {key: getattr(args, key) for key in _SIS_FLAGS if getattr(args, key) is not None}
     if args.method == "stationary" and settings.keys() & {"qs_history_size", "snapshot_interval"}:
         raise ValueError("--qs-history and --snapshot-interval need --method quasi-stationary")
-    observed = [("observed", "", _undirected_substrate(manifest.read(args.input)))]
+    observed = _undirected_substrate(manifest.read(args.input))
     files = _parse_model_dirs(args.samples)
     thresholds = load_thresholds(
         None if args.thresholds is None else manifest.read(args.thresholds)
@@ -696,9 +777,17 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
     grid = [float(x) for x in args.lambda_grid.split(",") if x.strip()]
     if not grid:
         raise ValueError("empty --lambda-grid")
-    cells, tasks = [], []
-    samples = _load_samples(manifest, files, _undirected_substrate)
-    for sampler, sample_id, substrate in itertools.chain(observed, samples):
+
+    def graphs():
+        yield "observed", "", observed
+        for model, listed in files.items():
+            for index, (path, *listing) in enumerate(listed):
+                substrate, manifest.inputs[str(path)] = _read_sample(path, *listing, _undirected_substrate)
+                yield model, index, substrate
+
+    runner = run_stationary if args.method == "stationary" else run_quasi_stationary
+    cells, runs = [], []
+    for sampler, sample_id, substrate in graphs():
         for nu in args.nu:
             lambda_c = _lambda_c_for(args, thresholds, nu)
             for index, lam in enumerate(grid):
@@ -712,15 +801,12 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
                 )
                 rescaled = lam / lambda_c if lambda_c else None
                 cells.append((args.dataset, sampler, sample_id, nu, lam, rescaled))
-                tasks.append((args.method, substrate, cfg))
-    results, workers = _map_runs(tasks)
-    rows = []
-    for cell, (result, _, raised) in zip(cells, results):
-        for message in raised:  # in row order, as a run in this process shows them
-            warnings.warn(message)
-        rows.append((*cell, result.mean, result.std, args.method))
-    manifest.timings["runs_s"] = [seconds for _, seconds, _ in results]
-    manifest.timings["workers"] = workers
+                runs.append((substrate, cfg))
+    # Each (graph, nu, lambda) run is seeded on its own: one task each.
+    results, manifest.timings["runs_s"], manifest.timings["workers"] = _map(
+        lambda index: runner(*runs[index]), range(len(runs))
+    )
+    rows = [(*cell, result.mean, result.std, args.method) for cell, result in zip(cells, results)]
     header = (
         "dataset", "sampler", "sampleId", "nu", "lambda",
         "lambdaOverLambdaC", "rhoMean", "rhoStd", "method",
@@ -876,6 +962,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     manifest = RunManifest(command=["hypernull", *argv])
     manifest.seed = getattr(args, "seed", None)
+    # One BLAS thread, set before numpy loads: forked workers then share the
+    # CPUs with no spinning BLAS threads, and a LAPACK result, whose bits
+    # depend on the thread count, is the same on every machine.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"
     started = time.perf_counter()
     # A subcommand's graphs of sets and tuples live until it returns and hold
     # no cycles: the cyclic collector would walk them again and again (0.3 to

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 SIDES = ("head", "tail")
@@ -207,9 +208,9 @@ class UndirectedHypergraph:
 
 def _parse_side(text, lineno, side):
     try:  # a well-formed side at once: int() strips whitespace as str.strip does
-        nodes = [int(token) for token in text.split(",")]
-        if len(frozenset(nodes)) == len(nodes) and min(nodes) >= 0:
-            return frozenset(nodes)
+        nodes = frozenset(map(int, text.split(",")))
+        if len(nodes) == text.count(",") + 1 and min(nodes) >= 0:
+            return nodes
     except ValueError:
         pass
     return _parse_side_checked(text, lineno, side)
@@ -259,8 +260,10 @@ def parse_hypergraph(text: str) -> DirectedHypergraph:
         raw.append((head, tail))
         seen.update(head, tail)
     labels = sorted(seen)
-    relabel = {ext: i for i, ext in enumerate(labels)}.__getitem__
-    edges = [Hyperedge(frozenset(map(relabel, h)), frozenset(map(relabel, t))) for h, t in raw]
+    if labels and labels[-1] != len(labels) - 1:  # not already 0..n-1
+        relabel = {ext: i for i, ext in enumerate(labels)}.__getitem__
+        raw = [(frozenset(map(relabel, h)), frozenset(map(relabel, t))) for h, t in raw]
+    edges = [Hyperedge(h, t) for h, t in raw]
     return DirectedHypergraph(edges, len(labels), labels)
 
 
@@ -350,6 +353,16 @@ def to_hypergraph(G: BipartiteDigraph) -> DirectedHypergraph:
         edges.append(Hyperedge(frozenset(head), frozenset(tail)))
     labels = None if G.labels is None else list(G.labels)
     return DirectedHypergraph(edges, G.left_count, labels)
+
+
+def incidence_matrix(num_nodes: int, sides: list):
+    """The num_nodes x len(sides) float matrix with a 1 at (v, j) for each
+    node v of sides[j], filled in one indexed assignment."""
+    import numpy as np
+    matrix = np.zeros((num_nodes, len(sides)))
+    cols = np.repeat(np.arange(len(sides)), [len(side) for side in sides])
+    matrix[list(chain.from_iterable(sides)), cols] = 1.0
+    return matrix
 
 
 def undirected_to_directed(U: UndirectedHypergraph) -> DirectedHypergraph:

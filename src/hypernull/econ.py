@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from statistics import fmean, pstdev
 from typing import NamedTuple
 
-from .core import DirectedHypergraph, Hyperedge
+from .core import DirectedHypergraph, Hyperedge, incidence_matrix
 from .diagnostics import kendall_tau, spearman
 
 logger = logging.getLogger(__name__)
@@ -181,11 +181,7 @@ def hypergraph_biadjacency(H: DirectedHypergraph) -> Biadjacency:
     the country belongs to the copy's head, i.e. exports the product.  Rows
     and columns that end up empty are dropped (logged)."""
     import numpy as np
-    expanded = list(H.expanded_edges())
-    mask = np.zeros((H.num_nodes, len(expanded)))
-    for j, e in enumerate(expanded):
-        for v in e.head:
-            mask[v, j] = 1.0
+    mask = incidence_matrix(H.num_nodes, [e.head for e in H.edges for _ in range(e.multiplicity)])
     countries = tuple(H.label_of(v) for v in range(H.num_nodes))
     rows, cols = mask.any(axis=1), mask.any(axis=0)
     if not rows.all() or not cols.all():

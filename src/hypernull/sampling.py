@@ -540,6 +540,48 @@ STEP_FUNCTIONS = {
 MODELS = (*STEP_FUNCTIONS, "null")
 
 
+class Chains:
+    """The chains of one run of config from H.
+
+    Chain `index` starts at H's bipartite form, is seeded by
+    derive_seed(seed, "chain", index) and runs the resolved step count.  The
+    samples are `independent` unless a thinning other than the step count
+    makes them points along chain 0; the "null" model draws each sample
+    directly.  draw(index) gives sample `index` of an independent run, the
+    same in any order and in any process.
+    """
+
+    def __init__(self, H: DirectedHypergraph, config: ChainConfig):
+        self.H, self.config = H, config
+        self.G0 = None if config.model == "null" else to_bipartite(H)
+        self.steps = None if self.G0 is None else config.resolved_steps(self.G0)
+        self.independent = self.G0 is None or config.thinning in (None, self.steps)
+
+    def start(self, index: int) -> ChainState:
+        """Chain `index` after the resolved step count."""
+        state = make_chain_state(
+            self.G0.copy(), derive_seed(self.config.seed, "chain", index), self.config.model
+        )
+        STEP_FUNCTIONS[self.config.model](state, self.steps)
+        return state
+
+    def draw(self, index: int) -> DirectedHypergraph:
+        if self.G0 is None:
+            return null_sample(self.H, derive_seed(self.config.seed, "null", index))
+        return to_hypergraph(self.start(index).graph)
+
+    def run(self):
+        """Every sample of the run, in order."""
+        if self.independent:
+            yield from map(self.draw, range(self.config.sample_count))
+            return
+        state = self.start(0)
+        for index in range(self.config.sample_count):
+            if index:
+                STEP_FUNCTIONS[self.config.model](state, self.config.thinning)
+            yield to_hypergraph(state.graph)
+
+
 def run_chain(H: DirectedHypergraph, config: ChainConfig):
     """Generate config.sample_count random hypergraphs from H's ensemble.
 
@@ -549,19 +591,4 @@ def run_chain(H: DirectedHypergraph, config: ChainConfig):
     steps, then emits every `thinning` steps.  Output is fully determined by
     (H, config).
     """
-    if config.model == "null":
-        for index in range(config.sample_count):
-            yield null_sample(H, derive_seed(config.seed, "null", index))
-        return
-    G0 = to_bipartite(H)
-    steps = config.resolved_steps(G0)
-    step = STEP_FUNCTIONS[config.model]
-    thinning = config.thinning if config.thinning is not None else steps
-    for index in range(config.sample_count):
-        fresh = index == 0 or thinning == steps
-        if fresh:
-            state = make_chain_state(
-                G0.copy(), derive_seed(config.seed, "chain", index), config.model
-            )
-        step(state, steps if fresh else thinning)
-        yield to_hypergraph(state.graph)
+    yield from Chains(H, config).run()

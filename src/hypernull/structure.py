@@ -21,12 +21,13 @@ over the arcs.
 
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from statistics import fmean
 from typing import NamedTuple
 
-from .core import BipartiteDigraph, DirectedHypergraph, Hyperedge, UndirectedHypergraph, check_side, merge_to_undirected
+from .core import (BipartiteDigraph, DirectedHypergraph, Hyperedge, UndirectedHypergraph, check_side,
+                   incidence_matrix, merge_to_undirected)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +263,14 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _groups_of(H: DirectedHypergraph, side: str, group_size: int) -> set:
+def node_groups(H: DirectedHypergraph, side: str, group_size: int) -> set:
+    """Every set of group_size nodes contained in the chosen side of one of
+    H's hyperedges, as frozensets."""
+    check_side(side)
+    if group_size < 1:
+        raise ValueError("group_size must be at least 1")
     groups = set()
-    for e in H.expanded_edges():
+    for e in H.edges:
         members = e.head if side == "head" else e.tail
         for combo in itertools.combinations(sorted(members), group_size):
             groups.add(frozenset(combo))
@@ -278,14 +284,16 @@ def structural_entropy(observed: DirectedHypergraph, samples, group_size: int, s
     in the chosen side of one of its hyperedges.  Groups that appear in
     every sample or in none score 0; maximally unpredictable groups score 1.
     """
-    check_side(side)
-    if group_size < 1:
-        raise ValueError("group_size must be at least 1")
-    groups = _groups_of(observed, side, group_size)
+    groups = node_groups(observed, side, group_size)
+    return presence_entropy(groups, (node_groups(S, side, group_size) for S in samples))
+
+
+def presence_entropy(groups, presents) -> dict:
+    """{group: entropy of its presence} over an iterable holding, for each
+    sample, a set that contains the groups present in it."""
     counts = dict.fromkeys(groups, 0)
     total = 0
-    for total, sample in enumerate(samples, start=1):
-        present = _groups_of(sample, side, group_size)
+    for total, present in enumerate(presents, start=1):
         for g in groups:
             if g in present:
                 counts[g] += 1
@@ -310,13 +318,21 @@ MAX_ITER = 10_000
 def project_weighted(H: DirectedHypergraph) -> tuple:
     """Pairwise projection: one arc u -> v per head node u, tail node v,
     and hyperedge copy, with parallel arcs folded into weights; returned as
-    one {successor: weight} dict per node."""
-    successors = [Counter() for _ in range(H.num_nodes)]
-    for e in H.expanded_edges():
-        for u in e.head:
-            for v in e.tail:
-                successors[u][v] += 1
-    return tuple(dict(s) for s in successors)
+    one {successor: weight} dict per node, successors ascending.
+
+    The weights are W = B_head @ B_tail.T over the node x edge incidence
+    matrices, the head one holding each edge's multiplicity.  Every entry is
+    an integer below 2**53, so the float product is exact.
+    """
+    import numpy as np
+    head = incidence_matrix(H.num_nodes, [e.head for e in H.edges])
+    tail = incidence_matrix(H.num_nodes, [e.tail for e in H.edges])
+    weights = (head * [e.multiplicity for e in H.edges]) @ tail.T
+    successors = tuple({} for _ in range(H.num_nodes))
+    rows, cols = np.nonzero(weights)  # row-major: successors ascending
+    for u, v, w in zip(rows.tolist(), cols.tolist(), weights[rows, cols].astype(np.int64).tolist()):
+        successors[u][v] = w
+    return successors
 
 
 def pagerank(successors: tuple) -> list:

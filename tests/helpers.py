@@ -1,6 +1,6 @@
 """Shared test helpers: deterministic random generators, brute-force recount
 oracles used to cross-check the package implementations, reference versions
-of the structure kernels and of the itemset miner, the thinned visit counter
+of the structure kernels, of the trade biadjacency and of the itemset miner, the thinned visit counter
 of the chain uniformity tests, the reverse of a swap proposal and the kernel's
 probability of proposing it, the consistency checks that a checked chain walk
 runs after every step (a degs-mh state's co-degree tables among them), the
@@ -355,6 +355,29 @@ def hits_reference(G, tol=1e-10, max_iter=10_000):
         if delta <= tol:
             return (hubs, auths)
     raise RuntimeError(f"hits did not converge in {max_iter} iterations")
+
+
+def project_weighted_reference(H):
+    """structure.project_weighted as a Counter loop over every head x tail
+    pair of every hyperedge copy."""
+    successors = [Counter() for _ in range(H.num_nodes)]
+    for e in H.expanded_edges():
+        for u in e.head:
+            for v in e.tail:
+                successors[u][v] += 1
+    return tuple(dict(s) for s in successors)
+
+
+def biadjacency_reference(H):
+    """econ.hypergraph_biadjacency's matrix filled one head membership at a
+    time, one column per hyperedge copy, empty rows and columns dropped."""
+    import numpy as np
+    expanded = list(H.expanded_edges())
+    mask = np.zeros((H.num_nodes, len(expanded)))
+    for j, e in enumerate(expanded):
+        for v in e.head:
+            mask[v, j] = 1.0
+    return mask[np.ix_(mask.any(axis=1), mask.any(axis=0))]
 
 
 # ---------------------------------------------------------------------------

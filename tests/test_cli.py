@@ -25,7 +25,7 @@ from helpers import metabolic_scale
 from test_acceptance import contact_scale
 import hypernull.cli
 import hypernull.structure
-from hypernull.cli import RunManifest, _fmt, _load_samples, _parse_model_dirs, build_parser, main
+from hypernull.cli import RunManifest, _fmt, _parse_model_dirs, build_parser, main
 from hypernull.contagion import SISConfig
 from hypernull.core import (
     format_hypergraph,
@@ -34,7 +34,7 @@ from hypernull.core import (
     parse_hypergraph,
     parse_undirected,
 )
-from hypernull.sampling import MODELS, STEP_FUNCTIONS
+from hypernull.sampling import MODELS, STEP_FUNCTIONS, Chains
 
 TOY = "0,1|2\n2|0,1\n1|3\n3|1\n0,2|3\n"
 
@@ -232,10 +232,7 @@ class TestSample:
 
     def test_verification_catches_broken_sampler(self, tmp_path, toy,
                                                  monkeypatch, capsys):
-        def wrong_chain(H, config):
-            yield parse_hypergraph("0|1\n")
-
-        monkeypatch.setattr("hypernull.cli.run_chain", wrong_chain)
+        monkeypatch.setattr(Chains, "draw", lambda self, index: parse_hypergraph("0|1\n"))
         out = tmp_path / "bad"
         code = run(["sample", "--input", toy, "--samples", 1,
                     "--output-dir", out])
@@ -249,8 +246,7 @@ class TestSample:
         # Nodes 0 and 3 trade roles: the joint tensor is unchanged, while
         # each node's degrees are not.
         relabelled = "3,1|2\n2|3,1\n1|0\n0|1\n3,2|0\n"
-        monkeypatch.setattr("hypernull.cli.run_chain",
-                            lambda H, config: iter([parse_hypergraph(relabelled)]))
+        monkeypatch.setattr(Chains, "draw", lambda self, index: parse_hypergraph(relabelled))
         out = tmp_path / "bad"
         assert run(["sample", "--input", toy, "--model", "joint", "--samples", 1,
                     "--output-dir", out]) == 1
@@ -281,8 +277,7 @@ class TestSample:
         other.write_text(written, encoding="utf-8")
         digests = invariant_sha256(toy), invariant_sha256(other)
         capsys.readouterr()
-        monkeypatch.setattr("hypernull.cli.run_chain",
-                            lambda H, config: iter([parse_hypergraph(written)]))
+        monkeypatch.setattr(Chains, "draw", lambda self, index: parse_hypergraph(written))
         out = tmp_path / "bad"
         assert run(["sample", "--input", toy, "--model", model, "--samples", 1,
                     "--output-dir", out]) == 1
@@ -385,7 +380,9 @@ class TestConverge:
 
 class TestMetric:
     def test_each_input_is_read_once_per_use(self, tmp_path, toy, sample_dir,
-                                             reads):
+                                             reads, monkeypatch):
+        # One CPU: the reads are counted in this process.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         out = tmp_path / "core.csv"
         assert run(["metric", "coreness", "--input", toy, "--samples", sample_dir,
                     "--output", out]) == 0
@@ -431,13 +428,15 @@ class TestMetric:
 
     @pytest.mark.parametrize("metric, module, measure", [
         ("coreness", hypernull.cli, "hyper_core_decomposition"),
-        ("entropy", hypernull.structure, "_groups_of"),
+        ("entropy", hypernull.cli, "node_groups"),
     ], ids=["coreness", "entropy"])
     def test_samples_are_streamed(self, tmp_path, toy, sample_dir, monkeypatch,
                                   metric, module, measure):
         # Every graph the metric measures is watched through a weak reference:
         # at each measurement only the observed graph and the sample in hand
-        # may still be alive.
+        # may still be alive.  One CPU, so that the measurements run in this
+        # process; a worker holds the same two graphs.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         watched = []
         alive = []
         original = getattr(module, measure)
@@ -983,6 +982,200 @@ class TestContagion:
         assert not out.exists()
 
 
+class TestWorkerCounts:
+    """Every subcommand that measures several graphs spreads them, or its
+    independent chains, over one forked worker per usable CPU; its files,
+    stderr and manifest (but for timings) do not depend on the count."""
+
+    @staticmethod
+    def same_for_any_worker_count(tmp_path, monkeypatch, capsys, argv, tasks=None):
+        """Run argv, whose OUT names a fresh directory, at 1 and 2 CPUs and
+        compare every file written there, stderr and the manifest."""
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / f"cpus{cpus}"
+            out.mkdir()
+            capsys.readouterr()
+            assert run([str(a).replace("OUT", str(out)) for a in argv]) == 0
+            assert multiprocessing.active_children() == []
+            files, manifest = {}, None
+            for path in sorted(out.rglob("*")):
+                if path.name.endswith("manifest.json"):
+                    manifest = manifest_of(path)
+                else:
+                    files[str(path.relative_to(out))] = path.read_bytes()
+            timings = manifest.pop("timings")
+            if tasks is not None:
+                assert timings["workers"] == min(cpus, tasks)
+                assert len(timings.get("graphs_s", timings.get("samples_s"))) == tasks
+            manifest["command"] = [a.replace(str(out), "OUT") for a in manifest["command"]]
+            printed = [text.replace(str(out), "OUT") for text in capsys.readouterr()]
+            outputs.append((files, printed, manifest))
+        assert outputs[0] == outputs[1]
+        return outputs[0]
+
+    @pytest.mark.parametrize("metric, options", [
+        ("reciprocity", []),
+        ("coreness", ["--side", "tail"]),
+        ("entropy", []),
+        ("centrality", []),
+        ("spectrum", ["--k", 3]),
+    ])
+    def test_metric(self, tmp_path, toy, sample_dir, monkeypatch, capsys, metric, options):
+        # The observed graph and three samples; entropy measures the samples only.
+        files, _, manifest = self.same_for_any_worker_count(
+            tmp_path, monkeypatch, capsys,
+            ["metric", metric, "--input", toy, "--samples", sample_dir, *options,
+             "--output", "OUT/out.csv"],
+            tasks=3 if metric == "entropy" else 4)
+        assert list(files) == ["out.csv"]
+        assert len(manifest["inputs"]) == 4
+
+    def test_econ_compare_over_two_samplers(self, tmp_path, monkeypatch, capsys):
+        econ = tmp_path / "econ.dhg"
+        econ.write_text(ECON, encoding="utf-8")
+        for model in ("degs", "joint"):
+            assert run(["sample", "--input", econ, "--model", model, "--samples", 2,
+                        "--steps", 300, "--seed", 4, "--output-dir", tmp_path / model]) == 0
+        self.same_for_any_worker_count(
+            tmp_path, monkeypatch, capsys,
+            ["econ", "compare", "--observed", econ, "--samples", f"degs={tmp_path / 'degs'}",
+             "--samples", f"joint={tmp_path / 'joint'}", "--output", "OUT/compare.csv"],
+            tasks=4)
+        _, rows = read_rows(tmp_path / "cpus2" / "compare.csv")
+        assert [row[:3] for row in rows] == [
+            ["degs", "eci", "2"], ["degs", "fitness", "2"], ["degs", "genepy", "2"],
+            ["joint", "eci", "2"], ["joint", "fitness", "2"], ["joint", "genepy", "2"],
+        ]
+
+    def test_affinity(self, tmp_path, monkeypatch, capsys):
+        sponsor, labels = tmp_path / "sponsor.dhg", tmp_path / "labels.csv"
+        sponsor.write_text(SPONSOR, encoding="utf-8")
+        labels.write_text(LABELS, encoding="utf-8")
+        for model in ("degs", "null"):
+            assert run(["sample", "--input", sponsor, "--model", model, "--samples", 2,
+                        "--seed", 2, "--output-dir", tmp_path / model]) == 0
+        self.same_for_any_worker_count(
+            tmp_path, monkeypatch, capsys,
+            ["affinity", "--input", sponsor, "--labels", labels,
+             "--samples", f"degs={tmp_path / 'degs'}", "--samples", f"null={tmp_path / 'null'}",
+             "--k-min", 1, "--k-max", 3, "--output", "OUT/aff.csv"],
+            tasks=4)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_sample(self, tmp_path, toy, monkeypatch, capsys, model):
+        steps = [] if model == "null" else ["--steps", 200]
+        files, printed, _ = self.same_for_any_worker_count(
+            tmp_path, monkeypatch, capsys,
+            ["sample", "--input", toy, "--model", model, "--samples", 3, *steps,
+             "--seed", 9, "--output-dir", "OUT"],
+            tasks=3)
+        assert sorted(files) == ["sample_0.dhg", "sample_1.dhg", "sample_2.dhg"]
+        assert printed == ["wrote 3 samples to OUT (verified)\n", ""]
+
+    def test_thinned_sample_is_one_chain(self, tmp_path, toy, monkeypatch, capsys):
+        files, _, manifest = self.same_for_any_worker_count(
+            tmp_path, monkeypatch, capsys,
+            ["sample", "--input", toy, "--samples", 3, "--steps", 50, "--thinning", 10,
+             "--seed", 9, "--output-dir", "OUT"])
+        assert len(files) == 3
+        assert len(manifest["invariants"]["samples"]) == 3
+
+    def test_without_fork_the_tasks_run_here(self, tmp_path, toy, sample_dir, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "core.csv"
+        assert run(["metric", "coreness", "--input", toy, "--samples", sample_dir,
+                    "--output", out]) == 0
+        assert manifest_of(Path(f"{out}.manifest.json"))["timings"]["workers"] == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_corrupted_second_sample_fails_cleanly(self, tmp_path, toy, sample_dir,
+                                                     monkeypatch, capsys, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        (sample_dir / "sample_1.dhg").write_text(TOY + "0|3\n", encoding="utf-8")
+        out = tmp_path / "spectrum.csv"
+        assert run(["metric", "spectrum", "--input", toy, "--samples", sample_dir,
+                    "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {sample_dir / 'sample_1.dhg'} differs from its sha256 in "
+            f"{sample_dir / 'manifest.json'}\n"
+        )
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["metric", "econ", "affinity"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_parse_error_in_a_sample_fails_cleanly(self, tmp_path, monkeypatch, capsys,
+                                                     cpus, command):
+        # Samples 1 and 2 are both malformed: the first in sample order is named.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        observed, labels = tmp_path / "econ.dhg", tmp_path / "labels.csv"
+        observed.write_text(ECON, encoding="utf-8")
+        labels.write_text("node_id,category\n" + "".join(f"{v},c{v % 2}\n" for v in range(8)),
+                          encoding="utf-8")
+        samples = tmp_path / "bare"
+        samples.mkdir()
+        for index, text in enumerate((ECON, ECON + "1|2|3\n", "1,x|2\n")):
+            (samples / f"sample_{index}.dhg").write_text(text, encoding="utf-8")
+        argv = {
+            "metric": ["metric", "coreness", "--input", observed, "--samples", samples],
+            "econ": ["econ", "compare", "--observed", observed, "--samples", f"degs={samples}"],
+            "affinity": ["affinity", "--input", observed, "--labels", labels,
+                         "--samples", f"degs={samples}"],
+        }[command]
+        out = tmp_path / "out.csv"
+        assert run([*argv, "--output", out]) == 1
+        assert capsys.readouterr().err == "error: line 13: expected exactly one '|'\n"
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_first_unverified_sample_is_reported(self, tmp_path, toy, monkeypatch,
+                                                     capsys, cpus):
+        draw = Chains.draw
+
+        def broken_after_zero(self, index):
+            return draw(self, index) if index == 0 else parse_hypergraph("0|1\n")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(Chains, "draw", broken_after_zero)
+        out = tmp_path / "bad"
+        assert run(["sample", "--input", toy, "--samples", 3, "--steps", 50,
+                    "--output-dir", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        assert err[0] == f"invariant verification failed for {out / 'sample_1.dhg'}"
+        assert multiprocessing.active_children() == []
+        assert not (out / "manifest.json").exists()
+
+    def test_blas_runs_one_thread_whatever_the_environment(self, tmp_path):
+        # LAPACK's bits depend on its thread count: on a multi-CPU machine
+        # the noise-level zero eigenvalues of this spectrum differ between
+        # one and two OpenBLAS threads unless main() pins one.
+        observed = tmp_path / "metabolic.dhg"
+        observed.write_text(format_hypergraph(metabolic_scale(101)), encoding="utf-8")
+        src = Path(hypernull.cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(name, None)
+
+        def cli(*argv, **extra):
+            subprocess.run([sys.executable, "-m", "hypernull.cli", *map(str, argv)],
+                           env={**env, **extra}, check=True, capture_output=True, timeout=300)
+
+        cli("sample", "--input", observed, "--samples", 1, "--steps", 20000, "--seed", 3,
+            "--output-dir", tmp_path / "degs")
+        spectra = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / f"spectrum_{threads}.csv"
+            cli("metric", "spectrum", "--input", observed, "--samples", tmp_path / "degs",
+                "--output", out, **({} if threads is None else {"OPENBLAS_NUM_THREADS": threads}))
+            spectra.append(out.read_bytes())
+        assert spectra[0] == spectra[1] == spectra[2]
+
+
 class TestCollector:
     """main() turns the cyclic garbage collector off while a subcommand runs.
 
@@ -1117,13 +1310,30 @@ class TestHelpers:
         with pytest.raises(ValueError, match="sample_1.dhg is listed"):
             _parse_model_dirs([f"m={sample_dir}"])
 
-    def test_sample_changed_after_verification_is_rejected(self, sample_dir):
-        files = _parse_model_dirs([f"m={sample_dir}"])
-        (sample_dir / "sample_1.dhg").write_text(TOY, encoding="utf-8")
-        loaded = _load_samples(RunManifest(command=[]), files)
-        next(loaded)
-        with pytest.raises(ValueError, match="sample_1.dhg differs from its sha256 in"):
-            next(loaded)
+    def test_sample_changed_after_verification_is_rejected(self, tmp_path, toy, sample_dir,
+                                                           monkeypatch, capsys):
+        # The file changes after the listing was checked and before the
+        # task that measures it reads it, in this process or in a worker.
+        listed, changed = hypernull.cli._sample_files, sample_dir / "sample_1.dhg"
+        original = changed.read_bytes()
+
+        def then_changed(directory):
+            files = listed(directory)
+            changed.write_text(TOY, encoding="utf-8")
+            return files
+
+        monkeypatch.setattr(hypernull.cli, "_sample_files", then_changed)
+        out = tmp_path / "core.csv"
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            changed.write_bytes(original)
+            assert run(["metric", "coreness", "--input", toy, "--samples", sample_dir,
+                        "--output", out]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {changed} differs from its sha256 in {sample_dir / 'manifest.json'}\n"
+            )
+            assert multiprocessing.active_children() == []
+            assert not out.exists()
 
     def test_programming_error_is_not_a_user_error(self, tmp_path, toy,
                                                    monkeypatch):

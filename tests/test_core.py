@@ -116,6 +116,38 @@ class TestParsing:
                 assert parse_hypergraph(text) == fast
             assert fast == parse_hypergraph(format_hypergraph(H))
 
+    @pytest.mark.parametrize("text, head", [
+        (" 1 , 2 |0", {1, 2}),
+        ("+1,2|0", {1, 2}),
+        ("2|0", {2}),
+    ])
+    def test_padded_sides_parse_on_the_fast_path(self, text, head):
+        H = parse_hypergraph(text)
+        assert {H.labels[v] for v in H.edges[0].head} == head
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,1|0", "duplicate node within head"),
+        ("0|2,3,2", "duplicate node within tail"),
+        ("-1|0", "negative node id -1"),
+        ("0|-1", "negative node id -1"),
+    ])
+    def test_fast_path_misses_fall_back_to_the_checked_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph(text)
+        assert str(err.value) == f"line 1: {message}"
+
+    def test_dense_and_sparse_labels(self):
+        dense = parse_hypergraph("0,2|1\n1|0\n")
+        assert dense.labels == [0, 1, 2]
+        assert [e.key for e in dense.edges] == [((0, 2), (1,)), ((1,), (0,))]
+        sparse = parse_hypergraph("5,9|7\n7|5\n")
+        assert sparse.labels == [5, 7, 9]
+        assert [e.key for e in sparse.edges] == [((0, 2), (1,)), ((1,), (0,))]
+        assert format_hypergraph(sparse) == "5,9|7\n7|5\n"
+        shifted = parse_hypergraph("1,3|2\n")  # labels 1..3: not 0..n-1
+        assert shifted.labels == [1, 2, 3]
+        assert shifted.edges[0].key == ((0, 2), (1,))
+
     def test_error_reports_line_number(self):
         with pytest.raises(ParseError) as err:
             parse_hypergraph("1|2\n#ok\n3|3|3\n")

@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import kendall_tau_reference, trade_scale
+from helpers import biadjacency_reference, kendall_tau_reference, random_hypergraph, trade_scale
 from hypernull import econ
 from hypernull.core import DirectedHypergraph, Hyperedge
 from hypernull.diagnostics import kendall_tau, spearman
@@ -590,6 +590,17 @@ class TestHypergraphBiadjacency:
                         assert B.matrix[row_of[v], col_of[j]] == expected
                     else:
                         assert expected == 0.0
+
+    def test_matrix_is_the_membership_loop(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            H = random_hypergraph(rng, max_nodes=9, max_edges=8, max_side=4)
+            H = DirectedHypergraph(
+                [Hyperedge(e.head, e.tail, rng.randint(1, 3)) for e in H.edges], H.num_nodes)
+            B = hypergraph_biadjacency(H)
+            reference = biadjacency_reference(H)
+            assert B.matrix.shape == reference.shape
+            assert np.array_equal(B.matrix, reference)
 
     def test_all_tails_logs_empty(self, caplog):
         H = DirectedHypergraph([Hyperedge(frozenset(), frozenset({0, 1}))], 2)

@@ -32,6 +32,7 @@ from hypernull.core import (
 )
 from hypernull.sampling import (
     ChainConfig,
+    Chains,
     FrozenEnsembleError,
     STEP_FUNCTIONS,
     SwapProposal,
@@ -691,6 +692,28 @@ class TestRunChain:
         cfg = ChainConfig(model, steps=2000, seed=4, sample_count=3, thinning=500)
         text = "".join(format_hypergraph(S) for S in run_chain(metabolic_scale(101), cfg))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("model", ["degs", "joint", "degs-mh", "null"])
+    @pytest.mark.parametrize("thinning", [None, 40], ids=["unthinned", "thinning-equals-steps"])
+    def test_independent_draws_are_the_run_in_any_order(self, model, thinning):
+        # `sample` draws sample i alone, possibly in another process.
+        H = parse_hypergraph("1,2|3,4\n3,4|1,2\n1,3|2,4\n2,4|1,3\n5|1\n")
+        steps = "auto" if model == "null" else 40
+        thinning = None if model == "null" else thinning
+        cfg = ChainConfig(model=model, steps=steps, seed=12, sample_count=4, thinning=thinning)
+        chains = Chains(H, cfg)
+        assert chains.independent
+        assert [chains.draw(i) for i in (3, 1, 0, 2)] == [
+            list(run_chain(H, cfg))[i] for i in (3, 1, 0, 2)
+        ]
+
+    def test_a_thinned_run_is_one_chain(self):
+        H = parse_hypergraph(TOY)
+        cfg = ChainConfig(model="degs", steps=30, seed=6, sample_count=3, thinning=10)
+        chains = Chains(H, cfg)
+        assert not chains.independent
+        assert list(chains.run()) == list(run_chain(H, cfg))
+        assert list(chains.run())[0] == chains.draw(0)
 
     def test_auto_steps_resolution(self):
         H = parse_hypergraph(TOY)

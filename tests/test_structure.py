@@ -20,6 +20,7 @@ from helpers import (
     core_shells_reference,
     hits_reference,
     metabolic_scale,
+    project_weighted_reference,
     random_hypergraph,
     reciprocal_candidates,
     trade_scale,
@@ -46,7 +47,9 @@ from hypernull.structure import (
     hypergraph_reciprocity,
     laplacian_spectrum,
     multi_order_laplacian,
+    node_groups,
     pagerank,
+    presence_entropy,
     project_weighted,
     search_reciprocal_set,
     structural_entropy,
@@ -439,6 +442,17 @@ class TestStructuralEntropy:
         with pytest.raises(ValueError):
             structural_entropy(H, iter([]), 2, "head")
 
+    def test_presence_of_the_observed_groups_is_enough(self):
+        # `metric entropy` keeps only the observed groups of each sample.
+        rng = random.Random(31)
+        for _ in range(50):
+            observed, *samples = (random_hypergraph(rng, max_nodes=6, max_side=4)
+                                  for _ in range(4))
+            groups = node_groups(observed, "head", 2)
+            presents = [groups & node_groups(S, "head", 2) for S in samples]
+            assert presence_entropy(groups, presents) == structural_entropy(
+                observed, samples, 2, "head")
+
     def test_tail_side(self):
         observed = DirectedHypergraph([edge({0}, {1, 2})], 3)
         absent = DirectedHypergraph([edge({0}, {1})], 3)
@@ -475,6 +489,37 @@ class TestProjectWeighted:
         H = parse_hypergraph("7|7\n")
         g = project_weighted(H)
         assert g[0] == {0: 1}
+
+
+class TestProjectWeightedMatchesReference:
+    @staticmethod
+    def random_weighted(rng):
+        """A random hypergraph with multiplicities; sides may overlap or be empty."""
+        H = random_hypergraph(rng, max_nodes=9, max_edges=8, max_side=4)
+        edges = [Hyperedge(e.head, e.tail, rng.randint(1, 4)) for e in H.edges]
+        return DirectedHypergraph(edges, H.num_nodes)
+
+    def test_random_hypergraphs(self):
+        rng = random.Random(27)
+        for _ in range(300):
+            H = self.random_weighted(rng)
+            projected = project_weighted(H)
+            assert projected == project_weighted_reference(H)
+            for successors in projected:
+                assert list(successors) == sorted(successors)
+                assert all(type(w) is int for w in successors.values())
+
+    def test_pagerank_is_bit_identical(self):
+        # pagerank sums each node's inflow over predecessors in ascending
+        # order, whatever order a successor dict lists.
+        rng = random.Random(28)
+        for _ in range(50):
+            H = self.random_weighted(rng)
+            assert pagerank(project_weighted(H)) == pagerank(project_weighted_reference(H))
+
+    def test_no_edges(self):
+        assert project_weighted(DirectedHypergraph([], 3)) == ({}, {}, {})
+        assert project_weighted(DirectedHypergraph([], 0)) == ()
 
 
 class TestPagerank:

@@ -717,6 +717,75 @@ class TestEcon:
             assert -1.0 <= float(row[3]) <= 1.0
 
 
+class TestRepeatedLinesPinned:
+    """Byte pins of each output on graphs with repeated lines, whose copies
+    every stage must keep as separate hyperedges."""
+
+    @pytest.fixture
+    def repeated(self, tmp_path):
+        path = tmp_path / "repeated.dhg"
+        path.write_text(TOY + "1|3\n0,1|2\n", encoding="utf-8")
+        return path
+
+    @staticmethod
+    def sample(repeated, model, out):
+        steps = [] if model == "null" else ["--steps", 100]
+        assert run(["sample", "--input", repeated, "--model", model, "--samples", 2, *steps,
+                    "--seed", 5, "--output-dir", out]) == 0
+
+    @staticmethod
+    def sha256(*parts):
+        return hashlib.sha256(b"".join(parts)).hexdigest()
+
+    @pytest.mark.parametrize("model, digest", [
+        ("degs", "6cbdfab61d1848924274e2cb4d16e60dcafcd4b9136ff5f63a2279e08990b271"),
+        ("joint", "7dd2c684a4dc0ebd6d60e0d378d2040989033348a72ee9612ad1930d8e386ade"),
+        ("degs-mh", "1ac088b48165c35b4520e81527c0b0fb9bbf373f8378264ec925a80f6fa07d2e"),
+        ("null", "ad2774fb7dad46bbaeba7587ea133e433159ecd7481a76a3e93d779c9bfe88b0"),
+    ])
+    def test_sample(self, tmp_path, repeated, model, digest):
+        out = tmp_path / model
+        self.sample(repeated, model, out)
+        invariants = manifest_of(out / "manifest.json")["invariants"]
+        files = [path.read_bytes() for path in sorted(out.glob("*.dhg"))]
+        assert self.sha256(*files, json.dumps(invariants, sort_keys=True).encode()) == digest
+
+    @pytest.mark.parametrize("metric, options, digest", [
+        ("coreness", ["--side", "head"],
+         "ee581c8ba445df3a181dd869e5ca236df519ebeb3569f0586db58d63af6ad100"),
+        ("coreness", ["--side", "tail"],
+         "260ab0edba13f808bbeb5f5c11ccf29c2e45d96a427c68a590e10a53e22d63ef"),
+        ("centrality", [],
+         "cb2d14649d3346ea6145e964fc5e86b4b10fe7f1fe3d96b52f8ee99262be8443"),
+        ("spectrum", [],
+         "71b35683d4a441497b14cdc49c867b511a3583790b25a65859f604725a8efcdb"),
+        ("reciprocity", [],
+         "733e7e50854bb055f3fc2e23ce6ac9887ca875ca210365d0d59b32b724c1267a"),
+    ])
+    def test_metric(self, tmp_path, repeated, metric, options, digest):
+        self.sample(repeated, "degs", tmp_path / "degs")
+        out = tmp_path / "metric.csv"
+        assert run(["metric", metric, "--input", repeated, "--samples", tmp_path / "degs",
+                    *options, "--output", out]) == 0
+        assert self.sha256(out.read_bytes()) == digest
+
+    def test_econ_scores(self, tmp_path):
+        econ = tmp_path / "econ.dhg"
+        econ.write_text(ECON + "1,5|0,2\n6,7|0,1\n", encoding="utf-8")
+        assert run(["econ", "scores", "--input", econ, "--output-dir", tmp_path / "out"]) == 0
+        tables = [(tmp_path / "out" / name).read_bytes()
+                  for name in ("country_scores.csv", "product_scores.csv")]
+        assert self.sha256(*tables) == (
+            "b4855e7f5b8d4fe18f04e34a2072dce2db57d821880be3b76741f7b00c3bb317")
+
+    def test_convert_to_undirected(self, tmp_path, repeated):
+        out = tmp_path / "repeated.undir"
+        assert run(["convert", "--input", repeated, "--to", "undirected",
+                    "--output", out]) == 0
+        assert self.sha256(out.read_bytes()) == (
+            "c0743b6a30090d2eb75b1a18711fc5827112ac36a1bc48c88014e44fd3665dda")
+
+
 class TestContagion:
     def test_contact_csv_bytes_pinned(self, tmp_path, capsys):
         # The contact benchmark's pipeline at a smaller size: the contact-scale

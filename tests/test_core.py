@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import groupby
 
 import pytest
 
@@ -215,6 +216,19 @@ class TestBipartite:
         for _ in range(1000):
             H = random_hypergraph(rng)
             assert to_hypergraph(to_bipartite(H)) == H
+            # The same hyperedges drawn one to three times each, shuffled.
+            copies = [Hyperedge(e.head, e.tail)
+                      for e in H.edges for _ in range(rng.randint(1, 3))]
+            rng.shuffle(copies)
+            R = DirectedHypergraph(copies, H.num_nodes)
+            G = to_bipartite(R)
+            assert G.right_count == len(copies)
+            assert Counter(map(Hyperedge, G.right_in, G.right_out)) == Counter(copies)
+            assert to_hypergraph(G) == R
+            # One line per copy, the copies of a hyperedge adjacent.
+            lines = format_hypergraph(R).splitlines()
+            assert len(lines) == len(copies)
+            assert len([line for line, _ in groupby(lines)]) == len(set(lines))
 
     def test_identical_right_vertices_fold_back(self):
         H = parse_hypergraph("1|2")

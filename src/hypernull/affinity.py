@@ -59,7 +59,7 @@ def affinity(
     if not 0 <= alpha <= beta <= k:
         raise ValueError("need 0 <= alpha <= beta <= k")
     numerator = denominator = 0
-    for e in H.expanded_edges():
+    for e in H.edges:
         if e.size != k or len(e.head) != beta:
             continue
         tail_members = sum(1 for v in e.tail if P.assignments[v] == Xi)

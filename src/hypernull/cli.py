@@ -391,10 +391,10 @@ def _invariants(H: DirectedHypergraph, model: str):
     left_in, left_out = [0] * H.num_nodes, [0] * H.num_nodes
     for e in H.edges:
         for v in e.tail:
-            left_in[v] += e.multiplicity
+            left_in[v] += 1
         for v in e.head:
-            left_out[v] += e.multiplicity
-    sizes = [(len(e.head), len(e.tail)) for e in H.expanded_edges()]
+            left_out[v] += 1
+    sizes = [(len(e.head), len(e.tail)) for e in H.edges]
     degrees = [left_in, left_out, sorted(sizes)]
     if model == "joint":
         nodes = list(zip(left_in, left_out))
@@ -404,7 +404,7 @@ def _invariants(H: DirectedHypergraph, model: str):
         node, codes = [left[key] for key in nodes], []
         for e in H.edges:
             edge = right[len(e.head), len(e.tail)]
-            codes += ([node[v] + edge + 1 for v in e.head] + [node[v] + edge for v in e.tail]) * e.multiplicity
+            codes += [node[v] + edge + 1 for v in e.head] + [node[v] + edge for v in e.tail]
         return (*degrees, lefts, rights, array("q", sorted(codes)))
     if model in ("degs", "degs-mh"):
         return degrees
@@ -638,16 +638,15 @@ def cmd_affinity(args, manifest: RunManifest) -> int:
     if args.k_min is not None or args.k_max is not None:
         if args.k_min is None or args.k_max is None:
             raise ValueError("--k-min and --k-max must be given together")
+        if args.k_min < 1:
+            raise ValueError("--k-min must be at least 1")
         if args.k_min > args.k_max:
             raise ValueError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
         sizes = range(args.k_min, args.k_max + 1)
     keys = [(category, k) for category in partition.categories for k in sizes]
 
     def measure(G, _=None):
-        return {
-            (category, k): affinity(G, partition, category, 1, 1, k) if k >= 1 else None
-            for category, k in keys
-        }
+        return {(category, k): affinity(G, partition, category, 1, 1, k) for category, k in keys}
 
     observed = measure(H)
     _, sampled = _measure(manifest, measure, None, _parse_model_dirs(args.samples))
@@ -655,7 +654,7 @@ def cmd_affinity(args, manifest: RunManifest) -> int:
     for key in keys:
         category, k = key
         value = observed[key]
-        baseline = affinity_baseline(partition, category, 1, 1, k) if k >= 1 else None
+        baseline = affinity_baseline(partition, category, 1, 1, k)
         if not sampled:
             rows.append((category, k, value, baseline, None, None, None, None))
         for model in sorted(sampled):

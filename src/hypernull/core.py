@@ -1,11 +1,11 @@
 """Directed hypergraphs, their bipartite-digraph form, degrees, and the joint tensor.
 
-A directed hypergraph is a node set plus a weighted multiset of hyperedges, each a
-(head, tail) pair of node sets.  It maps losslessly to a bipartite digraph with one
-left vertex per node and one right vertex per hyperedge copy: a head membership is
-an arc left -> right (direction +1), a tail membership an arc right -> left
-(direction -1).  The samplers mutate the bipartite form; everything else consumes
-the hypergraph form.
+A directed hypergraph is a node set plus a multiset of hyperedges, each a (head,
+tail) pair of node sets, kept as a sorted list with one entry per copy.  It maps
+losslessly to a bipartite digraph with one left vertex per node and one right
+vertex per hyperedge copy: a head membership is an arc left -> right (direction
++1), a tail membership an arc right -> left (direction -1).  The samplers mutate
+the bipartite form; everything else consumes the hypergraph form.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Hyperedge:
-    """One directed hyperedge: a head set, a tail set, and a positive weight.
+    """One directed hyperedge: a head set and a tail set.
 
     The two sides may overlap, and either side may be empty as long as the other
     is not.  ``size`` is the total number of memberships, |head| + |tail|.
@@ -37,15 +37,12 @@ class Hyperedge:
 
     head: frozenset
     tail: frozenset
-    multiplicity: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "head", frozenset(self.head))
         object.__setattr__(self, "tail", frozenset(self.tail))
         if not self.head and not self.tail:
             raise ValueError("hyperedge needs a non-empty head or tail")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be a positive integer")
 
     @property
     def size(self) -> int:
@@ -59,11 +56,12 @@ class Hyperedge:
 
 @dataclass
 class DirectedHypergraph:
-    """Node set plus a weighted multiset of hyperedges, kept in canonical form.
+    """Node set plus a multiset of hyperedges, kept in canonical form.
 
-    Edges are sorted by (sorted head, sorted tail) with duplicates folded into
-    multiplicities, so two hypergraphs compare equal exactly when they are the
-    same weighted multiset over the same nodes.  Internal node ids are dense
+    ``edges`` lists one hyperedge per copy, sorted by (sorted head, sorted
+    tail), so the copies of a hyperedge are adjacent and two hypergraphs
+    compare equal exactly when they are the same multiset over the same
+    nodes.  Internal node ids are dense
     integers 0..num_nodes-1; ``labels[i]`` retains the external id of node i
     (None means external == internal).
     """
@@ -73,24 +71,13 @@ class DirectedHypergraph:
     labels: list | None = None
 
     def __post_init__(self):
-        folded = Counter()
-        for e in self.edges:
-            folded[(e.head, e.tail)] += e.multiplicity
-        self.edges = sorted(
-            (Hyperedge(h, t, m) for (h, t), m in folded.items()), key=lambda e: e.key
-        )
+        self.edges = sorted(self.edges, key=lambda e: e.key)
         nodes = frozenset().union(*(e.head for e in self.edges), *(e.tail for e in self.edges))
         if nodes and not 0 <= min(nodes) <= max(nodes) < self.num_nodes:
             v = next(v for e in self.edges for v in e.head | e.tail if not 0 <= v < self.num_nodes)
             raise ValueError(f"node {v} out of range 0..{self.num_nodes - 1}")
         if self.labels is not None and len(self.labels) != self.num_nodes:
             raise ValueError("labels must list one external id per node")
-
-    def expanded_edges(self) -> Iterator[Hyperedge]:
-        """Yield every hyperedge once per multiplicity copy, in canonical order."""
-        for e in self.edges:
-            for _ in range(e.multiplicity):
-                yield Hyperedge(e.head, e.tail)
 
     def label_of(self, v: int):
         return v if self.labels is None else self.labels[v]
@@ -240,7 +227,7 @@ def parse_hypergraph(text: str) -> DirectedHypergraph:
     """Parse directed-hypergraph text (a str): one "h1,...|t1,..." line per edge copy.
 
     '#'-prefixed lines are comments; either side of '|' may be blank but not
-    both; repeating a line raises that hyperedge's multiplicity.  External node
+    both; a repeated line is one more copy of that hyperedge.  External node
     ids (arbitrary non-negative integers) are re-indexed densely in ascending
     order and kept in ``labels``.
     """
@@ -273,7 +260,7 @@ def format_hypergraph(H: DirectedHypergraph) -> str:
     lines = []
     for e in H.edges:
         head, tail = ([names[v] for v in side] for side in e.key)
-        lines += [",".join(head) + "|" + ",".join(tail)] * e.multiplicity
+        lines.append(",".join(head) + "|" + ",".join(tail))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -331,7 +318,7 @@ def to_bipartite(H: DirectedHypergraph) -> BipartiteDigraph:
     left_in = [set() for _ in range(n)]
     right_in = []
     right_out = []
-    for e in H.expanded_edges():
+    for e in H.edges:
         a = len(right_in)
         right_in.append(set(e.head))
         right_out.append(set(e.tail))
@@ -344,13 +331,8 @@ def to_bipartite(H: DirectedHypergraph) -> BipartiteDigraph:
 
 
 def to_hypergraph(G: BipartiteDigraph) -> DirectedHypergraph:
-    """Collapse right vertices back to hyperedges, folding identical copies."""
-    edges = []
-    for a in range(G.right_count):
-        head, tail = G.right_in[a], G.right_out[a]
-        if not head and not tail:
-            raise ValueError(f"right vertex {a} has no incident arcs")
-        edges.append(Hyperedge(frozenset(head), frozenset(tail)))
+    """Collapse right vertices back to hyperedges, one copy per right vertex."""
+    edges = list(map(Hyperedge, G.right_in, G.right_out))
     labels = None if G.labels is None else list(G.labels)
     return DirectedHypergraph(edges, G.left_count, labels)
 
@@ -374,7 +356,7 @@ def undirected_to_directed(U: UndirectedHypergraph) -> DirectedHypergraph:
 
 def merge_to_undirected(H: DirectedHypergraph) -> UndirectedHypergraph:
     """Merge each hyperedge's head and tail into one undirected node set."""
-    edges = [e.head | e.tail for e in H.expanded_edges()]
+    edges = [e.head | e.tail for e in H.edges]
     labels = None if H.labels is None else list(H.labels)
     return UndirectedHypergraph(edges, H.num_nodes, labels)
 

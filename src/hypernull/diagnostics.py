@@ -23,7 +23,7 @@ def transaction_db(H: DirectedHypergraph, side: str) -> tuple:
     """One side of H as an itemset database: a tuple of frozensets, one
     transaction per hyperedge copy."""
     check_side(side)
-    return tuple(e.head if side == "head" else e.tail for e in H.expanded_edges())
+    return tuple(e.head if side == "head" else e.tail for e in H.edges)
 
 
 def _mine_at_threshold(item_bits, threshold, min_len, cap=None):

@@ -181,7 +181,7 @@ def hypergraph_biadjacency(H: DirectedHypergraph) -> Biadjacency:
     the country belongs to the copy's head, i.e. exports the product.  Rows
     and columns that end up empty are dropped (logged)."""
     import numpy as np
-    mask = incidence_matrix(H.num_nodes, [e.head for e in H.edges for _ in range(e.multiplicity)])
+    mask = incidence_matrix(H.num_nodes, [e.head for e in H.edges])
     countries = tuple(H.label_of(v) for v in range(H.num_nodes))
     rows, cols = mask.any(axis=1), mask.any(axis=0)
     if not rows.all() or not cols.all():

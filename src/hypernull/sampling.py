@@ -521,9 +521,7 @@ def null_sample(H: DirectedHypergraph, seed: int) -> DirectedHypergraph:
     rng = random.Random(seed)
     n = H.num_nodes
     edges = []
-    for e in H.expanded_edges():
-        if len(e.head) > n or len(e.tail) > n:
-            raise ValueError("hyperedge side larger than the node set")
+    for e in H.edges:
         head = frozenset(rng.sample(range(n), len(e.head)))
         tail = frozenset(rng.sample(range(n), len(e.tail)))
         edges.append(Hyperedge(head, tail))

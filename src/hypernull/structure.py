@@ -91,8 +91,8 @@ def hyperedge_reciprocity(e: Hyperedge, reciprocators) -> float:
     return penalty * (1.0 - divergence / len(e.head))
 
 
-def _reciprocal_candidates(expanded: list):
-    """Return a function mapping an edge e to the copies in expanded that
+def _reciprocal_candidates(edges: list):
+    """Return a function mapping an edge e to the copies in edges that
     could reciprocate it, minus the first copy of e itself, in list order.
 
     A candidate f has f.tail meeting e.head and f.head meeting e.tail; the
@@ -101,7 +101,7 @@ def _reciprocal_candidates(expanded: list):
     """
     by_tail = defaultdict(list)
     first_copy = {}
-    for i, f in enumerate(expanded):
+    for i, f in enumerate(edges):
         first_copy.setdefault((f.head, f.tail), i)
         for v in f.tail:
             by_tail[v].append(i)
@@ -112,7 +112,7 @@ def _reciprocal_candidates(expanded: list):
         for u in e.head:
             found.update(by_tail.get(u, ()))
         found.discard(own)
-        return [expanded[i] for i in sorted(found) if expanded[i].head & e.tail]
+        return [edges[i] for i in sorted(found) if edges[i].head & e.tail]
 
     return candidates
 
@@ -154,17 +154,16 @@ def search_reciprocal_set(H: DirectedHypergraph, e: Hyperedge):
     EXACT_LIMIT candidates, greedy forward selection (stopping at the first
     non-improving extension) beyond that.
     """
-    candidates = _reciprocal_candidates(list(H.expanded_edges()))
+    candidates = _reciprocal_candidates(H.edges)
     return _best_reciprocal_set(e, candidates(e))
 
 
 def hypergraph_reciprocity(H: DirectedHypergraph) -> ReciprocityResult:
     """Mean best reciprocity over all hyperedge copies of H."""
-    expanded = list(H.expanded_edges())
-    if not expanded:
+    if not H.edges:
         raise ValueError("reciprocity of an empty hypergraph is undefined")
-    candidates = _reciprocal_candidates(expanded)
-    scores = [_best_reciprocal_set(e, candidates(e))[1] for e in expanded]
+    candidates = _reciprocal_candidates(H.edges)
+    scores = [_best_reciprocal_set(e, candidates(e))[1] for e in H.edges]
     return ReciprocityResult(fmean(scores), tuple(scores))
 
 
@@ -236,10 +235,9 @@ def hyper_core_decomposition(H: DirectedHypergraph, side: str) -> CorenessProfil
     toward sizes.  Each m costs O(incidences of the edges of size >= m).
     """
     check_side(side)
-    expanded = list(H.expanded_edges())
-    members = [e.head if side == "head" else e.tail for e in expanded]
-    extras = [len(e.tail if side == "head" else e.head) for e in expanded]
-    max_size = max((e.size for e in expanded), default=0)
+    members = [e.head if side == "head" else e.tail for e in H.edges]
+    extras = [len(e.tail if side == "head" else e.head) for e in H.edges]
+    max_size = max((e.size for e in H.edges), default=0)
     shells = {
         m: tuple(_shells(members, extras, H.num_nodes, m)) for m in range(2, max_size + 1)
     }
@@ -320,14 +318,14 @@ def project_weighted(H: DirectedHypergraph) -> tuple:
     and hyperedge copy, with parallel arcs folded into weights; returned as
     one {successor: weight} dict per node, successors ascending.
 
-    The weights are W = B_head @ B_tail.T over the node x edge incidence
-    matrices, the head one holding each edge's multiplicity.  Every entry is
-    an integer below 2**53, so the float product is exact.
+    The weights are W = B_head @ B_tail.T over the node x copy incidence
+    matrices.  Every entry is an integer below 2**53, so the float product is
+    exact.
     """
     import numpy as np
     head = incidence_matrix(H.num_nodes, [e.head for e in H.edges])
     tail = incidence_matrix(H.num_nodes, [e.tail for e in H.edges])
-    weights = (head * [e.multiplicity for e in H.edges]) @ tail.T
+    weights = head @ tail.T
     successors = tuple({} for _ in range(H.num_nodes))
     rows, cols = np.nonzero(weights)  # row-major: successors ascending
     for u, v, w in zip(rows.tolist(), cols.tolist(), weights[rows, cols].astype(np.int64).tolist()):

@@ -267,7 +267,7 @@ def reciprocal_candidates(H, e):
     with the first copy of e itself excluded."""
     skipped_self = False
     out = []
-    for f in H.expanded_edges():
+    for f in H.edges:
         if not skipped_self and f.head == e.head and f.tail == e.tail:
             skipped_self = True
             continue
@@ -294,10 +294,9 @@ def _peel(sides, extras, survivors, k, m):
 def core_shells_reference(H, side):
     """{m: shells} of the (k, m)-core decomposition for m = 2..max edge size,
     by repeated full peeling rounds that each re-scan every edge."""
-    expanded = list(H.expanded_edges())
-    sides = [e.head if side == "head" else e.tail for e in expanded]
-    extras = [len(e.tail if side == "head" else e.head) for e in expanded]
-    max_size = max((e.size for e in expanded), default=0)
+    sides = [e.head if side == "head" else e.tail for e in H.edges]
+    extras = [len(e.tail if side == "head" else e.head) for e in H.edges]
+    max_size = max((e.size for e in H.edges), default=0)
     tracked = frozenset().union(*sides) if sides else frozenset()
     shells = {}
     for m in range(2, max_size + 1):
@@ -361,7 +360,7 @@ def project_weighted_reference(H):
     """structure.project_weighted as a Counter loop over every head x tail
     pair of every hyperedge copy."""
     successors = [Counter() for _ in range(H.num_nodes)]
-    for e in H.expanded_edges():
+    for e in H.edges:
         for u in e.head:
             for v in e.tail:
                 successors[u][v] += 1
@@ -372,9 +371,8 @@ def biadjacency_reference(H):
     """econ.hypergraph_biadjacency's matrix filled one head membership at a
     time, one column per hyperedge copy, empty rows and columns dropped."""
     import numpy as np
-    expanded = list(H.expanded_edges())
-    mask = np.zeros((H.num_nodes, len(expanded)))
-    for j, e in enumerate(expanded):
+    mask = np.zeros((H.num_nodes, len(H.edges)))
+    for j, e in enumerate(H.edges):
         for v in e.head:
             mask[v, j] = 1.0
     return mask[np.ix_(mask.any(axis=1), mask.any(axis=0))]

@@ -245,7 +245,7 @@ def oracle_shells(H, side):
     a node's degree counts hyperedges whose tracked survivors in S plus the
     full opposite side reach size m; the (k, m) core is the union of all
     self-consistent subsets, found by enumerating all 2^|tracked| of them."""
-    expanded = list(H.expanded_edges())
+    expanded = list(H.edges)
     sides = [e.head if side == "head" else e.tail for e in expanded]
     extras = [len(e.tail if side == "head" else e.head) for e in expanded]
     max_size = max((e.size for e in expanded), default=0)
@@ -469,12 +469,12 @@ class TestReciprocityAnchors:
         checked = 0
         for _ in range(30):
             H = random_hypergraph(rng, max_nodes=7, max_edges=8)
-            for e in H.expanded_edges():
+            for e in H.edges:
                 if not e.head or not e.tail:
                     continue
                 skipped_self = False
                 candidates = []
-                for f in H.expanded_edges():
+                for f in H.edges:
                     if not skipped_self and f.head == e.head and f.tail == e.tail:
                         skipped_self = True
                         continue
@@ -608,9 +608,9 @@ class TestTradeReproduction:
         table = read_trade_table(trade, metadata if metadata.exists() else None)
         H = trade_to_hypergraph(table, 2019)
         assert H.num_nodes == 133
-        copies = sum(e.multiplicity for e in H.edges)
+        copies = len(H.edges)
         assert 4500 <= copies <= 4700
-        mean_head = fmean(len(e.head) for e in H.expanded_edges())
+        mean_head = fmean(len(e.head) for e in H.edges)
         assert mean_head == pytest.approx(16.24, abs=0.01)
 
         observed = complexity_scores(hypergraph_biadjacency(H))

@@ -32,7 +32,7 @@ def affinity_oracle(H, P, Xi, alpha, beta, k):
     members = [v for v in range(H.num_nodes) if P.assignments[v] == Xi]
     numerator = denominator = 0
     for v in members:
-        for e in H.expanded_edges():
+        for e in H.edges:
             if e.size != k or v not in e.tail:
                 continue
             if len(e.head) != beta:
@@ -112,7 +112,7 @@ class TestAffinity:
             if H.num_nodes < 2:
                 continue
             P = random_partition(rng, H.num_nodes)
-            for e in H.expanded_edges():
+            for e in H.edges:
                 beta, k = len(e.head), e.size
                 total = affinity(H, P, "A", 0, beta, k)
                 if total is None:

@@ -559,6 +559,15 @@ class TestAffinity:
         assert code == 1
         assert "error: --k-min 3 exceeds --k-max 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k_min", [0, -2])
+    def test_k_min_below_one_is_rejected(self, tmp_path, sponsor, labels, capsys, k_min):
+        out = tmp_path / "aff.csv"
+        code = run(["affinity", "--input", sponsor, "--labels", labels,
+                    "--k-min", k_min, "--k-max", 2, "--output", out])
+        assert code == 1
+        assert "error: --k-min must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_without_samples_one_row_per_category_and_size(self, tmp_path,
                                                           sponsor, labels):
         out = tmp_path / "aff.csv"

@@ -45,7 +45,7 @@ def undirected(edge_sets, num_nodes):
 
 def random_undirected(rng, num_nodes, num_edges, max_size=4):
     """Random node-set hypergraph with at least one size-1 edge and one
-    duplicated edge, to exercise the no-transmission and multiplicity paths."""
+    duplicated edge, to exercise the no-transmission and repeated-copy paths."""
     edges = [{rng.randrange(num_nodes)}]
     while len(edges) < num_edges - 1:
         size = rng.randint(2, max_size)
@@ -153,11 +153,9 @@ class TestStateConstruction:
         assert state.infection_rate() == pytest.approx(0.37)
 
     def test_multiplicity_multiplies_rate(self):
-        # A weight-2 directed edge expands into two undirected copies, so
+        # Two copies of a directed edge merge into two undirected copies, so
         # the infection pressure on the susceptible endpoint doubles.
-        directed = DirectedHypergraph(
-            [Hyperedge(frozenset({0}), frozenset({1}), multiplicity=2)], 2
-        )
+        directed = DirectedHypergraph([Hyperedge(frozenset({0}), frozenset({1}))] * 2, 2)
         merged = merge_to_undirected(directed)
         assert len(merged.edges) == 2
         state = make_sis_state(merged, [0], SISConfig(lam=0.37, nu=1.0))

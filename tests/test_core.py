@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import fields
 from itertools import groupby
 
 import pytest
@@ -45,18 +46,18 @@ class TestParsing:
         H = parse_hypergraph("1,2|3")
         assert H.num_nodes == 3
         (e,) = H.edges
-        assert e.multiplicity == 1
+        assert to_bipartite(H).right_count == 1
         assert sorted(H.label_of(v) for v in e.head) == [1, 2]
         assert sorted(H.label_of(v) for v in e.tail) == [3]
 
     def test_repeated_line_is_multiplicity(self):
         H = parse_hypergraph("1,2|3\n1,2|3\n")
-        assert len(H.edges) == 1
-        assert H.edges[0].multiplicity == 2
+        assert len(H.edges) == 2
+        assert H.edges[0] == H.edges[1]
 
     def test_comments_and_blank_lines_ignored(self):
         H = parse_hypergraph("# comment\n\n1|2\n")
-        assert len(H.edges) == 1 and H.edges[0].multiplicity == 1
+        assert len(H.edges) == 1
 
     def test_empty_sides(self):
         H = parse_hypergraph("1,2|\n|3\n")
@@ -110,7 +111,7 @@ class TestParsing:
 
         for _ in range(200):
             H = random_hypergraph(rng, max_nodes=12, max_edges=8, max_side=5)
-            text = "\n".join(f"{padded(e.head)}|{padded(e.tail)}" for e in H.expanded_edges())
+            text = "\n".join(f"{padded(e.head)}|{padded(e.tail)}" for e in H.edges)
             fast = parse_hypergraph(text)
             with monkeypatch.context() as patched:
                 patched.setattr(core, "_parse_side", core._parse_side_checked)
@@ -241,8 +242,8 @@ class TestBipartite:
         for v in G.right_out[a]:
             G.left_in[v].add(a)
         H2 = to_hypergraph(G)
-        assert len(H2.edges) == 1
-        assert H2.edges[0].multiplicity == 2
+        assert len(H2.edges) == 2
+        assert H2 == parse_hypergraph("1|2\n1|2\n")
 
     def test_isolated_right_vertex_rejected(self):
         G = BipartiteDigraph([set()], [set()], [set()], [set()])
@@ -387,6 +388,9 @@ class TestHyperedgeInvariants:
         with pytest.raises(ValueError):
             Hyperedge(frozenset(), frozenset())
 
+    def test_fields_are_head_and_tail(self):
+        assert [f.name for f in fields(Hyperedge)] == ["head", "tail"]
+
     def test_size(self):
         assert Hyperedge(frozenset({1, 2}), frozenset({2})).size == 3
 
@@ -394,7 +398,7 @@ class TestHyperedgeInvariants:
         e1 = Hyperedge(frozenset({1}), frozenset({2}))
         e2 = Hyperedge(frozenset({0}), frozenset({2}))
         H = DirectedHypergraph([e1, e2, e1], 3)
-        assert [e.multiplicity for e in H.edges] == [1, 2]
+        assert H.edges == [e2, e1, e1]
         assert H.edges[0].head == frozenset({0})
 
     def test_out_of_range_node_rejected(self):

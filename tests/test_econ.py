@@ -462,7 +462,7 @@ class TestTradeToHypergraph:
         assert H.edges == []
         H = trade_to_hypergraph(table, 2019, threshold=0.99)
         both = frozenset({0, 1})
-        assert [(e.head, e.tail) for e in H.expanded_edges()] == [(both, both)] * 2
+        assert [(e.head, e.tail) for e in H.edges] == [(both, both)] * 2
 
     def test_metadata_filter_drops_country(self):
         table = two_country_table()
@@ -486,7 +486,7 @@ class TestTradeToHypergraph:
         H = trade_to_hypergraph(three_country_table(metadata), 2019)
         assert H.labels == ["A"]
         # A exports x and imports y; z has no member left on either side.
-        assert sorted((sorted(e.head), sorted(e.tail)) for e in H.expanded_edges()) == [
+        assert sorted((sorted(e.head), sorted(e.tail)) for e in H.edges) == [
             ([], [0]),
             ([0], []),
         ]
@@ -540,7 +540,7 @@ class TestTradeToHypergraph:
                 actual[(
                     frozenset(labels[v] for v in e.head),
                     frozenset(labels[v] for v in e.tail),
-                )] += e.multiplicity
+                )] += 1
             assert actual == expected
 
 
@@ -562,9 +562,7 @@ class TestHypergraphBiadjacency:
         assert B.matrix.tolist() == [[1.0, 1.0], [0.0, 1.0]]
 
     def test_multiplicity_duplicates_columns(self):
-        H = DirectedHypergraph(
-            [Hyperedge(frozenset({0}), frozenset({1}), multiplicity=2)], 2
-        )
+        H = DirectedHypergraph([Hyperedge(frozenset({0}), frozenset({1}))] * 2, 2)
         B = hypergraph_biadjacency(H)
         assert B.matrix.tolist() == [[1.0, 1.0]]
         assert B.countries == (0,)
@@ -580,11 +578,10 @@ class TestHypergraphBiadjacency:
                 edges.append(Hyperedge(head, tail))
             H = DirectedHypergraph(edges, n)
             B = hypergraph_biadjacency(H)
-            expanded = list(H.expanded_edges())
             col_of = dict(zip(B.products, range(len(B.products))))
             row_of = {c: i for i, c in enumerate(B.countries)}
             for v in range(n):
-                for j, e in enumerate(expanded):
+                for j, e in enumerate(H.edges):
                     expected = 1.0 if v in e.head else 0.0
                     if v in row_of and j in col_of:
                         assert B.matrix[row_of[v], col_of[j]] == expected
@@ -596,7 +593,7 @@ class TestHypergraphBiadjacency:
         for _ in range(200):
             H = random_hypergraph(rng, max_nodes=9, max_edges=8, max_side=4)
             H = DirectedHypergraph(
-                [Hyperedge(e.head, e.tail, rng.randint(1, 3)) for e in H.edges], H.num_nodes)
+                [e for e in H.edges for _ in range(rng.randint(1, 3))], H.num_nodes)
             B = hypergraph_biadjacency(H)
             reference = biadjacency_reference(H)
             assert B.matrix.shape == reference.shape

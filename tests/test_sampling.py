@@ -594,8 +594,8 @@ class TestNullSample:
             H = random_hypergraph(rng)
             S = null_sample(H, seed=trial)
             assert S.num_nodes == H.num_nodes
-            assert sorted((len(e.head), len(e.tail)) for e in S.expanded_edges()) == sorted(
-                (len(e.head), len(e.tail)) for e in H.expanded_edges()
+            assert sorted((len(e.head), len(e.tail)) for e in S.edges) == sorted(
+                (len(e.head), len(e.tail)) for e in H.edges
             )
 
     def test_full_side_is_forced(self):
@@ -656,8 +656,8 @@ class TestRunChain:
         samples = list(run_chain(H, cfg))
         assert len(samples) == 3
         for S in samples:
-            assert sorted(e.size for e in S.expanded_edges()) == sorted(
-                e.size for e in H.expanded_edges()
+            assert sorted(e.size for e in S.edges) == sorted(
+                e.size for e in H.edges
             )
 
     def test_deterministic_given_seed(self):

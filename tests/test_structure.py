@@ -85,11 +85,10 @@ def coreness_oracle(H, side):
     counting only tracked-side survivors in S plus the full other side, is at
     least m.
     """
-    expanded = list(H.expanded_edges())
-    tracked_sides = [e.head if side == "head" else e.tail for e in expanded]
-    other_sizes = [len(e.tail if side == "head" else e.head) for e in expanded]
+    tracked_sides = [e.head if side == "head" else e.tail for e in H.edges]
+    other_sizes = [len(e.tail if side == "head" else e.head) for e in H.edges]
     tracked = sorted({v for s in tracked_sides for v in s})
-    M = max((e.size for e in expanded), default=0)
+    M = max((e.size for e in H.edges), default=0)
     shells = {m: [0] * H.num_nodes for m in range(2, M + 1)}
     for m in range(2, M + 1):
         for size in range(1, len(tracked) + 1):
@@ -231,7 +230,7 @@ class TestHyperedgeReciprocity:
 class TestSearchReciprocalSet:
     def test_no_candidates(self):
         H = parse_hypergraph("1|2\n3|4\n")
-        e = next(iter(H.expanded_edges()))
+        e = H.edges[0]
         assert search_reciprocal_set(H, e) == ((), 0.0)
 
     def test_exact_matches_subset_oracle(self):
@@ -239,7 +238,7 @@ class TestSearchReciprocalSet:
         nontrivial = 0
         for _ in range(40):
             H = random_hypergraph(rng, max_nodes=6, max_edges=6, max_side=3)
-            for e in H.expanded_edges():
+            for e in H.edges:
                 if not e.head or not e.tail:
                     continue
                 candidates = reciprocal_candidates(H, e)
@@ -268,7 +267,7 @@ class TestSearchReciprocalSet:
 
     def test_deterministic(self):
         H = parse_hypergraph("1|2,3\n2|1\n3|1,2\n2,3|1\n")
-        e = next(iter(H.expanded_edges()))
+        e = H.edges[0]
         assert search_reciprocal_set(H, e) == search_reciprocal_set(H, e)
 
 
@@ -290,7 +289,7 @@ class TestHypergraphReciprocity:
     def test_mean_of_per_edge_searches(self):
         H = parse_hypergraph("1|2,3\n2|1\n3|1,2\n")
         result = hypergraph_reciprocity(H)
-        scores = [search_reciprocal_set(H, e)[1] for e in H.expanded_edges()]
+        scores = [search_reciprocal_set(H, e)[1] for e in H.edges]
         assert result.per_edge == pytest.approx(scores)
         assert result.value == pytest.approx(sum(scores) / len(scores))
 
@@ -298,10 +297,9 @@ class TestHypergraphReciprocity:
 class TestCandidatesMatchFullScan:
     @staticmethod
     def check(H):
-        expanded = list(H.expanded_edges())
-        candidates = _reciprocal_candidates(expanded)
+        candidates = _reciprocal_candidates(H.edges)
         expected = []
-        for e in expanded:
+        for e in H.edges:
             reference = reciprocal_candidates(H, e)
             assert candidates(e) == reference
             expected.append(_best_reciprocal_set(e, reference)[1])
@@ -494,9 +492,9 @@ class TestProjectWeighted:
 class TestProjectWeightedMatchesReference:
     @staticmethod
     def random_weighted(rng):
-        """A random hypergraph with multiplicities; sides may overlap or be empty."""
+        """A random hypergraph with repeated copies; sides may overlap or be empty."""
         H = random_hypergraph(rng, max_nodes=9, max_edges=8, max_side=4)
-        edges = [Hyperedge(e.head, e.tail, rng.randint(1, 4)) for e in H.edges]
+        edges = [e for e in H.edges for _ in range(rng.randint(1, 4))]
         return DirectedHypergraph(edges, H.num_nodes)
 
     def test_random_hypergraphs(self):

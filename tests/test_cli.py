@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import metabolic_scale
+from helpers import metabolic_scale, trade_scale
 from test_acceptance import contact_scale
 import hypernull.cli
 import hypernull.structure
@@ -793,6 +793,35 @@ class TestRepeatedLinesPinned:
                     "--output", out]) == 0
         assert self.sha256(out.read_bytes()) == (
             "c0743b6a30090d2eb75b1a18711fc5827112ac36a1bc48c88014e44fd3665dda")
+
+
+class TestTradeScalePinned:
+    """Byte pins of `sample` on trade_scale(2024, m=300): 133 countries and
+    300 products, so a slice's neighbour sets span several 64-bit words, and
+    the joint tensor has hundreds of classes."""
+
+    @pytest.fixture(scope="class")
+    def trade(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("trade") / "trade.dhg"
+        path.write_text(format_hypergraph(trade_scale(2024, m=300)), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("model, flags, digest", [
+        ("degs-mh", ["--samples", 1, "--steps", 400],
+         "49ab17619be26d20d494a78f8d3e9ee561fb473ce2f7ae69c541f91c32af1fa7"),
+        ("joint", ["--samples", 1, "--steps", 5000],
+         "df49a49bcd645795fc35b049f8b161283501dd45af3578dc28527c67b6ea490f"),
+        ("degs", ["--samples", 2, "--steps", 5000],
+         "15e6efe5e4f7491a5de18521f61a607e19c6b6444ab134fce0a2795404eebe41"),
+    ])
+    def test_sample(self, tmp_path, trade, model, flags, digest):
+        out = tmp_path / model
+        assert run(["sample", "--input", trade, "--model", model, *flags, "--seed", 7,
+                    "--output-dir", out]) == 0
+        invariants = manifest_of(out / "manifest.json")["invariants"]
+        files = [path.read_bytes() for path in sorted(out.glob("*.dhg"))]
+        assert TestRepeatedLinesPinned.sha256(
+            *files, json.dumps(invariants, sort_keys=True).encode()) == digest
 
 
 class TestContagion:

@@ -37,6 +37,7 @@ from hypernull.sampling import (
     STEP_FUNCTIONS,
     SwapProposal,
     LEFT,
+    RIGHT,
     _draw_outside,
     _randbelow,
     apply_pso,
@@ -52,6 +53,10 @@ from hypernull.sampling import (
 )
 
 TOY = "1|2,6\n3|4\n6|3,5\n"
+
+# Every node has its own (in, out) degree pair, as every country does on
+# trade: a "joint" step whose side coin picks the node side self-loops.
+DISTINCT = "0|1\n0|2\n0,4|3\n1|2,4\n1|3\n2|3\n4|0\n0,1|2,3\n"
 
 # (instance, steps, seed, sha256 of the formatted run_chain sample).
 DEGS_PINS = [
@@ -69,6 +74,9 @@ JOINT_PINS = [
     ("contact", 5000, 0, "b83123faefd07e86e204ac37d95f75af47abec34b723180bb2a9cb7b90eee50b"),
     ("contact", 5000, 1, "f8114d90d31b34681a523bae31dcc71d8c428c4b3d8e11e79982d08d57255bff"),
     ("contact", 5000, 2, "b410c27363d948e7a4549545a317987dd39b3f155d1f3f1c100b9fba323f1a60"),
+    ("distinct", 200, 0, "33bec5a0d18efa09754d6daf9a168ad7dda4fc77c0d80c24bcec37f547d0df06"),
+    ("distinct", 200, 1, "5f8e4162dcd5df80365d1fe7f9ee251d6c013df6a1085caf91a2fe019128215b"),
+    ("distinct", 200, 2, "53dc9d5edd2473321d2d4fdfc098d79cd88110ea2c8014997b77766c29139ba1"),
 ]
 MH_PINS = [
     ("toy", 200, 0, "c73d6be765a969b86ae933861d275d41b55adc28c305581f2a95be752ee1bb26"),
@@ -82,9 +90,10 @@ PINS = {"degs": DEGS_PINS, "joint": JOINT_PINS, "degs-mh": MH_PINS}
 
 
 def pinned_instance(name):
-    """The toy, metabolic_scale(101), or contact_scale() lifted to head = tail."""
-    if name == "toy":
-        return parse_hypergraph(TOY)
+    """The toy, the distinct-degree toy, metabolic_scale(101), or
+    contact_scale() lifted to head = tail."""
+    if name in ("toy", "distinct"):
+        return parse_hypergraph(TOY if name == "toy" else DISTINCT)
     if name == "metabolic":
         return metabolic_scale(101)
     return undirected_to_directed(contact_scale())
@@ -464,8 +473,15 @@ class TestJointStep:
     @pytest.mark.parametrize("instance, steps, seed, digest", JOINT_PINS)
     def test_output_bytes_pinned(self, instance, steps, seed, digest):
         # Contact lifted to head = tail makes every left vertex's two slices
-        # alike; metabolic has many small degree classes.
+        # alike; metabolic has many small degree classes; the distinct toy
+        # has no same-class node pair.
         assert sample_digest("joint", pinned_instance(instance), steps, seed) == digest
+
+    def test_distinct_toy_has_an_empty_node_side(self):
+        state = make_chain_state(to_bipartite(pinned_instance("distinct")), 0, "joint")
+        for piece in state.slices.values():
+            assert [(side, pairs.total > 0) for side, pairs in piece.sources] == [
+                (LEFT, False), (RIGHT, True)]
 
 
 # ---------------------------------------------------------------------------

@@ -413,14 +413,21 @@ def _invariants(H: DirectedHypergraph, model: str):
 
 def _invariant_text(invariant) -> str:
     """Canonical JSON of an invariant; a joint one ends in the tensor's sorted
-    ((i, j, k, l, d), count) items."""
-    if isinstance(invariant, tuple):
-        *degrees, lefts, rights, codes = invariant
-        invariant = [*degrees, [  # codes are sorted, so Counter keeps their order
-            (lefts[c // 2 // len(rights)] + rights[c // 2 % len(rights)] + ((-1, 1)[c % 2],), n)
-            for c, n in Counter(codes).items()
-        ]]
-    return json.dumps(invariant)
+    ((i, j, k, l, d), count) items.
+
+    A joint item's text is composed from one "[[i, j, " string per node class
+    and one "k, l, " string per edge class, the bytes json.dumps would write.
+    """
+    if not isinstance(invariant, tuple):
+        return json.dumps(invariant)
+    *degrees, lefts, rights, codes = invariant
+    nodes = [f"[[{i}, {j}, " for i, j in lefts]
+    edges = [f"{k}, {l}, " for k, l in rights]
+    items = ", ".join(  # codes are sorted, so Counter keeps their order
+        f"{nodes[c // 2 // len(rights)]}{edges[c // 2 % len(rights)]}{('-1', '1')[c % 2]}], {n}]"
+        for c, n in Counter(codes).items()
+    )
+    return f"{json.dumps(degrees)[:-1]}, [{items}]]"
 
 
 def _first_difference(expected: str, found: str) -> tuple:
@@ -440,16 +447,24 @@ class _Unverified(Exception):
     its args are the lines that report it."""
 
 
+def _steps(text: str):
+    """--steps as ChainConfig takes it: "auto" or a non-negative int."""
+    if text == "auto":
+        return text
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"--steps must be 'auto' or a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def cmd_sample(args, manifest: RunManifest) -> int:
     if args.model == "null" and (args.steps != "auto" or args.thinning is not None):
         raise ValueError("--steps and --thinning do not apply to --model null")
     if args.thinning is not None and args.samples == 1:
         raise ValueError("--thinning needs --samples of at least 2: one sample is taken after --steps swaps")
     H = parse_hypergraph(manifest.read(args.input))
-    steps = args.steps if args.steps == "auto" else int(args.steps)
     config = ChainConfig(
         model=args.model,
-        steps=steps,
+        steps=_steps(args.steps),
         seed=args.seed,
         sample_count=args.samples,
         thinning=args.thinning,

@@ -134,15 +134,6 @@ class BipartiteDigraph:
             for a in ins:
                 yield DirectedEdge(v, a, -1)
 
-    def copy(self) -> "BipartiteDigraph":
-        return BipartiteDigraph(
-            [set(s) for s in self.left_out],
-            [set(s) for s in self.left_in],
-            [set(s) for s in self.right_in],
-            [set(s) for s in self.right_out],
-            labels=None if self.labels is None else list(self.labels),
-        )
-
 
 @dataclass
 class DegreeProfile:

@@ -33,9 +33,11 @@ draws from both sides).
 A Metropolis-Hastings variant ("degs-mh") targets the degree ensemble through
 uniform arc-pair proposals over both slices, corrected by the exact count of
 applicable swaps.  Its state keeps each slice's co-degree table, at most
-sum_a C(|N(a)|, 2) node pairs, so a step that swaps between right vertices a
-and b costs O(|N(a) ^ N(b)|) table lookups and updates;
-delta_state_degree_pso is the set-based reference for its swap-count delta.
+sum_a C(|N(a)|, 2) node pairs, built once from one bitmask per vertex
+(2 * L * R bits for L left and R right vertices), so a step that swaps
+between right vertices a and b costs O(|N(a) ^ N(b)|) table lookups and
+updates; delta_state_degree_pso is the set-based reference for its
+swap-count delta.
 The "null" model keeps only the head/tail size sequences.
 
 Each swap model's kernel runs a batch of steps as one loop, kernel(state,
@@ -49,9 +51,7 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 from hypernull.core import (
     BipartiteDigraph,
@@ -103,10 +103,11 @@ class SwapProposal:
 class ChainConfig:
     """Run descriptor: model, steps per sample, seeding, and sample layout.
 
-    steps="auto" resolves to 20 * w where w is the total number of bipartite
-    arcs.  thinning defaults to steps, which means every sample comes from an
-    independent chain restarted at the observed graph; a smaller thinning runs
-    one long chain and emits every `thinning` steps after a `steps` burn-in.
+    steps="auto" resolves to 20 * w, where w = sum(|head| + |tail|) over the
+    hyperedge copies is the number of bipartite arcs.  thinning defaults to
+    steps, which means every sample comes from an independent chain restarted
+    at the observed graph; a smaller thinning runs one long chain and emits
+    every `thinning` steps after a `steps` burn-in.
     """
 
     model: str = "degs"
@@ -126,9 +127,9 @@ class ChainConfig:
         if self.thinning is not None and (type(self.thinning) is not int or self.thinning < 1):
             raise ValueError("thinning must be a positive integer")
 
-    def resolved_steps(self, G: BipartiteDigraph) -> int:
+    def resolved_steps(self, H: DirectedHypergraph) -> int:
         if self.steps == "auto":
-            return 20 * (G.plus_edges() + G.minus_edges())
+            return 20 * sum(len(e.head) + len(e.tail) for e in H.edges)
         return self.steps
 
 
@@ -384,11 +385,27 @@ nudhy_joint_step = nudhy_degs_step
 
 def _co_degrees(left: list, right: list) -> list:
     """co[u][w] = |N(u) & N(w)| for the left vertices w != u that share a
-    neighbour with u, one dict per left vertex u."""
+    neighbour with u, one dict per left vertex u.
+
+    Each left vertex's neighbours and each right vertex's members are one int
+    bitmask, 2 * |left| * |right| bits in all.  u's candidates are the OR of
+    its neighbours' member masks without u, and each entry is one AND and
+    popcount, so the build never visits the sum_a |N(a)|^2 memberships.
+    """
+    neighbors = [sum(1 << a for a in adj) for adj in left]
+    members = [sum(1 << v for v in adj) for adj in right]
     rows = []
-    for u, neighbors in enumerate(left):
-        row = dict(Counter(chain.from_iterable(right[a] for a in neighbors)))
-        row.pop(u, None)
+    for u, adj in enumerate(left):
+        candidates = 0
+        for a in adj:
+            candidates |= members[a]
+        candidates &= ~(1 << u)
+        mask, row = neighbors[u], {}
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            w = low.bit_length() - 1
+            row[w] = (mask & neighbors[w]).bit_count()
         rows.append(row)
     return rows
 
@@ -541,30 +558,29 @@ MODELS = (*STEP_FUNCTIONS, "null")
 class Chains:
     """The chains of one run of config from H.
 
-    Chain `index` starts at H's bipartite form, is seeded by
-    derive_seed(seed, "chain", index) and runs the resolved step count.  The
-    samples are `independent` unless a thinning other than the step count
-    makes them points along chain 0; the "null" model draws each sample
-    directly.  draw(index) gives sample `index` of an independent run, the
-    same in any order and in any process.
+    Chain `index` starts at its own bipartite form of H, built in the process
+    that runs the chain, is seeded by derive_seed(seed, "chain", index) and
+    runs the resolved step count.  The samples are `independent` unless a
+    thinning other than the step count makes them points along chain 0; the
+    "null" model draws each sample directly.  draw(index) gives sample
+    `index` of an independent run, the same in any order and in any process.
     """
 
     def __init__(self, H: DirectedHypergraph, config: ChainConfig):
         self.H, self.config = H, config
-        self.G0 = None if config.model == "null" else to_bipartite(H)
-        self.steps = None if self.G0 is None else config.resolved_steps(self.G0)
-        self.independent = self.G0 is None or config.thinning in (None, self.steps)
+        self.steps = None if config.model == "null" else config.resolved_steps(H)
+        self.independent = self.steps is None or config.thinning in (None, self.steps)
 
     def start(self, index: int) -> ChainState:
         """Chain `index` after the resolved step count."""
         state = make_chain_state(
-            self.G0.copy(), derive_seed(self.config.seed, "chain", index), self.config.model
+            to_bipartite(self.H), derive_seed(self.config.seed, "chain", index), self.config.model
         )
         STEP_FUNCTIONS[self.config.model](state, self.steps)
         return state
 
     def draw(self, index: int) -> DirectedHypergraph:
-        if self.G0 is None:
+        if self.steps is None:
             return null_sample(self.H, derive_seed(self.config.seed, "null", index))
         return to_hypergraph(self.start(index).graph)
 

@@ -1,6 +1,7 @@
 """Shared test helpers: deterministic random generators, brute-force recount
 oracles used to cross-check the package implementations, reference versions
-of the structure kernels, of the trade biadjacency and of the itemset miner, the thinned visit counter
+of the structure kernels, of the trade biadjacency, of the itemset miner, of
+the co-degree tables and of the invariant text, the thinned visit counter
 of the chain uniformity tests, the reverse of a swap proposal and the kernel's
 probability of proposing it, the consistency checks that a checked chain walk
 runs after every step (a degs-mh state's co-degree tables among them), the
@@ -8,6 +9,7 @@ rate-class check of a contagion state, and the merge-sort Kendall tau that
 diagnostics.kendall_tau must reproduce bit for bit."""
 
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -31,6 +33,15 @@ def random_hypergraph(rng, max_nodes=8, max_edges=6, max_side=3):
         tail = frozenset(rng.sample(range(n), b))
         edges.append(Hyperedge(head, tail))
     return DirectedHypergraph(edges, n)
+
+
+def varied_hypergraph(rng, max_nodes=12, max_edges=100):
+    """random_hypergraph (one-sided edges, head/tail overlap) plus two
+    isolated nodes and a random share of its edges repeated as extra copies;
+    max_edges above 64 lets a bitmask over the edges span several words."""
+    H = random_hypergraph(rng, max_nodes, max_edges, max_side=4)
+    repeats = rng.sample(H.edges, rng.randint(0, len(H.edges)))
+    return DirectedHypergraph(H.edges + repeats, H.num_nodes + 2)
 
 
 def metabolic_scale(seed):
@@ -195,6 +206,29 @@ def check_order(state):
                 assert listed is None or (
                     len(listed) == len(view[v]) and set(listed) == view[v]
                 ), "draw list out of step with its neighbour set"
+
+
+def co_degrees_reference(left, right):
+    """sampling._co_degrees by counting: each row tallies every member of
+    every neighbour of u, then drops u."""
+    rows = []
+    for u, neighbors in enumerate(left):
+        row = dict(Counter(itertools.chain.from_iterable(right[a] for a in neighbors)))
+        row.pop(u, None)
+        rows.append(row)
+    return rows
+
+
+def invariant_text_reference(invariant):
+    """cli._invariant_text by json.dumps of the spelled-out invariant: a joint
+    tensor as its sorted ((i, j, k, l, d), count) items."""
+    if isinstance(invariant, tuple):
+        *degrees, lefts, rights, codes = invariant
+        invariant = [*degrees, [
+            (lefts[c // 2 // len(rights)] + rights[c // 2 % len(rights)] + ((-1, 1)[c % 2],), n)
+            for c, n in Counter(codes).items()
+        ]]
+    return json.dumps(invariant)
 
 
 def check_co_degrees(state):

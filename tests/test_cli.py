@@ -11,6 +11,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -21,13 +22,22 @@ from pathlib import Path
 
 import pytest
 
-from helpers import metabolic_scale, trade_scale
+from helpers import invariant_text_reference, metabolic_scale, trade_scale, varied_hypergraph
 from test_acceptance import contact_scale
 import hypernull.cli
 import hypernull.structure
-from hypernull.cli import RunManifest, _fmt, _parse_model_dirs, build_parser, main
+from hypernull.cli import (
+    RunManifest,
+    _fmt,
+    _invariant_text,
+    _invariants,
+    _parse_model_dirs,
+    build_parser,
+    main,
+)
 from hypernull.contagion import SISConfig
 from hypernull.core import (
+    DirectedHypergraph,
     format_hypergraph,
     format_undirected,
     merge_to_undirected,
@@ -306,6 +316,24 @@ class TestSample:
         assert not out.exists()
         assert run(["sample", "--input", toy, "--samples", 2, "--steps", 50,
                     "--thinning", 7, "--output-dir", out]) == 0
+
+    @pytest.mark.parametrize("steps", ["abc", "-5", "2.5", ""])
+    def test_steps_must_be_auto_or_a_count(self, tmp_path, toy, capsys, steps):
+        out = tmp_path / "bad"
+        assert run(["sample", "--input", toy, "--steps", steps, "--output-dir", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --steps must be 'auto' or a non-negative integer, got {steps!r}\n")
+        assert not out.exists()
+
+    def test_invariant_text_matches_the_json_reference(self):
+        rng = random.Random(0)
+        graphs = [DirectedHypergraph([], 3)] + [
+            varied_hypergraph(rng, *sizes) for sizes in [(12, 100), (90, 30)] * 20
+        ]
+        for H in graphs:
+            for model in MODELS:
+                invariant = _invariants(H, model)
+                assert _invariant_text(invariant) == invariant_text_reference(invariant)
 
     @pytest.mark.parametrize("flags", [["--steps", 500], ["--thinning", 7]])
     def test_null_rejects_chain_flags(self, tmp_path, toy, capsys, flags):

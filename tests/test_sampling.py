@@ -11,12 +11,14 @@ from scipy import stats
 
 from helpers import (
     checked_walk,
+    co_degrees_reference,
     metabolic_scale,
     random_hypergraph,
     reverse,
     step_probability,
     thinned_visits,
     validate,
+    varied_hypergraph,
 )
 from test_acceptance import contact_scale
 from hypernull.core import (
@@ -38,8 +40,10 @@ from hypernull.sampling import (
     SwapProposal,
     LEFT,
     RIGHT,
+    _co_degrees,
     _draw_outside,
     _randbelow,
+    _views,
     apply_pso,
     delta_state_degree_pso,
     derive_seed,
@@ -489,6 +493,19 @@ class TestJointStep:
 # ---------------------------------------------------------------------------
 
 
+class TestCoDegrees:
+    def test_bitmask_build_matches_the_counting_build(self):
+        rng = random.Random(0)
+        graphs = [DirectedHypergraph([], 3)] + [
+            varied_hypergraph(rng, *sizes) for sizes in [(12, 100), (90, 30)] * 30
+        ]
+        for H in graphs:
+            G = to_bipartite(H)
+            for direction in (+1, -1):
+                views = _views(G, direction)
+                assert _co_degrees(*views) == co_degrees_reference(*views)
+
+
 class TestStateDegreePso:
     def test_single_edge(self):
         G = to_bipartite(parse_hypergraph("1|"))
@@ -736,7 +753,7 @@ class TestRunChain:
         G = to_bipartite(H)
         cfg = ChainConfig(model="degs", steps="auto", seed=1, sample_count=1)
         w = G.plus_edges() + G.minus_edges()
-        assert cfg.resolved_steps(G) == 20 * w
+        assert cfg.resolved_steps(H) == 20 * w
 
     def test_bad_model_rejected(self):
         with pytest.raises(ValueError):

@@ -447,24 +447,18 @@ class _Unverified(Exception):
     its args are the lines that report it."""
 
 
-def _steps(text: str):
-    """--steps as ChainConfig takes it: "auto" or a non-negative int."""
-    if text == "auto":
-        return text
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"--steps must be 'auto' or a non-negative integer, got {text!r}")
-    return int(text)
-
-
 def cmd_sample(args, manifest: RunManifest) -> int:
     if args.model == "null" and (args.steps != "auto" or args.thinning is not None):
         raise ValueError("--steps and --thinning do not apply to --model null")
     if args.thinning is not None and args.samples == 1:
         raise ValueError("--thinning needs --samples of at least 2: one sample is taken after --steps swaps")
+    if args.steps != "auto" and not (args.steps.isascii() and args.steps.isdigit()):
+        raise ValueError(f"--steps must be 'auto' or a non-negative integer, got {args.steps!r}")
     H = parse_hypergraph(manifest.read(args.input))
+    steps = args.steps if args.steps == "auto" else int(args.steps)
     config = ChainConfig(
         model=args.model,
-        steps=_steps(args.steps),
+        steps=steps,
         seed=args.seed,
         sample_count=args.samples,
         thinning=args.thinning,

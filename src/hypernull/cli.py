@@ -8,7 +8,8 @@ recording the command line, input hashes, seed, versions, per-output
 checksums, and wall-clock timings.  Output files are byte-identical across
 re-runs with the same inputs and seed; the manifest differs only in its
 timings.  A sample directory's manifest lists its samples: commands that read
-the directory take exactly those files and reject one whose checksum differs.
+the directory take exactly those files and reject one whose checksum differs
+when they read it.
 
 Every comparison of the observed hypergraph with its samples goes through one
 reducer, _reduce: a subcommand computes one statistic per row on each
@@ -18,7 +19,9 @@ deviation and observed/mean ratio of the defined sample values.
 Every subcommand that measures several graphs runs one task per graph (per
 run for contagion, per chain for an unthinned sample) through one ordered
 map, _map, over forked workers: one per usable CPU, results in task order.
-main() pins BLAS to one thread, so no output depends on the CPU count.
+metric, affinity and econ compare measure through _measure, whose task 0 is
+the observed graph.  main() pins BLAS to one thread, so no output depends on
+the CPU count.
 """
 
 from __future__ import annotations
@@ -146,13 +149,13 @@ def _undirected_substrate(text: str):
 
 
 def _sample_files(directory) -> list:
-    """The samples of a directory, as (path, sha256, listing) triples.
+    """The samples of a directory, as (path, sha256, listing) triples for
+    _read_sample, which checks each file's bytes against its sha256.
 
     A directory written by `sample` holds manifest.json, the listing whose
-    sample list is the truth: each listed file must be present with its
-    sha256, and files it does not list are ignored.  Without a manifest:
-    sample_<i>.dhg files by index, else every .dhg file by name, with sha256
-    and listing None."""
+    sample list is the truth: each listed file must be present, and files it
+    does not list are ignored.  Without a manifest: sample_<i>.dhg files by
+    index, else every .dhg file by name, with sha256 and listing None."""
     directory = Path(directory)
     manifest = directory / "manifest.json"
     if manifest.is_file():
@@ -163,15 +166,11 @@ def _sample_files(directory) -> list:
             raise ValueError(f"{manifest} has no list of samples") from exc
         if not records:
             raise ValueError(f"{manifest} lists no samples")
-        paths = []
-        for name, digest in records:
-            path = directory / name
+        listed = [(directory / name, digest, manifest) for name, digest in records]
+        for path, _, _ in listed:
             if not path.is_file():
                 raise ValueError(f"{path} is listed in {manifest} but missing")
-            if _sha256(path.read_bytes()) != digest:
-                raise ValueError(f"{path} differs from its sha256 in {manifest}")
-            paths.append((path, digest, manifest))
-        return paths
+        return listed
     indexed = []
     for path in directory.glob("sample_*.dhg"):
         suffix = path.name[len("sample_") : -len(".dhg")]
@@ -198,7 +197,8 @@ def _parse_model_dirs(entries) -> dict:
 
 def _read_sample(path, digest, listing, parse=parse_hypergraph) -> tuple:
     """(graph, sha256) of one file of _sample_files(), parsed from the bytes
-    whose sha256 it returns; a file off its listed sha256 fails."""
+    whose sha256 it returns; a file off its listed sha256 fails.  This is the
+    one check of a sample's bytes against its listing."""
     data = Path(path).read_bytes()
     sha256 = _sha256(data)
     if listing is not None and sha256 != digest:
@@ -270,11 +270,11 @@ def _measure(manifest, measure, observed, files: dict) -> tuple:
     """(measure(observed, None), {model: [measure(S, model) for each sample S
     of files[model]]}), files being {model: _sample_files()}.
 
-    Each graph is one task of _map: the observed one, held here (None skips
-    it), then the samples in order.  A sample's task reads its file, checks
-    it against its listed sha256 and parses it, so this process never holds
-    a sample; manifest.inputs records the sha256 it read.  timings gains
-    graphs_s and workers.
+    Each graph is one task of _map: task 0 is the observed one, held here
+    (None skips it), then the samples in order.  A sample's task reads its
+    file with _read_sample, so this process never holds a sample; the first
+    failure in task order is raised, and manifest.inputs records the sha256
+    each task read.  timings gains graphs_s and workers.
     """
     tasks = [(model, *file) for model, listed in files.items() for file in listed]
 
@@ -654,11 +654,10 @@ def cmd_affinity(args, manifest: RunManifest) -> int:
         sizes = range(args.k_min, args.k_max + 1)
     keys = [(category, k) for category in partition.categories for k in sizes]
 
-    def measure(G, _=None):
+    def measure(G, _):
         return {(category, k): affinity(G, partition, category, 1, 1, k) for category, k in keys}
 
-    observed = measure(H)
-    _, sampled = _measure(manifest, measure, None, _parse_model_dirs(args.samples))
+    observed, sampled = _measure(manifest, measure, H, _parse_model_dirs(args.samples))
     rows = []
     for key in keys:
         category, k = key
@@ -727,19 +726,15 @@ def _country_scores(H: DirectedHypergraph):
 
 
 def cmd_econ_compare(args, manifest: RunManifest) -> int:
-    countries, observed = _country_scores(parse_hypergraph(manifest.read(args.observed)))
-
-    def measure(G, model):
-        sample_countries, scored = _country_scores(G)
-        if sample_countries != countries:
+    H = parse_hypergraph(manifest.read(args.observed))
+    (countries, observed), sampled = _measure(
+        manifest, lambda G, _: _country_scores(G), H, _parse_model_dirs(args.samples)
+    )
+    samples = {}
+    for model, scored in sampled.items():
+        if any(sample_countries != countries for sample_countries, _ in scored):
             raise ValueError(f"sample country set differs from observed in {model!r}")
-        return scored
-
-    _, sampled = _measure(manifest, measure, None, _parse_model_dirs(args.samples))
-    samples = {
-        model: {score: [s[score] for s in scored] for score in observed}
-        for model, scored in sampled.items()
-    }
+        samples[model] = {score: [s[score] for _, s in scored] for score in observed}
     header = (
         "sampler", "score", "samples",
         "spearman_mean", "spearman_std", "kendall_mean", "kendall_std",

@@ -88,6 +88,32 @@ def trade_scale(seed, m=4600):
     return DirectedHypergraph(edges, n)
 
 
+def trade_csv(seed, n=50, m=200):
+    """A 2019 trade table as `econ build` reads it (year,country,product,
+    export_value,import_value), one row per country and product.
+
+    Exporters cluster as in trade_scale: each country has a capability and
+    each product a complexity, both uniform on [0, 1], and a country's export
+    value of a product is exp(-5 |capability - complexity|) times
+    log-normal noise, so the countries whose export RCA exceeds 1 are those
+    close to the product's complexity.  Import values are log-normal noise
+    alone.  Every value of a country is scaled by its log-normal size, as
+    real totals differ.  Values are whole numbers, so the text is the same
+    everywhere.
+    """
+    rng = random.Random(seed)
+    capability = [rng.random() for _ in range(n)]
+    size = [math.exp(rng.gauss(0.0, 1.0)) for _ in range(n)]
+    lines = ["year,country,product,export_value,import_value"]
+    for p in range(m):
+        complexity = rng.random()
+        for c in range(n):
+            export = size[c] * math.exp(-5 * abs(capability[c] - complexity) + rng.gauss(0.0, 1.0))
+            imported = size[c] * math.exp(rng.gauss(0.0, 1.0))
+            lines.append(f"2019,C{c:03d},P{p:04d},{round(1e6 * export)},{round(1e6 * imported)}")
+    return "\n".join(lines) + "\n"
+
+
 def recount_degrees(G):
     """Recount the four degree sequences straight from the raw edge list.
 

@@ -12,6 +12,7 @@ corresponding files are not supplied.
 
 import itertools
 import json
+import math
 import os
 import random
 import time
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import check_buckets, metabolic_scale, random_hypergraph, thinned_visits
+from helpers import check_buckets, metabolic_scale, random_hypergraph, thinned_visits, trade_csv
 from hypernull.cli import main
 from hypernull.contagion import (
     DEFAULT_THRESHOLDS,
@@ -365,6 +366,29 @@ class TestUniformityAtDeskScale:
         assert p_value > 0.001
         assert time.perf_counter() - started < 300.0
 
+    def test_a_repeated_copy_has_one_over_r_factorial_of_the_weight(self):
+        # The chains are uniform over edge-labeled states, and a written
+        # sample is the multiset of its copies: r labeled states that only
+        # swap the labels of r equal copies are one multiset.  So each
+        # multiset's labeled-state count times the product of r_i! over its
+        # repeated copies is one constant (exact integers).
+        H = parse_hypergraph("0|1\n0|1\n1|2\n2|0\n")  # one copy repeated
+        p = degree_profile(to_bipartite(H))
+        n, m = H.num_nodes, len(H.edges)
+        states = Counter()
+        for pm in matrices_with_margins(n, m, p.left_out, p.right_in):
+            for mm in matrices_with_margins(n, m, p.left_in, p.right_out):
+                copies = [(frozenset(v for v in range(n) if a in pm[v]),
+                           frozenset(v for v in range(n) if a in mm[v])) for a in range(m)]
+                states[tuple(sorted(copies, key=lambda c: (sorted(c[0]), sorted(c[1]))))] += 1
+        assert sum(states.values()) == 144
+        weighted = {
+            math.prod(math.factorial(r) for r in Counter(multiset).values()) * count
+            for multiset, count in states.items()
+        }
+        assert weighted == {math.factorial(m)}  # every copy has one head and one tail
+        assert set(states.values()) == {24, 12}  # unequal multiset weights
+
 
 # ---------------------------------------------------------------------------
 # 3. Swap-count bookkeeping
@@ -636,6 +660,62 @@ class TestTradeReproduction:
             0.981, abs=0.02
         )
         assert time.perf_counter() - started < 3600.0
+
+
+class TestTradeScienceGate:
+    """The trade pipeline end to end through the CLI on a synthetic table:
+    econ build, then degs and joint samples at --steps auto, then econ
+    compare.  It pins the rank agreement, not bytes, so a release that
+    changes every sample keeps it, and one that moves the paper's
+    conclusion fails it."""
+
+    SAMPLES = 12
+
+    # (spearman_mean, spearman_std) of each (sampler, score), pinned on
+    # trade_csv(2019) with sample seed 11.
+    PINNED = {
+        ("degs", "eci"): (-0.0223289315726, 0.123055875829),
+        ("degs", "fitness"): (0.618231292517, 0.0441753019413),
+        ("degs", "genepy"): (-0.096118447379, 0.130305033413),
+        ("joint", "eci"): (0.957398959584, 0.00527868612094),
+        ("joint", "fitness"): (0.930884353741, 0.00615836847986),
+        ("joint", "genepy"): (0.793205282113, 0.0136047901357),
+    }
+
+    def test_rank_agreement_of_auto_samples(self, tmp_path):
+        started = time.perf_counter()
+        trade, observed = tmp_path / "trade.csv", tmp_path / "trade.dhg"
+        trade.write_text(trade_csv(2019), encoding="utf-8")
+
+        def cli(*argv):
+            assert main([str(a) for a in argv]) == 0
+
+        cli("econ", "build", "--trade", trade, "--year", 2019, "--output", observed)
+        H = parse_hypergraph(observed.read_text(encoding="utf-8"))
+        assert (H.num_nodes, len(H.edges)) == (50, 200)
+        assert sum(len(e.head) for e in H.edges) == 2863  # mean head size 14.315
+        assert sum(len(e.tail) for e in H.edges) == 3219
+        for model in ("degs", "joint"):
+            cli("sample", "--input", observed, "--model", model, "--samples", self.SAMPLES,
+                "--steps", "auto", "--seed", 11, "--output-dir", tmp_path / model)
+        compare = tmp_path / "compare.csv"
+        cli("econ", "compare", "--observed", observed, "--samples", f"degs={tmp_path / 'degs'}",
+            "--samples", f"joint={tmp_path / 'joint'}", "--output", compare)
+        lines = compare.read_text(encoding="utf-8").splitlines()
+        rows = {}
+        for line in lines[1:]:
+            sampler, score, samples, spearman_mean, *_ = line.split(",")
+            assert int(samples) == self.SAMPLES
+            rows[sampler, score] = float(spearman_mean)
+        assert rows.keys() == self.PINNED.keys()
+        for key, (mean, std) in self.PINNED.items():
+            # Four standard errors of the pinned run, fixed with the pins;
+            # never widened.
+            assert abs(rows[key] - mean) <= 4 * std / math.sqrt(self.SAMPLES), key
+        # The science the gate holds: joint keeps the ECI ranking and degs
+        # does not.
+        assert rows["joint", "eci"] > 0.9 > abs(rows["degs", "eci"])
+        assert time.perf_counter() - started < 60.0
 
 
 # ---------------------------------------------------------------------------

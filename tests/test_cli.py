@@ -416,7 +416,7 @@ class TestMetric:
                     "--output", out]) == 0
         samples = sorted(str(path) for path in sample_dir.glob("*.dhg"))
         assert reads[str(toy)] == 1
-        assert [reads[path] for path in samples] == [2, 2, 2]  # verify, then load
+        assert [reads[path] for path in samples] == [1, 1, 1]  # checked as it is loaded
         assert_inputs_hashed(tmp_path / "core.csv.manifest.json", [toy, *samples])
 
     def test_reciprocity_against_itself_has_unit_ratio(self, tmp_path, toy):
@@ -1177,7 +1177,7 @@ class TestWorkerCounts:
             tmp_path, monkeypatch, capsys,
             ["econ", "compare", "--observed", econ, "--samples", f"degs={tmp_path / 'degs'}",
              "--samples", f"joint={tmp_path / 'joint'}", "--output", "OUT/compare.csv"],
-            tasks=4)
+            tasks=5)  # the observed graph and four samples
         _, rows = read_rows(tmp_path / "cpus2" / "compare.csv")
         assert [row[:3] for row in rows] == [
             ["degs", "eci", "2"], ["degs", "fitness", "2"], ["degs", "genepy", "2"],
@@ -1196,7 +1196,7 @@ class TestWorkerCounts:
             ["affinity", "--input", sponsor, "--labels", labels,
              "--samples", f"degs={tmp_path / 'degs'}", "--samples", f"null={tmp_path / 'null'}",
              "--k-min", 1, "--k-max", 3, "--output", "OUT/aff.csv"],
-            tasks=4)
+            tasks=5)  # the observed graph and four samples
 
     @pytest.mark.parametrize("model", MODELS)
     def test_sample(self, tmp_path, toy, monkeypatch, capsys, model):
@@ -1237,6 +1237,60 @@ class TestWorkerCounts:
             f"error: {sample_dir / 'sample_1.dhg'} differs from its sha256 in "
             f"{sample_dir / 'manifest.json'}\n"
         )
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["econ", "affinity"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_changed_sample_fails_cleanly(self, tmp_path, monkeypatch, capsys, cpus,
+                                            command):
+        # The sample's task checks its bytes against the manifest's sha256.
+        observed, labels = tmp_path / "econ.dhg", tmp_path / "labels.csv"
+        observed.write_text(ECON, encoding="utf-8")
+        labels.write_text("node_id,category\n" + "".join(f"{v},c{v % 2}\n" for v in range(8)),
+                          encoding="utf-8")
+        samples = tmp_path / "degs"
+        assert run(["sample", "--input", observed, "--samples", 3, "--steps", 100,
+                    "--seed", 4, "--output-dir", samples]) == 0
+        (samples / "sample_1.dhg").write_text(ECON, encoding="utf-8")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        argv = {
+            "econ": ["econ", "compare", "--observed", observed, "--samples", f"degs={samples}"],
+            "affinity": ["affinity", "--input", observed, "--labels", labels,
+                         "--samples", f"degs={samples}"],
+        }[command]
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert run([*argv, "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {samples / 'sample_1.dhg'} differs from its sha256 in "
+            f"{samples / 'manifest.json'}\n"
+        )
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+        assert not Path(f"{out}.manifest.json").exists()
+
+    @pytest.mark.parametrize("texts, message", [
+        ((ECON, ECON.replace(",7|", "|")),
+         "sample country set differs from observed in 'm'"),
+        # A sample whose scoring raises is reported before any country set
+        # is compared, wherever it stands.
+        ((ECON.replace(",7|", "|"), "0|1\n0|2\n"), "ECI needs at least two countries"),
+    ], ids=["mismatch", "raising-sample-first"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_econ_compare_rejects_another_country_set(self, tmp_path, monkeypatch, capsys,
+                                                      cpus, texts, message):
+        # Country 7 exports nothing in the sample, so its scores leave it out.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        observed, samples = tmp_path / "econ.dhg", tmp_path / "bare"
+        observed.write_text(ECON, encoding="utf-8")
+        samples.mkdir()
+        for index, text in enumerate(texts):
+            (samples / f"sample_{index}.dhg").write_text(text, encoding="utf-8")
+        out = tmp_path / "compare.csv"
+        assert run(["econ", "compare", "--observed", observed, "--samples", f"m={samples}",
+                    "--output", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert multiprocessing.active_children() == []
         assert not out.exists()
 
@@ -1438,9 +1492,6 @@ class TestHelpers:
         assert rows[0][3] == "1"
 
     def test_sample_not_matching_manifest_is_rejected(self, sample_dir):
-        (sample_dir / "sample_1.dhg").write_text(TOY, encoding="utf-8")
-        with pytest.raises(ValueError, match="sample_1.dhg differs"):
-            _parse_model_dirs([f"m={sample_dir}"])
         (sample_dir / "sample_1.dhg").unlink()
         with pytest.raises(ValueError, match="sample_1.dhg is listed"):
             _parse_model_dirs([f"m={sample_dir}"])

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import invariant_text_reference, metabolic_scale, trade_scale, varied_hypergraph
+from helpers import invariant_text_reference, metabolic_scale, trade_csv, trade_scale, varied_hypergraph
 from test_acceptance import contact_scale
 import hypernull.cli
 import hypernull.structure
@@ -534,6 +534,19 @@ class TestMetric:
         _, rows = read_rows(out)
         assert rows[0][0] == format(observed, ".12g")
 
+    def test_spectrum_bytes_pinned_at_metabolic_scale(self, tmp_path):
+        # A fresh process, so main() pins BLAS to one thread before numpy
+        # loads: the noise-level zero eigenvalue depends on the thread count.
+        graph, out = tmp_path / "metabolic.dhg", tmp_path / "spectrum.csv"
+        graph.write_text(format_hypergraph(metabolic_scale(101)), encoding="utf-8")
+        src = Path(hypernull.cli.__file__).resolve().parents[1]
+        subprocess.run([sys.executable, "-m", "hypernull.cli", "metric", "spectrum",
+                        "--input", str(graph), "--output", str(out)],
+                       env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+                       capture_output=True, timeout=300)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b6701225b1661f16fb4e6b30f194d9149b7f0e1d00e86b9496346ef8d1a7aa63")
+
 
 class TestAffinity:
     @pytest.fixture
@@ -752,6 +765,40 @@ class TestEcon:
         _, rows = read_rows(out)
         for row in rows:
             assert -1.0 <= float(row[3]) <= 1.0
+
+
+class TestEconBuildPinned:
+    """Byte pins of `econ build`: the graph and its labels on trade_csv(2019)
+    (50 countries, 200 products), and the zero-denominator warnings."""
+
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "48ef14a2e37f886eee201b2dedad1687867d02211c175a4fef08d318489111a7"),
+        (["--threshold", 2], "c8f8c75eed2bdbcd7bc0a5ed0a3fac1ee9429268fcd2da7cc333eebd0f06bde6"),
+    ])
+    def test_graph_and_labels(self, tmp_path, flags, digest):
+        trade, out = tmp_path / "trade.csv", tmp_path / "trade.dhg"
+        trade.write_text(trade_csv(2019), encoding="utf-8")
+        assert run(["econ", "build", "--trade", trade, "--year", 2019, *flags,
+                    "--output", out]) == 0
+        labels = (tmp_path / "trade.labels.csv").read_bytes()
+        assert TestRepeatedLinesPinned.sha256(out.read_bytes(), labels) == digest
+
+    def test_zero_denominators_warn_export_then_import(self, tmp_path, capsys):
+        # JPN never imports (4 import entries undefined) and no country
+        # exports tea (3 export entries undefined).
+        trade, out = tmp_path / "trade.csv", tmp_path / "trade.dhg"
+        trade.write_text(
+            "year,country,product,export_value,import_value\n"
+            "2020,USA,apples,100,5\n2020,USA,cars,50,10\n2020,USA,steel,7,30\n2020,USA,tea,0,4\n"
+            "2020,DEU,apples,10,80\n2020,DEU,cars,200,5\n2020,DEU,steel,90,2\n2020,DEU,tea,0,9\n"
+            "2020,JPN,apples,30,0\n2020,JPN,cars,90,0\n2020,JPN,steel,20,0\n2020,JPN,tea,0,0\n",
+            encoding="utf-8")
+        assert run(["econ", "build", "--trade", trade, "--year", 2020, "--output", out]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 3 RCA entries had zero denominators; set to 0\n"
+            "warning: 4 RCA entries had zero denominators; set to 0\n"
+        )
+        assert out.read_text(encoding="utf-8") == "|0\n0|2\n0,1|2\n2|0\n"
 
 
 class TestRepeatedLinesPinned:

@@ -153,9 +153,10 @@ def _sample_files(directory) -> list:
     _read_sample, which checks each file's bytes against its sha256.
 
     A directory written by `sample` holds manifest.json, the listing whose
-    sample list is the truth: each listed file must be present, and files it
-    does not list are ignored.  Without a manifest: sample_<i>.dhg files by
-    index, else every .dhg file by name, with sha256 and listing None."""
+    sample list is the truth: each listed file must be a plain file name
+    present in the directory, and files it does not list are ignored.
+    Without a manifest: sample_<i>.dhg files by index, else every .dhg file
+    by name, with sha256 and listing None."""
     directory = Path(directory)
     manifest = directory / "manifest.json"
     if manifest.is_file():
@@ -166,6 +167,9 @@ def _sample_files(directory) -> list:
             raise ValueError(f"{manifest} has no list of samples") from exc
         if not records:
             raise ValueError(f"{manifest} lists no samples")
+        for name, _ in records:
+            if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+                raise ValueError(f"{manifest} lists {name!r}, which is not a plain file name")
         listed = [(directory / name, digest, manifest) for name, digest in records]
         for path, _, _ in listed:
             if not path.is_file():

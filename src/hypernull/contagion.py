@@ -38,25 +38,24 @@ DRIFT_TOLERANCE = 0.01
 
 
 class Thresholds(NamedTuple):
-    """Invasion thresholds (linear and super-linear regime) and bistability
-    threshold of a dataset, consumed as inputs when rescaling `contagion` output."""
+    """Invasion thresholds of a dataset, linear and super-linear regime,
+    consumed as inputs when rescaling `contagion` output."""
 
     lambda_linear: float
     lambda_superlinear: float
-    nu_bistable: float
 
 
 DEFAULT_THRESHOLDS = {
-    "lyon": Thresholds(0.0474, 0.0382, 2.5415),
-    "high": Thresholds(0.0101, 0.0096, 2.4337),
-    "email-enron": Thresholds(0.0060, 0.0025, 1.3182),
-    "email-eu": Thresholds(0.0009, 0.0008, 1.2313),
+    "lyon": Thresholds(0.0474, 0.0382),
+    "high": Thresholds(0.0101, 0.0096),
+    "email-enron": Thresholds(0.0060, 0.0025),
+    "email-eu": Thresholds(0.0009, 0.0008),
 }
 
 
 def load_thresholds(text=None) -> dict:
     """Shipped default thresholds, overlaid with entries from JSON text
-    mapping dataset name to lambda_c_linear / lambda_c_superlinear / nu_c."""
+    mapping dataset name to lambda_c_linear and lambda_c_superlinear."""
     merged = dict(DEFAULT_THRESHOLDS)
     if text is None:
         return merged
@@ -67,7 +66,7 @@ def load_thresholds(text=None) -> dict:
         if not isinstance(entry, dict):
             raise ValueError(f"thresholds entry {name!r} must be a JSON object, not {type(entry).__name__}")
         try:
-            values = [float(entry[key]) for key in ("lambda_c_linear", "lambda_c_superlinear", "nu_c")]
+            values = [float(entry[key]) for key in ("lambda_c_linear", "lambda_c_superlinear")]
         except KeyError as missing:
             raise ValueError(
                 f"thresholds entry {name!r} is missing key {missing}"

@@ -28,7 +28,6 @@ logger = logging.getLogger(__name__)
 
 POPULATION_FLOOR = 1_000_000.0
 TRADE_FLOOR = 1_000_000_000.0
-TRADE_SIDES = ("export", "import")
 FITNESS_MAX_ITER = 1000
 
 
@@ -115,33 +114,15 @@ def read_trade_table(trade_path, metadata_path=None) -> TradeTable:
 # ---------------------------------------------------------------------------
 
 
-class RcaMatrix(NamedTuple):
-    countries: tuple
-    products: tuple
-    values: np.ndarray
+def rca(values: np.ndarray) -> np.ndarray:
+    """Balassa specialization of a country x product matrix of trade values:
+    a country's share of a product relative to the product's share of world
+    trade.
 
-
-def rca(table: TradeTable, year: int, trade: str = "export") -> RcaMatrix:
-    """Balassa specialization: a country's share of a product relative to
-    the product's share of world trade, on the chosen side of the ledger.
-
-    Entries whose denominators vanish (a country or product with no trade
-    that year) are 0, with a warning.
+    Entries whose denominators vanish (a country or product with no trade)
+    are 0, with a warning.
     """
     import numpy as np
-    if trade not in TRADE_SIDES:
-        raise ValueError(f"trade must be one of {TRADE_SIDES}, got {trade!r}")
-    rows = [r for r in table.records if r.year == year]
-    if not rows:
-        raise ValueError(f"year {year} is not present in the trade table")
-    countries = tuple(sorted({r.country for r in rows}))
-    products = tuple(sorted({r.product for r in rows}))
-    c_index = {c: i for i, c in enumerate(countries)}
-    p_index = {p: j for j, p in enumerate(products)}
-    values = np.zeros((len(countries), len(products)))
-    for r in rows:
-        amount = r.export_value if trade == "export" else r.import_value
-        values[c_index[r.country], p_index[r.product]] += amount
     by_country = values.sum(axis=1)
     by_product = values.sum(axis=0)
     total = values.sum()
@@ -154,7 +135,7 @@ def rca(table: TradeTable, year: int, trade: str = "export") -> RcaMatrix:
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = (values / by_country[:, None]) / (by_product / total)[None, :]
-    return RcaMatrix(countries, products, np.where(undefined, 0.0, ratios))
+    return np.where(undefined, 0.0, ratios)
 
 
 @dataclass(frozen=True)
@@ -366,25 +347,35 @@ def trade_to_hypergraph(table: TradeTable, year: int, threshold: float = 1.0) ->
     """One hyperedge per product: head = countries exporting it with RCA
     strictly above the threshold, tail = countries importing it with import
     RCA strictly above the threshold.  Products with both sides empty are
-    dropped; countries below the population/trade floors are excluded."""
-    exports = rca(table, year, trade="export")
-    imports = rca(table, year, trade="import")
-    kept = [
-        i for i, c in enumerate(exports.countries) if _passes_filters(c, table.metadata)
+    dropped; countries below the population/trade floors are excluded.  A
+    year with no rows raises ValueError."""
+    import numpy as np
+    rows = [r for r in table.records if r.year == year]
+    if not rows:
+        raise ValueError(f"year {year} is not present in the trade table")
+    countries = sorted({r.country for r in rows})
+    products = sorted({r.product for r in rows})
+    c_index = {c: i for i, c in enumerate(countries)}
+    p_index = {p: j for j, p in enumerate(products)}
+    shape = (len(countries), len(products))
+    # Each row's amount lands on its flat cell, summed in row order.
+    cells = [c_index[r.country] * shape[1] + p_index[r.product] for r in rows]
+
+    def matrix(amounts):
+        return np.bincount(cells, weights=amounts, minlength=shape[0] * shape[1]).reshape(shape)
+
+    exports = rca(matrix([r.export_value for r in rows]))
+    imports = rca(matrix([r.import_value for r in rows]))
+    kept = [i for i, c in enumerate(countries) if _passes_filters(c, table.metadata)]
+    # Node n is the n-th kept country; row j of each transposed mask is product j.
+    heads = exports[kept].T > threshold
+    tails = imports[kept].T > threshold
+    edges = [
+        Hyperedge(frozenset(np.flatnonzero(head).tolist()), frozenset(np.flatnonzero(tail).tolist()))
+        for head, tail in zip(heads, tails)
+        if head.any() or tail.any()
     ]
-    node_of = {exports.countries[i]: n for n, i in enumerate(kept)}
-    edges = []
-    for j, _ in enumerate(exports.products):
-        head = frozenset(
-            node_of[exports.countries[i]] for i in kept if exports.values[i, j] > threshold
-        )
-        tail = frozenset(
-            node_of[imports.countries[i]] for i in kept if imports.values[i, j] > threshold
-        )
-        if head or tail:
-            edges.append(Hyperedge(head, tail))
-    labels = [exports.countries[i] for i in kept]
-    return DirectedHypergraph(edges, len(kept), labels=labels)
+    return DirectedHypergraph(edges, len(kept), labels=[countries[i] for i in kept])
 
 
 def rank_compare(observed: dict, samples: dict) -> list:

@@ -426,18 +426,12 @@ def multi_order_laplacian(U: UndirectedHypergraph):
     laplacian = np.zeros((n, n))
     contributed = False
     for d in range(2, D + 1):
-        members = [m for m in U.edges if len(m) == d]
-        if not members:
+        B = incidence_matrix(n, [m for m in U.edges if len(m) == d])
+        if not B.shape[1]:
             continue
-        degree = np.zeros(n)
-        adjacency = np.zeros((n, n))
-        for m in members:
-            nodes = sorted(m)
-            for v in nodes:
-                degree[v] += 1.0
-            for u, v in itertools.combinations(nodes, 2):
-                adjacency[u, v] += 1.0
-                adjacency[v, u] += 1.0
+        degree = B.sum(axis=1)
+        adjacency = B @ B.T
+        np.fill_diagonal(adjacency, 0.0)
         mean_degree = degree.sum() / n
         laplacian += (1.0 / mean_degree) * (d * np.diag(degree) - adjacency)
         contributed = True

@@ -427,6 +427,28 @@ def project_weighted_reference(H):
     return tuple(dict(s) for s in successors)
 
 
+def multi_order_laplacian_reference(U):
+    """structure.multi_order_laplacian (orders 2 to 8) with K(d) and A(d)
+    counted one member and one member pair at a time."""
+    import numpy as np
+    n = U.num_nodes
+    laplacian = np.zeros((n, n))
+    for d in range(2, min(8, max(map(len, U.edges), default=0)) + 1):
+        members = [m for m in U.edges if len(m) == d]
+        if not members:
+            continue
+        degree = np.zeros(n)
+        adjacency = np.zeros((n, n))
+        for m in members:
+            for v in m:
+                degree[v] += 1.0
+            for u, v in itertools.combinations(sorted(m), 2):
+                adjacency[u, v] += 1.0
+                adjacency[v, u] += 1.0
+        laplacian += (1.0 / (degree.sum() / n)) * (d * np.diag(degree) - adjacency)
+    return laplacian
+
+
 def biadjacency_reference(H):
     """econ.hypergraph_biadjacency's matrix filled one head membership at a
     time, one column per hyperedge copy, empty rows and columns dropped."""

@@ -980,7 +980,7 @@ class TestContagion:
     @pytest.fixture
     def thresholds(self, tmp_path):
         path = tmp_path / "thresholds.json"
-        entry = {"lambda_c_linear": 0.25, "lambda_c_superlinear": 0.5, "nu_c": 2.0}
+        entry = {"lambda_c_linear": 0.25, "lambda_c_superlinear": 0.5}
         path.write_text(json.dumps({"toy": entry}), encoding="utf-8")
         return path
 
@@ -1145,12 +1145,12 @@ class TestContagion:
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", "thresholds must be a JSON object, not list"),
         ('{"toy": 1}', "thresholds entry 'toy' must be a JSON object, not int"),
-        ('{"toy": {"lambda_c_linear": "abc", "lambda_c_superlinear": 1, "nu_c": 2}}',
+        ('{"toy": {"lambda_c_linear": "abc", "lambda_c_superlinear": 1}}',
          "thresholds entry 'toy': could not convert string to float: 'abc'"),
-        ('{"toy": {"lambda_c_linear": NaN, "lambda_c_superlinear": 1, "nu_c": 2}}',
-         "thresholds entry 'toy': values must be finite and > 0, got [nan, 1.0, 2.0]"),
-        ('{"toy": {"lambda_c_linear": -1, "lambda_c_superlinear": 1, "nu_c": 2}}',
-         "thresholds entry 'toy': values must be finite and > 0, got [-1.0, 1.0, 2.0]"),
+        ('{"toy": {"lambda_c_linear": NaN, "lambda_c_superlinear": 1}}',
+         "thresholds entry 'toy': values must be finite and > 0, got [nan, 1.0]"),
+        ('{"toy": {"lambda_c_linear": -1, "lambda_c_superlinear": 1}}',
+         "thresholds entry 'toy': values must be finite and > 0, got [-1.0, 1.0]"),
     ], ids=["array", "number-entry", "string-value", "nan-value", "negative-value"])
     def test_thresholds_of_the_wrong_shape_fail_cleanly(self, tmp_path, toy, capsys,
                                                          text, message):
@@ -1542,6 +1542,24 @@ class TestHelpers:
         (sample_dir / "sample_1.dhg").unlink()
         with pytest.raises(ValueError, match="sample_1.dhg is listed"):
             _parse_model_dirs([f"m={sample_dir}"])
+
+    @pytest.mark.parametrize("entry", ["../outside.dhg", "sub/sample_0.dhg", 5],
+                             ids=["parent", "subdirectory", "number"])
+    def test_listed_name_must_be_a_plain_file_name(self, tmp_path, toy, sample_dir, entry,
+                                                   capsys):
+        (tmp_path / "outside.dhg").write_text(TOY, encoding="utf-8")
+        (sample_dir / "sub").mkdir()
+        (sample_dir / "sub" / "sample_0.dhg").write_text(TOY, encoding="utf-8")
+        manifest = sample_dir / "manifest.json"
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        payload["invariants"]["samples"][0]["file"] = entry
+        manifest.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "rec.csv"
+        assert run(["metric", "reciprocity", "--input", toy, "--samples", sample_dir,
+                    "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest} lists {entry!r}, which is not a plain file name\n")
+        assert not out.exists()
 
     def test_sample_changed_after_verification_is_rejected(self, tmp_path, toy, sample_dir,
                                                            monkeypatch, capsys):

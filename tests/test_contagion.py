@@ -412,10 +412,10 @@ class TestRunQuasiStationary:
 
 class TestThresholds:
     def test_shipped_defaults(self):
-        assert DEFAULT_THRESHOLDS["lyon"] == Thresholds(0.0474, 0.0382, 2.5415)
-        assert DEFAULT_THRESHOLDS["high"] == Thresholds(0.0101, 0.0096, 2.4337)
-        assert DEFAULT_THRESHOLDS["email-enron"] == Thresholds(0.0060, 0.0025, 1.3182)
-        assert DEFAULT_THRESHOLDS["email-eu"] == Thresholds(0.0009, 0.0008, 1.2313)
+        assert DEFAULT_THRESHOLDS["lyon"] == Thresholds(0.0474, 0.0382)
+        assert DEFAULT_THRESHOLDS["high"] == Thresholds(0.0101, 0.0096)
+        assert DEFAULT_THRESHOLDS["email-enron"] == Thresholds(0.0060, 0.0025)
+        assert DEFAULT_THRESHOLDS["email-eu"] == Thresholds(0.0009, 0.0008)
 
     def test_load_without_path_returns_defaults(self):
         assert load_thresholds() == DEFAULT_THRESHOLDS
@@ -423,21 +423,18 @@ class TestThresholds:
     def test_load_merges_overrides(self):
         text = json.dumps(
             {
+                # A key nothing reads, such as nu_c, is ignored.
                 "lyon": {
                     "lambda_c_linear": 0.05,
                     "lambda_c_superlinear": 0.04,
                     "nu_c": 2.6,
                 },
-                "toy": {
-                    "lambda_c_linear": 1.0,
-                    "lambda_c_superlinear": 0.9,
-                    "nu_c": 2.0,
-                },
+                "toy": {"lambda_c_linear": 1.0, "lambda_c_superlinear": 0.9},
             }
         )
         merged = load_thresholds(text)
-        assert merged["lyon"] == Thresholds(0.05, 0.04, 2.6)
-        assert merged["toy"] == Thresholds(1.0, 0.9, 2.0)
+        assert merged["lyon"] == Thresholds(0.05, 0.04)
+        assert merged["toy"] == Thresholds(1.0, 0.9)
         assert merged["high"] == DEFAULT_THRESHOLDS["high"]
 
     def test_load_rejects_incomplete_entry(self):
@@ -447,20 +444,18 @@ class TestThresholds:
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", "thresholds must be a JSON object, not list"),
         ('{"toy": 1}', "thresholds entry 'toy' must be a JSON object, not int"),
-        ('{"toy": {"lambda_c_linear": null, "lambda_c_superlinear": 1, "nu_c": 2}}',
+        ('{"toy": {"lambda_c_linear": null, "lambda_c_superlinear": 1}}',
          "thresholds entry 'toy': float() argument must be a string or a real number"),
-        ('{"toy": {"lambda_c_linear": "abc", "lambda_c_superlinear": 1, "nu_c": 2}}',
+        ('{"toy": {"lambda_c_linear": "abc", "lambda_c_superlinear": 1}}',
          "thresholds entry 'toy': could not convert string to float: 'abc'"),
-        ('{"toy": {"lambda_c_linear": NaN, "lambda_c_superlinear": 1, "nu_c": 2}}',
+        ('{"toy": {"lambda_c_linear": NaN, "lambda_c_superlinear": 1}}',
          "thresholds entry 'toy': values must be finite and > 0"),
-        ('{"toy": {"lambda_c_linear": 1, "lambda_c_superlinear": Infinity, "nu_c": 2}}',
+        ('{"toy": {"lambda_c_linear": 1, "lambda_c_superlinear": Infinity}}',
          "thresholds entry 'toy': values must be finite and > 0"),
-        ('{"toy": {"lambda_c_linear": -1, "lambda_c_superlinear": 1, "nu_c": 2}}',
-         "thresholds entry 'toy': values must be finite and > 0"),
-        ('{"toy": {"lambda_c_linear": 1, "lambda_c_superlinear": 1, "nu_c": 0}}',
+        ('{"toy": {"lambda_c_linear": -1, "lambda_c_superlinear": 1}}',
          "thresholds entry 'toy': values must be finite and > 0"),
     ], ids=["array", "number-entry", "null-value", "string-value", "nan-value",
-            "infinite-value", "negative-value", "zero-value"])
+            "infinite-value", "negative-value"])
     def test_load_rejects_json_of_the_wrong_shape(self, text, message):
         with pytest.raises(ValueError) as err:
             load_thresholds(text)

@@ -150,21 +150,13 @@ class TestTradeTable:
 
 class TestRca:
     def test_single_cell_is_one(self):
-        table = export_table([[7]], ["A"], ["x"])
-        result = rca(table, 2019)
-        assert result.values == pytest.approx(np.ones((1, 1)))
+        assert rca(np.array([[7.0]])) == pytest.approx(np.ones((1, 1)))
 
     def test_uniform_is_one(self):
-        table = export_table([[3, 3], [3, 3]], ["A", "B"], ["x", "y"])
-        assert rca(table, 2019).values == pytest.approx(np.ones((2, 2)))
+        assert rca(np.full((2, 2), 3.0)) == pytest.approx(np.ones((2, 2)))
 
     def test_hand_computed_toy(self):
-        table = export_table(
-            [[2, 1, 0], [0, 1, 1], [1, 0, 3]], ["A", "B", "C"], ["x", "y", "z"]
-        )
-        result = rca(table, 2019)
-        assert result.countries == ("A", "B", "C")
-        assert result.products == ("x", "y", "z")
+        values = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 3.0]])
         expected = np.array(
             [
                 [2.0, 1.5, 0.0],
@@ -172,41 +164,30 @@ class TestRca:
                 [0.75, 0.0, 27 / 16],
             ]
         )
-        assert result.values == pytest.approx(expected)
+        assert rca(values) == pytest.approx(expected)
 
     def test_import_side(self):
+        # Export RCA is 1 everywhere, so the heads stay empty and the tails
+        # are the countries whose import RCA, the hand toy's, exceeds 1.
+        imports = {("A", "x"): 2.0, ("A", "y"): 1.0, ("B", "y"): 1.0, ("B", "z"): 1.0,
+                   ("C", "x"): 1.0, ("C", "z"): 3.0}
         records = tuple(
-            TradeRecord(2019, c, p, 0.0, value)
-            for c, p, value in [
-                ("A", "x", 2.0), ("A", "y", 1.0),
-                ("B", "y", 1.0), ("B", "z", 1.0),
-                ("C", "x", 1.0), ("C", "z", 3.0),
-            ]
+            TradeRecord(2019, c, p, 1.0, imports.get((c, p), 0.0))
+            for c in "ABC" for p in "xyz"
         )
-        result = rca(TradeTable(records, {}), 2019, trade="import")
-        assert result.values[0] == pytest.approx([2.0, 1.5, 0.0])
+        H = trade_to_hypergraph(TradeTable(records, {}), 2019)
+        assert [(set(e.head), set(e.tail)) for e in H.edges] == [
+            (set(), {0}), (set(), {0, 1}), (set(), {1, 2})]
 
     def test_zero_denominator_warns_and_zeroes(self):
-        table = TradeTable(
-            (
-                TradeRecord(2019, "A", "x", 4.0, 0.0),
-                TradeRecord(2019, "B", "x", 0.0, 0.0),
-            ),
-            {},
-        )
-        with pytest.warns(UserWarning):
-            result = rca(table, 2019)
-        assert result.values[1] == pytest.approx([0.0])
+        with pytest.warns(UserWarning, match="^1 RCA entries had zero denominators"):
+            result = rca(np.array([[4.0], [0.0]]))
+        assert result[1] == pytest.approx([0.0])
 
     def test_missing_year_rejected(self):
         table = export_table([[1]], ["A"], ["x"])
-        with pytest.raises(ValueError):
-            rca(table, 1995)
-
-    def test_bad_side_rejected(self):
-        table = export_table([[1]], ["A"], ["x"])
-        with pytest.raises(ValueError):
-            rca(table, 2019, trade="wishful")
+        with pytest.raises(ValueError, match="year 1995 is not present"):
+            trade_to_hypergraph(table, 1995)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +436,7 @@ class TestTradeToHypergraph:
         table = TradeTable(records, {})
         # RCA is exactly 1 everywhere, so strictly-greater heads and tails
         # stay empty; just below 1, every country is on both sides of both.
-        assert np.all(rca(table, 2019).values == 1.0)
-        assert np.all(rca(table, 2019, trade="import").values == 1.0)
+        assert np.all(rca(np.full((2, 2), 2.0)) == 1.0)
         H = trade_to_hypergraph(table, 2019)
         assert H.num_nodes == 2
         assert H.edges == []
@@ -520,19 +500,14 @@ class TestTradeToHypergraph:
                 H = trade_to_hypergraph(table, 2019)
             except ValueError:
                 continue
-            exports = rca(table, 2019, trade="export")
-            imports = rca(table, 2019, trade="import")
+            # One record per (country, product), in sorted row-major order.
+            exports = rca(np.array([r.export_value for r in records]).reshape(len(countries), -1))
+            imports = rca(np.array([r.import_value for r in records]).reshape(len(countries), -1))
             labels = H.labels
             expected = Counter()
-            for j, _ in enumerate(exports.products):
-                head = frozenset(
-                    c for i, c in enumerate(exports.countries)
-                    if exports.values[i, j] > 1.0
-                )
-                tail = frozenset(
-                    c for i, c in enumerate(imports.countries)
-                    if imports.values[i, j] > 1.0
-                )
+            for j, _ in enumerate(products):
+                head = frozenset(c for i, c in enumerate(countries) if exports[i, j] > 1.0)
+                tail = frozenset(c for i, c in enumerate(countries) if imports[i, j] > 1.0)
                 if head or tail:
                     expected[(head, tail)] += 1
             actual = Counter()

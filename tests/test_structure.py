@@ -20,6 +20,7 @@ from helpers import (
     core_shells_reference,
     hits_reference,
     metabolic_scale,
+    multi_order_laplacian_reference,
     project_weighted_reference,
     random_hypergraph,
     reciprocal_candidates,
@@ -684,6 +685,17 @@ class TestMultiOrderLaplacian:
         L = multi_order_laplacian(U)
         # K doubles and A doubles; the mean-degree normalization halves both.
         assert np.allclose(L, np.array([[2.0, -1.0], [-1.0, 2.0]]))
+
+    def test_matrix_is_the_pairwise_loop(self):
+        # The counts are whole numbers, so the two agree bit for bit.
+        rng = random.Random(79)
+        graphs = [merge_to_undirected(metabolic_scale(101))]
+        while len(graphs) < 40:
+            U = merge_to_undirected(random_hypergraph(rng, max_nodes=9, max_edges=10, max_side=4))
+            if any(len(m) >= 2 for m in U.edges):
+                graphs.append(U)
+        for U in graphs:
+            assert np.array_equal(multi_order_laplacian(U), multi_order_laplacian_reference(U))
 
     def test_sizes_beyond_d_ignored(self, monkeypatch):
         monkeypatch.setattr(structure, "MAX_ORDER", 2)

@@ -9,7 +9,9 @@ checksums, and wall-clock timings.  Output files are byte-identical across
 re-runs with the same inputs and seed; the manifest differs only in its
 timings.  A sample directory's manifest lists its samples: commands that read
 the directory take exactly those files and reject one whose checksum differs
-when they read it.
+when they read it.  `sample` writes a manifest with no sample list before its
+first sample and the full one only when every sample is verified, so readers
+refuse the directory of a run that failed or did not finish.
 
 Every comparison of the observed hypergraph with its samples goes through one
 reducer, _reduce: a subcommand computes one statistic per row on each
@@ -160,11 +162,14 @@ def _sample_files(directory) -> list:
     directory = Path(directory)
     manifest = directory / "manifest.json"
     if manifest.is_file():
-        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        try:  # a JSONDecodeError or UnicodeDecodeError names no file
+            payload = json.loads(manifest.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{manifest} is not valid JSON: {exc}") from exc
         try:
             records = [(r["file"], r["sha256"]) for r in payload["invariants"]["samples"]]
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"{manifest} has no list of samples") from exc
+            raise ValueError(f"{manifest} has no list of samples (written when a run succeeds)") from exc
         if not records:
             raise ValueError(f"{manifest} lists no samples")
         for name, _ in records:
@@ -271,8 +276,8 @@ def _map(fn, tasks) -> tuple:
 
 
 def _measure(manifest, measure, observed, files: dict) -> tuple:
-    """(measure(observed, None), {model: [measure(S, model) for each sample S
-    of files[model]]}), files being {model: _sample_files()}.
+    """(measure(observed), {model: [measure(S) for each sample S of
+    files[model]]}), files being {model: _sample_files()}.
 
     Each graph is one task of _map: task 0 is the observed one, held here
     (None skips it), then the samples in order.  A sample's task reads its
@@ -284,10 +289,9 @@ def _measure(manifest, measure, observed, files: dict) -> tuple:
 
     def job(task):
         if task is None:
-            return measure(observed, None), None
-        model, *file = task
-        S, sha256 = _read_sample(*file)
-        return measure(S, model), sha256
+            return measure(observed), None
+        S, sha256 = _read_sample(*task[1:])
+        return measure(S), sha256
 
     results, manifest.timings["graphs_s"], manifest.timings["workers"] = _map(
         job, [None] * (observed is not None) + tasks
@@ -471,6 +475,10 @@ def cmd_sample(args, manifest: RunManifest) -> int:
     expected_sha256 = _sha256(_invariant_text(expected).encode())
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Readers refuse this manifest, which lists no samples, until main() writes
+    # the full one on success.  Compact: json's indenting encoder leaves cycles.
+    placeholder = json.dumps({"command": manifest.command}) + "\n"
+    (out_dir / "manifest.json").write_text(placeholder, encoding="utf-8")
 
     def verified(index, sample) -> dict:
         """Write sample `index`, read it back and check its invariant."""
@@ -616,7 +624,7 @@ def cmd_metric(args, manifest: RunManifest) -> int:
     files = {"": _sample_files(args.samples)} if args.samples else {}
 
     def ensemble(measure, observed=True):
-        value, sampled = _measure(manifest, lambda G, _: measure(G), H if observed else None, files)
+        value, sampled = _measure(manifest, measure, H if observed else None, files)
         return value, sampled.get("", [])
 
     header, rows = _METRICS[args.metric](args, H, ensemble)
@@ -658,7 +666,7 @@ def cmd_affinity(args, manifest: RunManifest) -> int:
         sizes = range(args.k_min, args.k_max + 1)
     keys = [(category, k) for category in partition.categories for k in sizes]
 
-    def measure(G, _):
+    def measure(G):
         return {(category, k): affinity(G, partition, category, 1, 1, k) for category, k in keys}
 
     observed, sampled = _measure(manifest, measure, H, _parse_model_dirs(args.samples))
@@ -732,7 +740,7 @@ def _country_scores(H: DirectedHypergraph):
 def cmd_econ_compare(args, manifest: RunManifest) -> int:
     H = parse_hypergraph(manifest.read(args.observed))
     (countries, observed), sampled = _measure(
-        manifest, lambda G, _: _country_scores(G), H, _parse_model_dirs(args.samples)
+        manifest, _country_scores, H, _parse_model_dirs(args.samples)
     )
     samples = {}
     for model, scored in sampled.items():

@@ -281,8 +281,9 @@ def format_undirected(U: UndirectedHypergraph) -> str:
 
 def read_labels(text: str) -> dict:
     """Read node-category CSV text (a str of "node_id,category" lines); blank
-    and "#" lines are skipped, and so is a header as the first other line."""
-    categories = {}
+    and "#" lines are skipped, and so is a header as the first other line.
+    A node id given twice is a ParseError."""
+    categories, first_line = {}, {}
     lines = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1)]
     rows = [(lineno, row) for lineno, row in lines if row and not row.startswith("#")]
     for position, (lineno, row) in enumerate(rows):
@@ -293,6 +294,9 @@ def read_labels(text: str) -> dict:
             if position == 0:  # tolerate a header row
                 continue
             raise ParseError(f"line {lineno}: bad node id {node_text!r}") from None
+        if node in first_line:
+            raise ParseError(f"line {lineno}: node id {node} repeats line {first_line[node]}")
+        first_line[node] = lineno
         categories[node] = category.strip()
     return categories
 

@@ -16,7 +16,7 @@ from bisect import bisect_right, insort
 from collections import Counter
 
 from hypernull.core import SIDES, DirectedHypergraph, check_side
-from hypernull.sampling import STEP_FUNCTIONS, ChainConfig, run_chain
+from hypernull.sampling import STEP_FUNCTIONS, ChainConfig, arc_count, run_chain
 
 
 def transaction_db(H: DirectedHypergraph, side: str) -> tuple:
@@ -104,7 +104,7 @@ def arsd_trace(
     max_multiplier: int = 50,
 ) -> dict:
     """ARSD of one continuously-run chain at checkpoints k = 0..max_multiplier,
-    taken every w steps, where w is the number of bipartite arcs.
+    taken every w = arc_count(H) steps, the number of bipartite arcs.
 
     Checkpoint k is sample k of run_chain(H, ChainConfig(model, 0, seed,
     max_multiplier + 1, thinning=w)).  Returns {side: [(k, arsd), ...]} with
@@ -125,8 +125,7 @@ def arsd_trace(
         if mined[side][-1][1] == 1:
             warnings.warn(f"{side} side: the lowest support among the mined itemsets is 1, so "
                           "its ARSD only tracks whether single hyperedges survive", RuntimeWarning)
-    w = sum(len(transaction) for side in SIDES for transaction in observed[side])
-    config = ChainConfig(model, 0, seed, max_multiplier + 1, thinning=w)
+    config = ChainConfig(model, 0, seed, max_multiplier + 1, thinning=arc_count(H))
     trace = {side: [] for side in sides}
     for k, sample in enumerate(run_chain(H, config)):
         for side in sides:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import warnings
 from dataclasses import dataclass, field
 from statistics import fmean, pstdev
@@ -23,8 +22,6 @@ from typing import NamedTuple
 
 from .core import DirectedHypergraph, Hyperedge, incidence_matrix
 from .diagnostics import kendall_tau, spearman
-
-logger = logging.getLogger(__name__)
 
 POPULATION_FLOOR = 1_000_000.0
 TRADE_FLOOR = 1_000_000_000.0
@@ -160,25 +157,19 @@ def hypergraph_biadjacency(H: DirectedHypergraph) -> Biadjacency:
     """Country-product mask induced by a trade hypergraph: one column per
     hyperedge copy (a product), one row per node (a country), with a 1 where
     the country belongs to the copy's head, i.e. exports the product.  Rows
-    and columns that end up empty are dropped (logged)."""
+    and columns that end up empty are dropped; with no head membership
+    anywhere nothing is left, which raises ValueError."""
     import numpy as np
     mask = incidence_matrix(H.num_nodes, [e.head for e in H.edges])
-    countries = tuple(H.label_of(v) for v in range(H.num_nodes))
     rows, cols = mask.any(axis=1), mask.any(axis=0)
-    if not rows.all() or not cols.all():
-        logger.info(
-            "dropped empty rows %s and columns %s",
-            [countries[i] for i in np.flatnonzero(~rows)],
-            np.flatnonzero(~cols).tolist(),
-        )
-    result = Biadjacency(
+    if not rows.any():
+        raise ValueError("biadjacency is empty: no head membership anywhere")
+    countries = tuple(H.label_of(v) for v in range(H.num_nodes))
+    return Biadjacency(
         tuple(countries[i] for i in np.flatnonzero(rows)),
         tuple(np.flatnonzero(cols).tolist()),
         mask[np.ix_(rows, cols)],
     )
-    if result.matrix.size == 0:
-        logger.error("biadjacency is empty: no head membership anywhere")
-    return result
 
 
 # ---------------------------------------------------------------------------

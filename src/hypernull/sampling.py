@@ -103,11 +103,11 @@ class SwapProposal:
 class ChainConfig:
     """Run descriptor: model, steps per sample, seeding, and sample layout.
 
-    steps="auto" resolves to 20 * w, where w = sum(|head| + |tail|) over the
-    hyperedge copies is the number of bipartite arcs.  thinning defaults to
-    steps, which means every sample comes from an independent chain restarted
-    at the observed graph; a smaller thinning runs one long chain and emits
-    every `thinning` steps after a `steps` burn-in.
+    steps="auto" resolves to 20 * w, where w = arc_count(H) is the number of
+    bipartite arcs.  thinning defaults to steps, which means every sample
+    comes from an independent chain restarted at the observed graph; a
+    smaller thinning runs one long chain and emits every `thinning` steps
+    after a `steps` burn-in.
     """
 
     model: str = "degs"
@@ -128,9 +128,13 @@ class ChainConfig:
             raise ValueError("thinning must be a positive integer")
 
     def resolved_steps(self, H: DirectedHypergraph) -> int:
-        if self.steps == "auto":
-            return 20 * sum(len(e.head) + len(e.tail) for e in H.edges)
-        return self.steps
+        return 20 * arc_count(H) if self.steps == "auto" else self.steps
+
+
+def arc_count(H: DirectedHypergraph) -> int:
+    """w = sum(|head| + |tail|) over H's hyperedge copies, the number of arcs
+    of its bipartite form: the unit of "auto" steps and of checkpoint spacing."""
+    return sum(len(e.head) + len(e.tail) for e in H.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +266,8 @@ def _swap(near, far, x, x_end, y, y_end) -> None:
     """Swap arcs (x, x_end), (y, y_end) of one slice to (x, y_end), (y, x_end).
 
     near holds the neighbor sets of x and y, far those of x_end and y_end; the
-    operation is the same whichever side x and y lie on.
+    operation is the same whichever side x and y lie on.  Every chain model
+    and apply_pso change the graph through this function alone.
     """
     assert x != y and x_end != y_end, "swap endpoints must be distinct"
     assert x_end in near[x] and y_end in near[y], "swapped arcs must exist"
@@ -352,19 +357,9 @@ def _slice_steps(state: ChainState, count: int) -> int:
             if y_position is None:
                 continue
         x_end, y_end = x_list[x_position], y_list[y_position]
-        assert x != y and x_end != y_end, "swap endpoints must be distinct"
-        assert x_end in near_x and y_end in near_y, "swapped arcs must exist"
-        assert y_end not in near_x and x_end not in near_y, "crossed arcs must be absent"
-        near_x.remove(x_end)
-        near_x.add(y_end)
-        near_y.remove(y_end)
-        near_y.add(x_end)
-        far, far_order = views[1 - side], order[1 - side]
-        far[x_end].remove(x)
-        far[x_end].add(y)
-        far[y_end].remove(y)
-        far[y_end].add(x)
+        _swap(near, views[1 - side], x, x_end, y, y_end)
         x_list[x_position], y_list[y_position] = y_end, x_end
+        far_order = order[1 - side]
         far_order[x_end] = far_order[y_end] = None
         applied += 1
     return applied

@@ -724,6 +724,13 @@ class TestEcon:
         assert (reads[str(trade)], reads[str(meta)]) == (1, 1)
         assert_inputs_hashed(tmp_path / "trade.dhg.manifest.json", [trade, meta])
 
+    def test_scores_without_any_head_is_one_error(self, tmp_path, capsys):
+        graph = tmp_path / "tails.dhg"
+        graph.write_text("|0,1\n|1,2\n", encoding="utf-8")
+        assert run(["econ", "scores", "--input", graph, "--output-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (
+            "error: biadjacency is empty: no head membership anywhere\n")
+
     def test_scores_writes_country_and_product_tables(self, tmp_path,
                                                       econ_graph):
         out_dir = tmp_path / "scores"
@@ -1384,7 +1391,14 @@ class TestWorkerCounts:
         assert len(err) == 3
         assert err[0] == f"invariant verification failed for {out / 'sample_1.dhg'}"
         assert multiprocessing.active_children() == []
-        assert not (out / "manifest.json").exists()
+        # The run's manifest lists no samples, so no reader takes the files.
+        rec = tmp_path / "rec.csv"
+        assert run(["metric", "reciprocity", "--input", toy, "--samples", out,
+                    "--output", rec]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {out / 'manifest.json'} has no list of samples")
+        assert not rec.exists()
 
     def test_blas_runs_one_thread_whatever_the_environment(self, tmp_path):
         # LAPACK's bits depend on its thread count: on a multi-CPU machine
@@ -1538,6 +1552,36 @@ class TestHelpers:
         _, rows = read_rows(rec)
         assert rows[0][3] == "1"
 
+    def test_an_interrupted_run_leaves_a_refused_directory(self, tmp_path, toy, monkeypatch):
+        # A finished run's directory, then a run into it cut short after its
+        # first sample: neither run's files are read.
+        out = tmp_path / "s"
+        assert run(["sample", "--input", toy, "--samples", 3, "--output-dir", out]) == 0
+        draw = Chains.draw
+
+        def interrupted_after_zero(self, index):
+            if index:
+                raise KeyboardInterrupt
+            return draw(self, index)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(Chains, "draw", interrupted_after_zero)
+        with pytest.raises(KeyboardInterrupt):
+            run(["sample", "--input", toy, "--samples", 3, "--seed", 1, "--output-dir", out])
+        with pytest.raises(ValueError, match="has no list of samples"):
+            _parse_model_dirs([f"m={out}"])
+
+    def test_corrupt_manifest_is_a_clean_error(self, tmp_path, toy, sample_dir, capsys):
+        manifest = sample_dir / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:60])
+        out = tmp_path / "rec.csv"
+        assert run(["metric", "reciprocity", "--input", toy, "--samples", sample_dir,
+                    "--output", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {manifest} is not valid JSON: ")
+        assert not out.exists()
+
     def test_sample_not_matching_manifest_is_rejected(self, sample_dir):
         (sample_dir / "sample_1.dhg").unlink()
         with pytest.raises(ValueError, match="sample_1.dhg is listed"):
@@ -1605,6 +1649,14 @@ class TestHelpers:
         result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                 capture_output=True, text=True, timeout=120)
         assert result.stdout.strip() == "False"
+
+    def test_import_leaves_logging_out(self):
+        # The package reports through return values, warnings and errors;
+        # a logger's line would reach stderr unprefixed and out of task order.
+        src = Path(hypernull.cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import sys, hypernull.cli; assert 'logging' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
     def test_import_leaves_numpy_out(self, tmp_path, toy):
         # Importing numpy costs about 0.1 s per process; only the econ

@@ -382,6 +382,10 @@ class TestLabels:
         with pytest.raises(ParseError, match="line 3: bad node id 'node_id'"):
             read_labels("# categories\n0,a\nnode_id,category\n")
 
+    def test_read_labels_rejects_a_repeated_node_id(self):
+        with pytest.raises(ParseError, match="^line 4: node id 0 repeats line 2$"):
+            read_labels("node_id,category\n0,a\n1,b\n0,c\n")
+
 
 class TestHyperedgeInvariants:
     def test_empty_edge_rejected(self):

@@ -7,7 +7,6 @@ standardization, dual-initialization Fitness runs, closed-form GENEPY on a
 block proximity matrix, and a direct mask recount for the trade hypergraph.
 """
 
-import logging
 import math
 import random
 from collections import Counter
@@ -569,17 +568,19 @@ class TestHypergraphBiadjacency:
             H = random_hypergraph(rng, max_nodes=9, max_edges=8, max_side=4)
             H = DirectedHypergraph(
                 [e for e in H.edges for _ in range(rng.randint(1, 3))], H.num_nodes)
-            B = hypergraph_biadjacency(H)
             reference = biadjacency_reference(H)
+            if reference.size == 0:
+                with pytest.raises(ValueError, match="no head membership anywhere"):
+                    hypergraph_biadjacency(H)
+                continue
+            B = hypergraph_biadjacency(H)
             assert B.matrix.shape == reference.shape
             assert np.array_equal(B.matrix, reference)
 
-    def test_all_tails_logs_empty(self, caplog):
+    def test_all_tails_raises(self):
         H = DirectedHypergraph([Hyperedge(frozenset(), frozenset({0, 1}))], 2)
-        with caplog.at_level(logging.ERROR, logger="hypernull.econ"):
-            B = hypergraph_biadjacency(H)
-        assert B.matrix.size == 0
-        assert any("empty" in r.message for r in caplog.records)
+        with pytest.raises(ValueError, match="no head membership anywhere"):
+            hypergraph_biadjacency(H)
 
 
 # ---------------------------------------------------------------------------

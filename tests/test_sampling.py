@@ -21,6 +21,7 @@ from helpers import (
     varied_hypergraph,
 )
 from test_acceptance import contact_scale
+from hypernull import sampling
 from hypernull.core import (
     DirectedHypergraph,
     Hyperedge,
@@ -44,6 +45,7 @@ from hypernull.sampling import (
     _randbelow,
     _views,
     apply_pso,
+    arc_count,
     delta_state_degree_pso,
     derive_seed,
     make_chain_state,
@@ -751,6 +753,7 @@ class TestRunChain:
         G = to_bipartite(H)
         cfg = ChainConfig(model="degs", steps="auto", seed=1, sample_count=1)
         w = G.plus_edges() + G.minus_edges()
+        assert arc_count(H) == w
         assert cfg.resolved_steps(H) == 20 * w
 
     def test_bad_model_rejected(self):
@@ -796,6 +799,20 @@ class TestBatchedKernels:
         applied = STEP_FUNCTIONS[model](batched, count)
         assert applied == sum(step(stepped) for _ in range(count))
         assert chain_snapshot(batched) == chain_snapshot(stepped)
+
+    @pytest.mark.parametrize("model", ["degs", "joint", "degs-mh"])
+    def test_every_applied_swap_goes_through_swap(self, monkeypatch, model):
+        swap, calls = sampling._swap, []
+
+        def counted(*args):
+            calls.append(args)
+            swap(*args)
+
+        monkeypatch.setattr(sampling, "_swap", counted)
+        state = make_chain_state(to_bipartite(pinned_instance("metabolic")), seed=4, model=model)
+        applied = STEP_FUNCTIONS[model](state, 2000)
+        assert applied > 0
+        assert len(calls) == applied
 
     @pytest.mark.parametrize("model", ["degs", "joint", "degs-mh"])
     def test_chains_draw_only_from_random_and_getrandbits(self, monkeypatch, model):

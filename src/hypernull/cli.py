@@ -20,10 +20,15 @@ deviation and observed/mean ratio of the defined sample values.
 
 Every subcommand that measures several graphs runs one task per graph (per
 run for contagion, per chain for an unthinned sample) through one ordered
-map, _map, over forked workers: one per usable CPU, results in task order.
+map, _map: this process and one forked child per further usable CPU take the
+tasks in order from one pipe, and the results come back in task order.
 metric, affinity and econ compare measure through _measure, whose task 0 is
 the observed graph.  main() pins BLAS to one thread, so no output depends on
 the CPU count.
+
+A process pays only for the subcommand it runs: this module loads the
+sampling, metric, affinity, econ and contagion modules inside the commands
+that use them, and reads library versions from their installed metadata.
 """
 
 from __future__ import annotations
@@ -35,22 +40,18 @@ import hashlib
 import json
 import math
 import os
-import platform
-import statistics
 import sys
 import time
 import warnings
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import metadata
 from pathlib import Path
 
 import hypernull
-from hypernull.affinity import CategoryPartition, affinity, affinity_baseline
-from hypernull.contagion import SISConfig, load_thresholds
-from hypernull.contagion import run_quasi_stationary, run_stationary
 from hypernull.core import (
+    CHAIN_MODELS,
+    MODELS,
     SIDES,
     DirectedHypergraph,
     ParseError,
@@ -62,25 +63,6 @@ from hypernull.core import (
     read_labels,
     to_bipartite,
     undirected_to_directed,
-)
-from hypernull.diagnostics import arsd_trace
-from hypernull.econ import (
-    complexity_scores,
-    hypergraph_biadjacency,
-    parse_trade_table,
-    rank_compare,
-    trade_to_hypergraph,
-)
-from hypernull.sampling import MODELS, STEP_FUNCTIONS, ChainConfig, Chains, derive_seed
-from hypernull.structure import (
-    hits,
-    hyper_core_decomposition,
-    hypergraph_reciprocity,
-    laplacian_spectrum,
-    node_groups,
-    pagerank,
-    presence_entropy,
-    project_weighted,
 )
 
 
@@ -118,12 +100,14 @@ def _reduce(observed, values):
     field is None, and the ratio is None when the observed value is undefined
     or the mean is zero.
     """
+    from statistics import fmean, pstdev  # only the commands that compare pay its import
+
     defined = [value for value in values if value is not None]
     if not defined:
         return None, None, None
-    mean = statistics.fmean(defined)
+    mean = fmean(defined)
     ratio = None if observed is None or mean == 0 else observed / mean
-    return mean, statistics.pstdev(defined), ratio
+    return mean, pstdev(defined), ratio
 
 
 def _compare(observed: dict, sampled: list) -> list:
@@ -225,31 +209,202 @@ def _timed(fn, task) -> tuple:
     return result, time.perf_counter() - started, [record.message for record in raised]
 
 
-# The function of a forked worker's calls, set in the worker as it starts.
-# The fork hands it over with the rest of this process, so it is never
-# pickled and may close over graphs held here.
-_worker_fn = None
+# A fork map hands tasks out as fixed-width indices in one pipe, written in
+# task order and at most 512 bytes (POSIX's least PIPE_BUF) at a time, so every
+# write and every read moves whole indices.
+_INDEX_BYTES = 4
+_INDICES_PER_WRITE = 512 // _INDEX_BYTES
 
 
-def _start_worker(fn) -> None:
-    global _worker_fn
-    _worker_fn = fn
+class WorkerError(Exception):
+    """A forked worker's exception or result that does not survive pickling,
+    or the worker traceback behind an exception that does; its message is
+    that traceback, or why the result does not pickle.  Not a user error, so
+    main() lets it through."""
 
 
-def _worker_call(task) -> tuple:
-    return _timed(_worker_fn, task)
+def _take(hand_out: int):
+    """The next task index from the hand-out pipe, or None at its end."""
+    data = os.read(hand_out, _INDEX_BYTES)
+    return int.from_bytes(data, "big") if data else None
+
+
+def _run_share(fn, tasks, take, runs: dict):
+    """runs[i] = _timed(fn, tasks[i]) for each index i that take() hands out,
+    until it hands out None or a call raises; returns (index, exception) of
+    that failure, or None."""
+    while (index := take()) is not None:
+        try:
+            runs[index] = _timed(fn, tasks[index])
+        except Exception as exc:
+            return index, exc
+    return None
+
+
+def _share_payload(runs: dict, failure) -> bytes:
+    """A child's runs and first failure, pickled for its parent.
+
+    Each run and the exception are pickled on their own and must load again
+    here: one that does not becomes a WorkerError at its task, so the parent
+    can load whatever arrives.  Runs after the failure are not sent."""
+    import pickle
+
+    def checked(value) -> bytes:
+        data = pickle.dumps(value)
+        pickle.loads(data)
+        return data
+
+    sent = {}
+    for index, run in sorted(runs.items()):
+        if failure is not None and index > failure[0]:
+            break
+        try:
+            sent[index] = checked(run)
+        except Exception as exc:
+            failure = index, WorkerError(f"task {index}'s result does not pickle: {exc!r}")
+            break
+    if failure is not None:
+        import traceback
+
+        index, exc = failure
+        text = "".join(traceback.format_exception(exc))
+        try:
+            failure = index, checked(exc), text
+        except Exception:
+            failure = index, pickle.dumps(WorkerError(text)), text
+    return pickle.dumps((sent, failure))
+
+
+def _serve(fn, tasks, hand_out: int, feed: int, out: int):
+    """A forked child's life: close its copy of the pipe's write end feed,
+    run the tasks it takes from hand_out, write its share to out and exit.
+    It never returns into the caller, whatever it raises."""
+    code = 1
+    try:
+        os.close(feed)
+        runs = {}
+        failure = _run_share(fn, tasks, lambda: _take(hand_out), runs)
+        with open(out, "wb") as handle:
+            handle.write(_share_payload(runs, failure))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_map(fn, tasks: list, workers: int) -> list:
+    """_timed(fn, task) for each task, over this process and workers - 1
+    forked children.
+
+    Every process takes the next index from one pipe until it is empty and
+    closed, so a long task holds up one worker only; this process writes the
+    indices in task order as the pipe has room, and takes the next unwritten
+    task itself while the pipe is full.  A worker stops at its first failure.
+    Every task before a handed-out one was handed out earlier, so each task
+    before the first failure in task order has run; that failure is raised,
+    and a picklable one carries the worker's traceback as its cause.  A child
+    pickles back its runs and exits through os._exit; every child is killed
+    and reaped before this returns or raises, KeyboardInterrupt included.
+    """
+    import pickle
+    import signal
+
+    indices = b"".join(index.to_bytes(_INDEX_BYTES, "big") for index in range(len(tasks)))
+    hand_out, feed = os.pipe()
+    os.set_blocking(feed, False)
+    written = 0  # tasks written to the pipe or taken by this process, in order
+    children, results = [], []  # child pids; read ends of their result pipes
+
+    def top_up() -> bool:
+        """Write indices while the pipe has room; True once all are written."""
+        nonlocal written
+        while written < len(tasks):
+            end = min(written + _INDICES_PER_WRITE, len(tasks))
+            try:
+                os.write(feed, indices[written * _INDEX_BYTES : end * _INDEX_BYTES])
+            except BlockingIOError:
+                return False
+            written = end
+        return True
+
+    def take():
+        nonlocal written
+        if top_up():
+            close_feed()
+            return _take(hand_out)
+        written += 1
+        return written - 1
+
+    def close_feed():
+        nonlocal feed
+        if feed is not None:
+            os.close(feed)
+            feed = None
+
+    runs, failures, payloads = {}, [], []
+    try:
+        top_up()
+        for _ in range(workers - 1):
+            result, out = os.pipe()
+            results.append(result)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, tasks, hand_out, feed, out)
+                children.append(pid)
+            finally:
+                os.close(out)
+        failure = _run_share(fn, tasks, take, runs)
+        close_feed()  # after a failure here, the children empty the pipe
+        if failure is not None:
+            failures.append(failure)
+        while results:
+            with open(results.pop(), "rb") as handle:
+                payloads.append(handle.read())
+    finally:
+        close_feed()
+        for fd in (hand_out, *results):
+            os.close(fd)
+        for pid in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    for payload in payloads:
+        try:
+            sent, failure = pickle.loads(payload)
+        except (EOFError, pickle.UnpicklingError):  # a child that died writing
+            continue
+        runs.update((index, pickle.loads(data)) for index, data in sent.items())
+        if failure is not None:
+            index, data, text = failure
+            exc = pickle.loads(data)
+            if not isinstance(exc, WorkerError):
+                exc.__cause__ = WorkerError(text)
+            failures.append((index, exc))
+    first = min(failures, key=lambda failure: failure[0], default=None)
+    limit = len(tasks) if first is None else first[0]
+    lost = next((index for index in range(limit) if index not in runs), None)
+    if lost is not None:
+        raise RuntimeError(f"a worker process ended without returning task {lost}")
+    if first is not None:
+        raise first[1]
+    return [runs[index] for index in range(len(tasks))]
 
 
 def _map(fn, tasks) -> tuple:
     """(fn(task) for each task, each call's wall seconds, the worker count).
 
-    The calls are independent, so they spread over one forked process per
-    usable CPU, at most one per task; with one worker, or on a platform
-    without fork, they run in this process.  Only tasks and results are pickled.  The first failure in task
-    order is raised, as a loop over the tasks would raise it; otherwise the
-    warnings of every call are issued again here, in task order.  So no
-    output depends on the worker count.  No worker outlives the call.
+    The calls are independent, so they spread over one worker per usable
+    CPU, at most one per task: this process and forked children (_fork_map).
+    With one worker, or on a platform without fork, they run in this process
+    alone.  Only tasks' indices and results cross processes.  The first
+    failure in task order is raised, as a loop over the tasks would raise it;
+    otherwise the warnings of every call are issued again here, in task
+    order.  So no output depends on the worker count.  No child outlives the
+    call.
     """
+    tasks = list(tasks)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
@@ -258,17 +413,7 @@ def _map(fn, tasks) -> tuple:
     if workers == 1:
         runs = [_timed(fn, task) for task in tasks]
     else:
-        import multiprocessing  # only a map over several workers pays its import
-
-        # fork, not spawn: a spawned worker would import hypernull anew and
-        # could not run a closure.  main() pins BLAS to one thread, so this
-        # process runs no other thread.  On a failure, leaving the block
-        # terminates and joins the workers.
-        context = multiprocessing.get_context("fork")
-        with context.Pool(workers, initializer=_start_worker, initargs=(fn,)) as pool:
-            runs = list(pool.imap(_worker_call, tasks, chunksize=1))
-            pool.close()
-            pool.join()
+        runs = _fork_map(fn, tasks, workers)
     for _, _, raised in runs:
         for message in raised:
             warnings.warn(message)
@@ -304,14 +449,44 @@ def _measure(manifest, measure, observed, files: dict) -> tuple:
     return value, sampled
 
 
+def _installed_version(name: str):
+    """The version of the installed distribution `name`, or None when it is
+    missing: the Version line of the one <name>-*.dist-info/METADATA beside
+    the package an import of `name` would load.  Nothing is imported."""
+    from importlib.util import find_spec
+
+    try:
+        spec = find_spec(name)
+    except (ImportError, ValueError):
+        spec = None
+    if spec is None or not spec.has_location:
+        return None
+    root = Path(spec.origin).parent
+    if spec.submodule_search_locations is not None:  # a package: origin is its __init__
+        root = root.parent
+    found = list(root.glob(f"{name}-*.dist-info/METADATA"))
+    if len(found) != 1:
+        return None
+    try:
+        with open(found[0], encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("Version:"):
+                    return line[len("Version:") :].strip()
+                if not line.strip():  # the end of the header
+                    break
+    except OSError:
+        pass
+    return None
+
+
 def _versions() -> dict:
-    """hypernull, Python, numpy and scipy versions; scipy's is read from its
-    installed metadata, so scipy itself is not imported."""
+    """hypernull, Python, numpy and scipy versions (None for a library that
+    is not installed); no library is imported to read them."""
     return {
         "hypernull": hypernull.__version__,
-        "python": platform.python_version(),
-        "numpy": metadata.version("numpy"),
-        "scipy": metadata.version("scipy"),
+        "python": sys.version.split()[0],
+        "numpy": _installed_version("numpy"),
+        "scipy": _installed_version("scipy"),
     }
 
 
@@ -456,6 +631,8 @@ class _Unverified(Exception):
 
 
 def cmd_sample(args, manifest: RunManifest) -> int:
+    from hypernull.sampling import ChainConfig, Chains
+
     if args.model == "null" and (args.steps != "auto" or args.thinning is not None):
         raise ValueError("--steps and --thinning do not apply to --model null")
     if args.thinning is not None and args.samples == 1:
@@ -520,6 +697,8 @@ def cmd_sample(args, manifest: RunManifest) -> int:
 
 
 def cmd_converge(args, manifest: RunManifest) -> int:
+    from hypernull.diagnostics import arsd_trace
+
     H = parse_hypergraph(manifest.read(args.input))
     trace = arsd_trace(
         H,
@@ -549,6 +728,8 @@ def cmd_converge(args, manifest: RunManifest) -> int:
 
 
 def _metric_reciprocity(args, H, ensemble):
+    from hypernull.structure import hypergraph_reciprocity
+
     observed, values = ensemble(lambda G: hypergraph_reciprocity(G).value)
     mean, std, ratio = _reduce(observed, values)
     header = ("observed", "sample_mean", "sample_std", "samples", "ratio")
@@ -556,6 +737,8 @@ def _metric_reciprocity(args, H, ensemble):
 
 
 def _metric_coreness(args, H, ensemble):
+    from hypernull.structure import hyper_core_decomposition
+
     rows = _compare(*ensemble(
         lambda G: dict(enumerate(hyper_core_decomposition(G, args.side).hypercoreness))
     ))
@@ -564,6 +747,8 @@ def _metric_coreness(args, H, ensemble):
 
 
 def _metric_entropy(args, H, ensemble):
+    from hypernull.structure import node_groups, presence_entropy
+
     if not args.samples:
         raise ValueError("entropy needs --samples: it measures the ensemble")
     groups = node_groups(H, args.side, args.group_size)
@@ -580,6 +765,8 @@ def _metric_entropy(args, H, ensemble):
 
 def _node_centralities(H: DirectedHypergraph) -> dict:
     """{(node, 0/1/2): PageRank / hub / authority score}."""
+    from hypernull.structure import hits, pagerank, project_weighted
+
     scores = pagerank(project_weighted(H))
     hubs, authorities = hits(to_bipartite(H))
     return {
@@ -605,6 +792,8 @@ def _metric_centrality(args, H, ensemble):
 
 
 def _metric_spectrum(args, H, ensemble):
+    from hypernull.structure import laplacian_spectrum
+
     rows = _compare(*ensemble(lambda G: dict(enumerate(laplacian_spectrum(G, k=args.k)))))
     header = ("index", "observed", "sample_mean", "sample_std", "ratio")
     return header, rows
@@ -637,7 +826,10 @@ def cmd_metric(args, manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _partition_for(H: DirectedHypergraph, labels_text: str) -> CategoryPartition:
+def _partition_for(H: DirectedHypergraph, labels_text: str):
+    """The category partition of H's nodes that a label file gives."""
+    from hypernull.affinity import CategoryPartition
+
     categories = read_labels(labels_text)
     assignments = []
     for v in range(H.num_nodes):
@@ -653,6 +845,8 @@ _AFFINITY_SIZES = range(2, 15)
 
 
 def cmd_affinity(args, manifest: RunManifest) -> int:
+    from hypernull.affinity import affinity, affinity_baseline
+
     H = parse_hypergraph(manifest.read(args.input))
     partition = _partition_for(H, manifest.read(args.labels))
     sizes = _AFFINITY_SIZES
@@ -693,6 +887,8 @@ def cmd_affinity(args, manifest: RunManifest) -> int:
 
 
 def cmd_econ_build(args, manifest: RunManifest) -> int:
+    from hypernull.econ import parse_trade_table, trade_to_hypergraph
+
     trade = manifest.read(args.trade)
     metadata = None if args.metadata is None else manifest.read(args.metadata)
     table = parse_trade_table(trade, metadata)
@@ -709,6 +905,8 @@ def cmd_econ_build(args, manifest: RunManifest) -> int:
 
 
 def cmd_econ_scores(args, manifest: RunManifest) -> int:
+    from hypernull.econ import complexity_scores, hypergraph_biadjacency
+
     H = parse_hypergraph(manifest.read(args.input))
     scores = complexity_scores(hypergraph_biadjacency(H))
     out_dir = Path(args.output_dir)
@@ -729,6 +927,8 @@ def cmd_econ_scores(args, manifest: RunManifest) -> int:
 
 
 def _country_scores(H: DirectedHypergraph):
+    from hypernull.econ import complexity_scores, hypergraph_biadjacency
+
     scores = complexity_scores(hypergraph_biadjacency(H))
     return scores.countries, {
         "eci": scores.eci,
@@ -738,6 +938,8 @@ def _country_scores(H: DirectedHypergraph):
 
 
 def cmd_econ_compare(args, manifest: RunManifest) -> int:
+    from hypernull.econ import rank_compare
+
     H = parse_hypergraph(manifest.read(args.observed))
     (countries, observed), sampled = _measure(
         manifest, _country_scores, H, _parse_model_dirs(args.samples)
@@ -775,6 +977,9 @@ _SIS_FLAGS = ("mu", "rho0", "burn_in", "sample_count", "decorrelation", "qs_hist
 
 
 def cmd_contagion(args, manifest: RunManifest) -> int:
+    from hypernull import contagion
+    from hypernull.sampling import derive_seed
+
     if args.lambda_c is not None and args.thresholds is not None:
         raise ValueError("--lambda-c and --thresholds are exclusive")
     if args.lambda_c is not None and not (math.isfinite(args.lambda_c) and args.lambda_c > 0):
@@ -786,7 +991,7 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
         raise ValueError("--qs-history and --snapshot-interval need --method quasi-stationary")
     observed = _undirected_substrate(manifest.read(args.input))
     files = _parse_model_dirs(args.samples)
-    thresholds = load_thresholds(
+    thresholds = contagion.load_thresholds(
         None if args.thresholds is None else manifest.read(args.thresholds)
     )
     grid = [float(x) for x in args.lambda_grid.split(",") if x.strip()]
@@ -800,13 +1005,14 @@ def cmd_contagion(args, manifest: RunManifest) -> int:
                 substrate, manifest.inputs[str(path)] = _read_sample(path, *listing, _undirected_substrate)
                 yield model, index, substrate
 
-    runner = run_stationary if args.method == "stationary" else run_quasi_stationary
+    runner = (contagion.run_stationary if args.method == "stationary"
+              else contagion.run_quasi_stationary)
     cells, runs = [], []
     for sampler, sample_id, substrate in graphs():
         for nu in args.nu:
             lambda_c = _lambda_c_for(args, thresholds, nu)
             for index, lam in enumerate(grid):
-                cfg = SISConfig(
+                cfg = contagion.SISConfig(
                     lam=lam,
                     nu=nu,
                     **settings,
@@ -864,7 +1070,7 @@ def build_parser() -> argparse.ArgumentParser:
         "converge", help="ARSD convergence trace along one chain"
     )
     converge.add_argument("--input", required=True)
-    converge.add_argument("--model", default="degs", choices=tuple(STEP_FUNCTIONS))
+    converge.add_argument("--model", default="degs", choices=CHAIN_MODELS)
     converge.add_argument("--seed", type=int, default=0)
     converge.add_argument("--f", type=int, default=20)
     converge.add_argument("--l", type=int, default=3)

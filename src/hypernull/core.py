@@ -17,6 +17,12 @@ from typing import Iterator, NamedTuple
 
 SIDES = ("head", "tail")
 
+# The samplers by name: the swap chains, whose kernels are
+# sampling.STEP_FUNCTIONS, then "null".  Here so that a command line can offer
+# them without compiling the samplers.
+CHAIN_MODELS = ("degs", "joint", "degs-mh")
+MODELS = (*CHAIN_MODELS, "null")
+
 
 def check_side(side: str) -> None:
     if side not in SIDES:
@@ -282,7 +288,8 @@ def format_undirected(U: UndirectedHypergraph) -> str:
 def read_labels(text: str) -> dict:
     """Read node-category CSV text (a str of "node_id,category" lines); blank
     and "#" lines are skipped, and so is a header as the first other line.
-    A node id given twice is a ParseError."""
+    A node id given twice, and a row that is not one node id, one comma and a
+    non-empty category, are ParseErrors."""
     categories, first_line = {}, {}
     lines = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1)]
     rows = [(lineno, row) for lineno, row in lines if row and not row.startswith("#")]
@@ -294,6 +301,8 @@ def read_labels(text: str) -> dict:
             if position == 0:  # tolerate a header row
                 continue
             raise ParseError(f"line {lineno}: bad node id {node_text!r}") from None
+        if "," in category or not category.strip():
+            raise ParseError(f"line {lineno}: expected node_id,category, got {row!r}")
         if node in first_line:
             raise ParseError(f"line {lineno}: node id {node} repeats line {first_line[node]}")
         first_line[node] = lineno

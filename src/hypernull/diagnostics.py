@@ -15,8 +15,7 @@ import warnings
 from bisect import bisect_right, insort
 from collections import Counter
 
-from hypernull.core import SIDES, DirectedHypergraph, check_side
-from hypernull.sampling import STEP_FUNCTIONS, ChainConfig, arc_count, run_chain
+from hypernull.core import CHAIN_MODELS, SIDES, DirectedHypergraph, check_side
 
 
 def transaction_db(H: DirectedHypergraph, side: str) -> tuple:
@@ -107,13 +106,15 @@ def arsd_trace(
     taken every w = arc_count(H) steps, the number of bipartite arcs.
 
     Checkpoint k is sample k of run_chain(H, ChainConfig(model, 0, seed,
-    max_multiplier + 1, thinning=w)).  Returns {side: [(k, arsd), ...]} with
+    max_multiplier + 1, thinning=w)), read from the chain state itself: an
+    ARSD counts supports, which need neither a hypergraph nor its canonical
+    order.  Returns {side: [(k, arsd), ...]} with
     a side present only when the observed database yields at least one
     frequent itemset at (f, l); with no such side the chain is not run.  A
     side whose mined itemsets reach down to support 1 draws a RuntimeWarning.
     """
-    if model not in STEP_FUNCTIONS:
-        raise ValueError(f"model must be one of {sorted(STEP_FUNCTIONS)}, got {model!r}")
+    if model not in CHAIN_MODELS:
+        raise ValueError(f"model must be one of {sorted(CHAIN_MODELS)}, got {model!r}")
     if max_multiplier < 0:
         raise ValueError(f"max_multiplier must be non-negative, got {max_multiplier}")
     observed = {side: transaction_db(H, side) for side in SIDES}
@@ -125,12 +126,18 @@ def arsd_trace(
         if mined[side][-1][1] == 1:
             warnings.warn(f"{side} side: the lowest support among the mined itemsets is 1, so "
                           "its ARSD only tracks whether single hyperedges survive", RuntimeWarning)
-    config = ChainConfig(model, 0, seed, max_multiplier + 1, thinning=arc_count(H))
+    # Only here: econ's rank statistics import this module, not the samplers.
+    from hypernull.sampling import STEP_FUNCTIONS, ChainConfig, Chains, arc_count
+
+    state, w = Chains(H, ChainConfig(model, 0, seed)).start(0), arc_count(H)
+    # The heads and tails of the right vertices, which the swaps update in place.
+    current = {"head": state.graph.right_in, "tail": state.graph.right_out}
     trace = {side: [] for side in sides}
-    for k, sample in enumerate(run_chain(H, config)):
+    for k in range(max_multiplier + 1):
+        if k:
+            STEP_FUNCTIONS[model](state, w)
         for side in sides:
-            value = arsd(observed[side], transaction_db(sample, side), mined[side])
-            trace[side].append((k, value))
+            trace[side].append((k, arsd(observed[side], current[side], mined[side])))
     return trace
 
 

@@ -54,6 +54,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from hypernull.core import (
+    MODELS,
     BipartiteDigraph,
     DirectedHypergraph,
     Hyperedge,
@@ -541,13 +542,13 @@ def null_sample(H: DirectedHypergraph, seed: int) -> DirectedHypergraph:
     return DirectedHypergraph(edges, n, labels)
 
 
-# The batched chain kernel of every swap model: kernel(state, count) -> applied.
+# The batched chain kernel of every swap model (core.CHAIN_MODELS, in order):
+# kernel(state, count) -> applied.
 STEP_FUNCTIONS = {
     "degs": _slice_steps,
     "joint": _slice_steps,
     "degs-mh": _mh_steps,
 }
-MODELS = (*STEP_FUNCTIONS, "null")
 
 
 class Chains:

@@ -9,11 +9,12 @@ import gc
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 import warnings
 import weakref
 from collections import Counter
@@ -25,9 +26,11 @@ import pytest
 from helpers import invariant_text_reference, metabolic_scale, trade_csv, trade_scale, varied_hypergraph
 from test_acceptance import contact_scale
 import hypernull.cli
+import hypernull.contagion
 import hypernull.structure
 from hypernull.cli import (
     RunManifest,
+    WorkerError,
     _fmt,
     _invariant_text,
     _invariants,
@@ -99,6 +102,12 @@ def read_rows(path):
 
 def manifest_of(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def assert_no_child():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def assert_inputs_hashed(manifest_path, inputs):
@@ -455,8 +464,8 @@ class TestMetric:
         assert [row[0] for row in rows] == ["0", "1", "2", "3"]
 
     @pytest.mark.parametrize("metric, module, measure", [
-        ("coreness", hypernull.cli, "hyper_core_decomposition"),
-        ("entropy", hypernull.cli, "node_groups"),
+        ("coreness", hypernull.structure, "hyper_core_decomposition"),
+        ("entropy", hypernull.structure, "node_groups"),
     ], ids=["coreness", "entropy"])
     def test_samples_are_streamed(self, tmp_path, toy, sample_dir, monkeypatch,
                                   metric, module, measure):
@@ -1084,7 +1093,7 @@ class TestContagion:
                         "--method", "quasi-stationary", "--mu", 0.05, "--rho0", 1,
                         "--burn-in", 0, "--sample-count", 40, "--seed", 14,
                         "--output", out]) == 0
-            assert multiprocessing.active_children() == []
+            assert_no_child()
             manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
             timings = manifest.pop("timings")
             assert timings["workers"] == cpus
@@ -1103,13 +1112,13 @@ class TestContagion:
             raise ValueError(f"no run at lambda {cfg.lam}")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(hypernull.cli, "run_stationary", fails)
+        monkeypatch.setattr(hypernull.contagion, "run_stationary", fails)
         out = tmp_path / "sis.csv"
         code = run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid", "0.1,0.2,0.3",
                     "--output", out])
         assert code == 1
         assert capsys.readouterr().err == "error: no run at lambda 0.1\n"
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert not out.exists()
         code = run(["contagion", "--input", toy, "--nu", 1, "--lambda-grid", "0.1,0.2",
                     "--rho0", 2, "--output", out])
@@ -1173,8 +1182,9 @@ class TestContagion:
 
 class TestWorkerCounts:
     """Every subcommand that measures several graphs spreads them, or its
-    independent chains, over one forked worker per usable CPU; its files,
-    stderr and manifest (but for timings) do not depend on the count."""
+    independent chains, over one worker per usable CPU, itself and forked
+    children; its files, stderr and manifest (but for timings) do not depend
+    on the count."""
 
     @staticmethod
     def same_for_any_worker_count(tmp_path, monkeypatch, capsys, argv, tasks=None):
@@ -1187,7 +1197,7 @@ class TestWorkerCounts:
             out.mkdir()
             capsys.readouterr()
             assert run([str(a).replace("OUT", str(out)) for a in argv]) == 0
-            assert multiprocessing.active_children() == []
+            assert_no_child()
             files, manifest = {}, None
             for path in sorted(out.rglob("*")):
                 if path.name.endswith("manifest.json"):
@@ -1291,7 +1301,7 @@ class TestWorkerCounts:
             f"error: {sample_dir / 'sample_1.dhg'} differs from its sha256 in "
             f"{sample_dir / 'manifest.json'}\n"
         )
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["econ", "affinity"])
@@ -1320,7 +1330,7 @@ class TestWorkerCounts:
             f"error: {samples / 'sample_1.dhg'} differs from its sha256 in "
             f"{samples / 'manifest.json'}\n"
         )
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert not out.exists()
         assert not Path(f"{out}.manifest.json").exists()
 
@@ -1345,7 +1355,7 @@ class TestWorkerCounts:
         assert run(["econ", "compare", "--observed", observed, "--samples", f"m={samples}",
                     "--output", out]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["metric", "econ", "affinity"])
@@ -1371,7 +1381,7 @@ class TestWorkerCounts:
         out = tmp_path / "out.csv"
         assert run([*argv, "--output", out]) == 1
         assert capsys.readouterr().err == "error: line 13: expected exactly one '|'\n"
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert not out.exists()
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -1390,7 +1400,7 @@ class TestWorkerCounts:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 3
         assert err[0] == f"invariant verification failed for {out / 'sample_1.dhg'}"
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         # The run's manifest lists no samples, so no reader takes the files.
         rec = tmp_path / "rec.csv"
         assert run(["metric", "reciprocity", "--input", toy, "--samples", out,
@@ -1424,6 +1434,164 @@ class TestWorkerCounts:
                 "--output", out, **({} if threads is None else {"OPENBLAS_NUM_THREADS": threads}))
             spectra.append(out.read_bytes())
         assert spectra[0] == spectra[1] == spectra[2]
+
+
+class NeedsTwo(ValueError):
+    """Pickles, but does not load again: unpickling calls NeedsTwo(a)."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+class TestForkMap:
+    """_map over this process and forked children (two workers unless a test
+    says otherwise): tasks are handed out in order as workers free up,
+    failures come back in task order, and no child outlives the call."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @staticmethod
+    def in_child(marker):
+        """A test of where a task runs: in the child it creates marker and
+        answers True; here it waits until a child has created marker and
+        answers False.  So of two tasks, each process runs one."""
+        parent = os.getpid()
+
+        def test():
+            if os.getpid() != parent:
+                marker.touch()
+                return True
+            deadline = time.monotonic() + 60
+            while not marker.exists():
+                assert time.monotonic() < deadline, "no child took a task"
+                time.sleep(0.002)
+            return False
+
+        return test
+
+    def test_a_long_task_holds_up_one_worker(self, tmp_path):
+        # Task 0 finishes only after task 7 has run: the worker that holds
+        # task 0 must leave tasks 1-7 to the other.
+        marker = tmp_path / "task7"
+
+        def fn(task):
+            deadline = time.monotonic() + 60
+            while task == 0 and not marker.exists():
+                assert time.monotonic() < deadline, "task 0's worker was handed task 7"
+                time.sleep(0.002)
+            if task == 7:
+                marker.touch()
+            return os.getpid()
+
+        pids, seconds, workers = hypernull.cli._map(fn, range(8))
+        assert workers == 2 and len(seconds) == 8
+        assert pids[0] not in pids[1:]
+        assert len(set(pids[1:])) == 1
+        assert os.getpid() in pids
+        assert_no_child()
+
+    def test_every_task_runs_once_under_contention(self, tmp_path, monkeypatch):
+        # Eight workers on fewer cores share one pipe of 20000 four-byte
+        # indices, more than a 64 KiB pipe holds, so this process also takes
+        # tasks itself while the pipe is full.  Each call appends its task to
+        # one file (a whole line per O_APPEND write): a lost or repeated
+        # index shows there.  SIGALRM bounds the test's time.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        log = os.open(tmp_path / "calls", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def fn(task):
+            os.write(log, b"%d\n" % task)
+            return 2 * task
+
+        def expire(signum, frame):
+            raise TimeoutError("the map did not finish in 120 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        try:
+            results, seconds, workers = hypernull.cli._map(fn, range(20000))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            os.close(log)
+        assert results == [2 * task for task in range(20000)]
+        assert workers == 8 and len(seconds) == 20000
+        calls = (tmp_path / "calls").read_text(encoding="ascii").split()
+        assert sorted(map(int, calls)) == list(range(20000))
+        assert_no_child()
+
+    def test_an_exception_from_a_child_carries_its_traceback(self, tmp_path):
+        in_child = self.in_child(tmp_path / "marker")
+
+        def fn(task):
+            if in_child():
+                raise ValueError(f"bad task {task}")
+            return task
+
+        with pytest.raises(ValueError, match=r"^bad task [01]$") as raised:
+            hypernull.cli._map(fn, [0, 1])
+        assert isinstance(raised.value.__cause__, WorkerError)
+        assert "in fn\n" in str(raised.value.__cause__)
+        assert_no_child()
+
+    @pytest.mark.parametrize("kind", ["does-not-pickle", "does-not-load"])
+    def test_an_exception_that_cannot_come_back_is_a_traceback(self, tmp_path, kind):
+        # A WorkerError is no user error, so main() does not print it as one.
+        assert not issubclass(WorkerError, (ValueError, OSError, RuntimeError))
+        in_child = self.in_child(tmp_path / "marker")
+
+        class Local(ValueError):
+            """Pickled by reference to a name that cannot be looked up."""
+
+        def fn(task):
+            if in_child():
+                raise Local("boom") if kind == "does-not-pickle" else NeedsTwo("boom", 2)
+            return task
+
+        with pytest.raises(WorkerError, match="(Local|NeedsTwo): boom"):
+            hypernull.cli._map(fn, [0, 1])
+        assert_no_child()
+
+    def test_a_result_that_cannot_come_back_is_a_traceback(self, tmp_path):
+        in_child = self.in_child(tmp_path / "marker")
+
+        def fn(task):
+            return (lambda: task) if in_child() else task
+
+        with pytest.raises(WorkerError, match="pickle"):
+            hypernull.cli._map(fn, [0, 1])
+        assert_no_child()
+
+    def test_a_child_that_dies_is_an_error(self, tmp_path):
+        in_child = self.in_child(tmp_path / "marker")
+
+        def fn(task):
+            if in_child():
+                os._exit(3)
+            return task
+
+        with pytest.raises(RuntimeError, match=r"^a worker process ended without returning task [01]$"):
+            hypernull.cli._map(fn, [0, 1])
+        assert_no_child()
+
+    def test_keyboard_interrupt_mid_map_leaves_no_child(self, tmp_path):
+        # The child is mid-task, asleep, when this process is interrupted.
+        in_child = self.in_child(tmp_path / "marker")
+
+        def fn(task):
+            if in_child():
+                time.sleep(120)
+            else:
+                raise KeyboardInterrupt
+            return task
+
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            hypernull.cli._map(fn, [0, 1])
+        assert_no_child()
+        assert time.monotonic() - started < 60
 
 
 class TestCollector:
@@ -1627,7 +1795,7 @@ class TestHelpers:
             assert capsys.readouterr().err == (
                 f"error: {changed} differs from its sha256 in {sample_dir / 'manifest.json'}\n"
             )
-            assert multiprocessing.active_children() == []
+            assert_no_child()
             assert not out.exists()
 
     def test_programming_error_is_not_a_user_error(self, tmp_path, toy,
@@ -1677,6 +1845,69 @@ class TestHelpers:
                                 capture_output=True, text=True, timeout=120)
         assert result.stdout.splitlines()[-1] == "False"
         assert (tmp_path / "out" / "sample_1.dhg").exists()
+
+    def test_import_and_a_forked_metric_load_only_what_they_run(self, tmp_path, toy,
+                                                                 sample_dir):
+        # Importing the CLI compiles no metric, sampler or version-reading
+        # module; a metric over two workers forks without multiprocessing;
+        # econ loads no sampler.
+        src = Path(hypernull.cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = tmp_path / "core.csv"
+        code = (
+            "import os, sys\n"
+            "before = set(sys.modules)\n"
+            "import hypernull.cli\n"
+            "unwanted = ['importlib.metadata', 'email', 'platform', 'multiprocessing',\n"
+            "            *(f'hypernull.{name}' for name in ('sampling', 'econ', 'contagion',\n"
+            "              'structure', 'diagnostics', 'affinity'))]\n"
+            "print([name for name in unwanted if name in set(sys.modules) - before])\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "assert hypernull.cli.main(['metric', 'coreness', '--input', sys.argv[1],\n"
+            "                           '--samples', sys.argv[2], '--output', sys.argv[3]]) == 0\n"
+            "print('multiprocessing' in sys.modules)\n"
+            "import hypernull.econ\n"  # its rank statistics need no sampler
+            "print('hypernull.sampling' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code, str(toy), str(sample_dir), str(out)],
+                                env=env, check=True, capture_output=True, text=True, timeout=120)
+        assert result.stdout.splitlines()[0] == "[]"
+        assert result.stdout.splitlines()[-2:] == ["False", "False"]
+        assert manifest_of(Path(f"{out}.manifest.json"))["timings"]["workers"] == 2
+
+    def test_a_missing_library_is_recorded_as_null(self, tmp_path, toy, monkeypatch):
+        import importlib.util
+
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, *rest: None if name == "scipy" else find_spec(name, *rest))
+        out = tmp_path / "canon.dhg"
+        assert run(["convert", "--input", toy, "--to", "directed", "--output", out]) == 0
+        versions = manifest_of(Path(f"{out}.manifest.json"))["versions"]
+        assert versions["scipy"] is None
+        assert versions["numpy"] == metadata.version("numpy")
+
+    def test_versions_are_read_from_the_dist_info_beside_the_package(self, tmp_path,
+                                                                     monkeypatch):
+        from hypernull.cli import _installed_version
+
+        name = "hypernull_probe_pkg"
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "__init__.py").write_text("raise ImportError\n", encoding="utf-8")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        assert _installed_version(name) is None  # no dist-info
+        info = tmp_path / f"{name}-1.2.3.dist-info"
+        info.mkdir()
+        (info / "METADATA").write_text(
+            f"Metadata-Version: 2.1\nName: {name}\nVersion: 1.2.3\n\nVersion: 9\n",
+            encoding="utf-8")
+        assert _installed_version(name) == "1.2.3"
+        assert name not in sys.modules
+        stale = tmp_path / f"{name}-1.0.dist-info"
+        stale.mkdir()
+        (stale / "METADATA").write_text("Version: 1.0\n", encoding="utf-8")
+        assert _installed_version(name) is None  # which of the two is installed is unknown
+        assert _installed_version("hypernull_no_such_package") is None
 
     def test_manifest_records_library_versions_without_importing_scipy(self, tmp_path, toy):
         out = tmp_path / "canon.dhg"

@@ -386,6 +386,17 @@ class TestLabels:
         with pytest.raises(ParseError, match="^line 4: node id 0 repeats line 2$"):
             read_labels("node_id,category\n0,a\n1,b\n0,c\n")
 
+    def test_read_labels_rejects_a_row_without_a_category(self):
+        # Such a row would put its node in a category named ''.
+        with pytest.raises(ParseError, match="^line 1: expected node_id,category, got '0'$"):
+            read_labels("0\n1,a\n")
+        with pytest.raises(ParseError, match="^line 3: expected node_id,category, got '1,'$"):
+            read_labels("node_id,category\n0,a\n1,\n")
+
+    def test_read_labels_rejects_a_row_with_an_extra_comma(self):
+        with pytest.raises(ParseError, match="^line 2: expected node_id,category, got '0,a,b'$"):
+            read_labels("# categories\n0,a,b\n")
+
 
 class TestHyperedgeInvariants:
     def test_empty_edge_rejected(self):

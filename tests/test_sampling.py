@@ -23,6 +23,8 @@ from helpers import (
 from test_acceptance import contact_scale
 from hypernull import sampling
 from hypernull.core import (
+    CHAIN_MODELS,
+    MODELS,
     DirectedHypergraph,
     Hyperedge,
     compute_joint,
@@ -657,6 +659,11 @@ class TestNullSample:
 
 
 class TestRunChain:
+    def test_every_chain_model_has_one_kernel(self):
+        # The command line offers core's model names without loading this module.
+        assert tuple(STEP_FUNCTIONS) == CHAIN_MODELS
+        assert MODELS == (*CHAIN_MODELS, "null")
+
     def test_zero_steps_is_identity(self):
         H = parse_hypergraph(TOY)
         cfg = ChainConfig(model="degs", steps=0, seed=1, sample_count=3)

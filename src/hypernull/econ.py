@@ -15,10 +15,15 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from pathlib import Path
 from statistics import fmean, pstdev
 from typing import NamedTuple
+
+import numpy as np
 
 from .core import DirectedHypergraph, Hyperedge, incidence_matrix
 from .diagnostics import kendall_tau, spearman
@@ -28,14 +33,6 @@ TRADE_FLOOR = 1_000_000_000.0
 FITNESS_MAX_ITER = 1000
 
 
-class TradeRecord(NamedTuple):
-    year: int
-    country: str
-    product: str
-    export_value: float
-    import_value: float
-
-
 class CountryMeta(NamedTuple):
     population: float
     avg_trade: float
@@ -43,67 +40,81 @@ class CountryMeta(NamedTuple):
 
 @dataclass(frozen=True)
 class TradeTable:
-    """Trade records plus optional per-country metadata for the filters."""
+    """A trade CSV's columns, each a tuple in file row order, plus optional
+    per-country metadata for the filters."""
 
-    records: tuple
+    years: tuple
+    countries: tuple
+    products: tuple
+    exports: tuple
+    imports: tuple
     metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        for r in self.records:
-            if r.export_value < 0 or r.import_value < 0:
-                raise ValueError(f"negative trade value for {r.country}/{r.product}")
-        for country, meta in self.metadata.items():
-            if meta.population < 0 or meta.avg_trade < 0:
-                raise ValueError(f"negative metadata for {country}")
+
+def _numbers(convert, strings) -> tuple | None:
+    """strings converted by convert (str, int or float), or None unless every
+    number is finite and >= 0."""
+    try:
+        values = tuple(map(convert, strings))
+        valid = convert is str or all(map(math.isfinite, values)) and min(values, default=0) >= 0
+    except (ValueError, OverflowError):  # not a number, or an int past every float
+        return None
+    return values if valid else None
 
 
-def _rows(text: str, required, name: str):
-    """The rows of CSV text as dicts, parsed as a file opened with newline=""."""
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    missing = set(required) - set(reader.fieldnames or ())
-    if missing:
-        raise ValueError(f"{name} is missing columns: {sorted(missing)}")
-    return reader
+def _columns(text: str, name: str, converts: dict) -> list:
+    """The named columns of CSV text, read as a file opened with newline=""
+    reads it, each a tuple in row order converted by its function (see
+    _numbers); blank lines are skipped and other columns ignored.  ValueError
+    on a missing column, and, naming the line, on a row that csv rejects or
+    whose field count is not the header's, and on a number not finite and >= 0."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    fields = []  # column j is every width-th field from j
+    try:
+        header = next(reader, [])
+        missing = set(converts) - set(header)
+        if missing:
+            raise ValueError(f"{name} is missing columns: {sorted(missing)}")
+        width = len(header)
+        for row in reader:
+            if len(row) != width and row:
+                raise ValueError(f"{name} line {reader.line_num}: {len(row)} fields, the header has {width}")
+            fields += row
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise ValueError(f"{name} line {reader.line_num}: {exc}") from None
+    index = {column: j for j, column in enumerate(header)}
+    columns = []
+    for column, convert in converts.items():
+        strings = fields[index[column]::width]
+        values = _numbers(convert, strings)
+        if values is None:
+            i = next(i for i, string in enumerate(strings) if _numbers(convert, (string,)) is None)
+            lines = csv.reader(io.StringIO(text, newline=""))  # a row's line is its last
+            line = next(islice((lines.line_num for row in lines if row), i + 1, None))
+            raise ValueError(f"{name} line {line}, column {column}: {strings[i]!r} is not a finite number >= 0")
+        columns.append(values)
+    return columns
 
 
 def parse_trade_table(trade_text: str, metadata_text: str | None = None) -> TradeTable:
     """Parse a trade CSV (year,country,product,export_value,import_value) and
     an optional metadata CSV (country,population,avg_trade) from their text."""
-    records = []
-    for row in _rows(
-        trade_text,
-        ("year", "country", "product", "export_value", "import_value"),
-        "trade table",
-    ):
-        records.append(
-            TradeRecord(
-                int(row["year"]),
-                row["country"],
-                row["product"],
-                float(row["export_value"]),
-                float(row["import_value"]),
-            )
-        )
+    trade = _columns(trade_text, "trade table", {
+        "year": int, "country": str, "product": str, "export_value": float, "import_value": float,
+    })
     metadata = {}
     if metadata_text is not None:
-        for row in _rows(metadata_text, ("country", "population", "avg_trade"), "metadata table"):
-            metadata[row["country"]] = CountryMeta(
-                float(row["population"]), float(row["avg_trade"])
-            )
-    return TradeTable(tuple(records), metadata)
+        converts = {"country": str, "population": float, "avg_trade": float}
+        countries, population, avg_trade = _columns(metadata_text, "metadata table", converts)
+        metadata = dict(zip(countries, map(CountryMeta, population, avg_trade)))
+    return TradeTable(*trade, metadata)
 
 
 def read_trade_table(trade_path, metadata_path=None) -> TradeTable:
     """Load a trade CSV and an optional metadata CSV from their paths with
-    parse_trade_table."""
-    def text(path):
-        with open(path, newline="") as handle:
-            return handle.read()
-
-    return parse_trade_table(
-        text(trade_path), None if metadata_path is None else text(metadata_path)
-    )
+    parse_trade_table, decoding their bytes as UTF-8 as the CLI does."""
+    metadata = None if metadata_path is None else Path(metadata_path).read_bytes().decode("utf-8")
+    return parse_trade_table(Path(trade_path).read_bytes().decode("utf-8"), metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +130,6 @@ def rca(values: np.ndarray) -> np.ndarray:
     Entries whose denominators vanish (a country or product with no trade)
     are 0, with a warning.
     """
-    import numpy as np
     by_country = values.sum(axis=1)
     by_product = values.sum(axis=0)
     total = values.sum()
@@ -127,9 +137,7 @@ def rca(values: np.ndarray) -> np.ndarray:
     if total == 0.0:
         undefined[:] = True
     if undefined.any():
-        warnings.warn(
-            f"{int(undefined.sum())} RCA entries had zero denominators; set to 0"
-        )
+        warnings.warn(f"{int(undefined.sum())} RCA entries had zero denominators; set to 0")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = (values / by_country[:, None]) / (by_product / total)[None, :]
     return np.where(undefined, 0.0, ratios)
@@ -144,22 +152,12 @@ class Biadjacency:
     matrix: np.ndarray
 
 
-def _passes_filters(country: str, metadata: dict | None) -> bool:
-    if not metadata:
-        return True
-    meta = metadata.get(country)
-    if meta is None:
-        return False
-    return meta.population > POPULATION_FLOOR and meta.avg_trade > TRADE_FLOOR
-
-
 def hypergraph_biadjacency(H: DirectedHypergraph) -> Biadjacency:
     """Country-product mask induced by a trade hypergraph: one column per
     hyperedge copy (a product), one row per node (a country), with a 1 where
     the country belongs to the copy's head, i.e. exports the product.  Rows
     and columns that end up empty are dropped; with no head membership
     anywhere nothing is left, which raises ValueError."""
-    import numpy as np
     mask = incidence_matrix(H.num_nodes, [e.head for e in H.edges])
     rows, cols = mask.any(axis=1), mask.any(axis=0)
     if not rows.any():
@@ -196,7 +194,6 @@ def _degrees(B: Biadjacency):
 def proximity(B: Biadjacency) -> ProximityMatrix:
     """W[c,p] = M[c,p] / (k_c * h_p) with h_p the degree-weighted product
     ubiquity; X = W W^T with the diagonal forced to zero."""
-    import numpy as np
     k_country, _ = _degrees(B)
     ubiquity = (B.matrix / k_country[:, None]).sum(axis=0)
     W = B.matrix / (k_country[:, None] * ubiquity[None, :])
@@ -224,7 +221,6 @@ def eci_pci(B: Biadjacency):
     averaging once to ECI and standardizes.  A tie among the remaining top
     eigenvalues (within 1e-10) makes the index non-identifiable and raises.
     """
-    import numpy as np
     if len(B.countries) < 2:
         raise ValueError("ECI needs at least two countries")
     k_country, k_product = _degrees(B)
@@ -235,9 +231,7 @@ def eci_pci(B: Biadjacency):
     deflated = T - np.outer(perron, perron)
     eigenvalues, eigenvectors = np.linalg.eigh(deflated)
     if eigenvalues[-1] - eigenvalues[-2] <= 1e-10:
-        raise ValueError(
-            "degenerate second eigenvalue: the complexity index is not identifiable"
-        )
+        raise ValueError("degenerate second eigenvalue: the complexity index is not identifiable")
     eci = _zscore(eigenvectors[:, -1] / np.sqrt(k_country))
     correlation = np.corrcoef(eci, k_country)[0, 1]
     if correlation < 0:
@@ -254,7 +248,6 @@ def fitness_quality(B: Biadjacency, initial_fitness=None, initial_quality=None):
     vector drops below 1e-9, and raises RuntimeError (with the residual) if
     FITNESS_MAX_ITER rounds are not enough.
     """
-    import numpy as np
     _degrees(B)
     M = B.matrix
     fitness = np.ones(len(B.countries)) if initial_fitness is None else np.asarray(initial_fitness, dtype=float)
@@ -273,9 +266,7 @@ def fitness_quality(B: Biadjacency, initial_fitness=None, initial_quality=None):
             or (fresh_fitness <= 0).any()
             or (fresh_quality <= 0).any()
         ):
-            raise RuntimeError(
-                "fitness iteration diverged: some score reached zero or overflowed"
-            )
+            raise RuntimeError("fitness iteration diverged: some score reached zero or overflowed")
         residual = max(
             np.max(np.abs(fresh_fitness - fitness) / fitness),
             np.max(np.abs(fresh_quality - quality) / quality),
@@ -294,7 +285,6 @@ def fitness_quality(B: Biadjacency, initial_fitness=None, initial_quality=None):
 def genepy(X: np.ndarray) -> tuple:
     """G(c) = (sum_i lambda_i e_ci^2)^2 + 2 sum_i lambda_i^2 e_ci^2 over the
     two largest eigenpairs of the symmetric proximity matrix."""
-    import numpy as np
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError("proximity matrix must be square")
@@ -339,25 +329,35 @@ def trade_to_hypergraph(table: TradeTable, year: int, threshold: float = 1.0) ->
     strictly above the threshold, tail = countries importing it with import
     RCA strictly above the threshold.  Products with both sides empty are
     dropped; countries below the population/trade floors are excluded.  A
-    year with no rows raises ValueError."""
-    import numpy as np
-    rows = [r for r in table.records if r.year == year]
-    if not rows:
+    year with no rows, or a threshold that is not finite, raises ValueError."""
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+    chosen = [y == year for y in table.years]
+    if not any(chosen):
         raise ValueError(f"year {year} is not present in the trade table")
-    countries = sorted({r.country for r in rows})
-    products = sorted({r.product for r in rows})
+    row_countries = list(compress(table.countries, chosen))
+    row_products = list(compress(table.products, chosen))
+    countries = sorted(set(row_countries))
+    products = sorted(set(row_products))
     c_index = {c: i for i, c in enumerate(countries)}
     p_index = {p: j for j, p in enumerate(products)}
     shape = (len(countries), len(products))
     # Each row's amount lands on its flat cell, summed in row order.
-    cells = [c_index[r.country] * shape[1] + p_index[r.product] for r in rows]
+    n = len(row_countries)
+    cells = np.fromiter(map(c_index.__getitem__, row_countries), np.intp, n) * shape[1]
+    cells += np.fromiter(map(p_index.__getitem__, row_products), np.intp, n)
 
     def matrix(amounts):
-        return np.bincount(cells, weights=amounts, minlength=shape[0] * shape[1]).reshape(shape)
+        weights = np.fromiter(compress(amounts, chosen), float, n)
+        return np.bincount(cells, weights=weights, minlength=shape[0] * shape[1]).reshape(shape)
 
-    exports = rca(matrix([r.export_value for r in rows]))
-    imports = rca(matrix([r.import_value for r in rows]))
-    kept = [i for i, c in enumerate(countries) if _passes_filters(c, table.metadata)]
+    exports = rca(matrix(table.exports))
+    imports = rca(matrix(table.imports))
+    meta = table.metadata
+    kept = [
+        i for i, c in enumerate(countries)
+        if not meta or c in meta and meta[c].population > POPULATION_FLOOR and meta[c].avg_trade > TRADE_FLOOR
+    ]
     # Node n is the n-th kept country; row j of each transposed mask is product j.
     heads = exports[kept].T > threshold
     tails = imports[kept].T > threshold

@@ -733,6 +733,50 @@ class TestEcon:
         assert (reads[str(trade)], reads[str(meta)]) == (1, 1)
         assert_inputs_hashed(tmp_path / "trade.dhg.manifest.json", [trade, meta])
 
+    @pytest.mark.parametrize("row, error", [
+        ("2020,USA,cars,50", "trade table line 3: 4 fields, the header has 5"),
+        ("2020,USA,cars,50,10,1", "trade table line 3: 6 fields, the header has 5"),
+        ("2020,USA,cars,nan,10", "trade table line 3, column export_value: 'nan' is not a finite number >= 0"),
+        ("2020,USA,cars,50,abc", "trade table line 3, column import_value: 'abc' is not a finite number >= 0"),
+    ])
+    def test_build_rejects_a_malformed_row_by_line(self, tmp_path, capsys, row, error):
+        trade, out = tmp_path / "trade.csv", tmp_path / "trade.dhg"
+        trade.write_text(TRADE.replace("2020,USA,cars,50,10", row), encoding="utf-8")
+        assert run(["econ", "build", "--trade", trade, "--year", 2020, "--output", out]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    def test_build_rejects_a_malformed_metadata_row_by_line(self, tmp_path, capsys):
+        trade, meta, out = tmp_path / "trade.csv", tmp_path / "meta.csv", tmp_path / "trade.dhg"
+        trade.write_text(TRADE, encoding="utf-8")
+        meta.write_text(META.replace("DEU,83000000,", "DEU,nan,"), encoding="utf-8")
+        assert run(["econ", "build", "--trade", trade, "--metadata", meta, "--year", 2020,
+                    "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: metadata table line 3, column population: 'nan' is not a finite number >= 0\n")
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_build_rejects_a_threshold_that_is_not_finite(self, tmp_path, capsys, threshold):
+        trade, out = tmp_path / "trade.csv", tmp_path / "trade.dhg"
+        trade.write_text(TRADE, encoding="utf-8")
+        assert run(["econ", "build", "--trade", trade, "--year", 2020, "--threshold", threshold,
+                    "--output", out]) == 1
+        assert capsys.readouterr().err == f"error: threshold must be finite, got {threshold}\n"
+
+    def test_build_reads_columns_by_name(self, tmp_path):
+        # The five columns in another order, plus one more, give the same
+        # graph and labels bytes.
+        rows = [line.split(",") for line in trade_csv(2019).splitlines()]
+        moved = "".join(",".join([row[3], "note" if i == 0 else "x", row[1], row[4], row[0], row[2]]) + "\n"
+                        for i, row in enumerate(rows))
+        outputs = []
+        for name, text in (("plain", trade_csv(2019)), ("moved", moved)):
+            trade, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.dhg"
+            trade.write_text(text, encoding="utf-8")
+            assert run(["econ", "build", "--trade", trade, "--year", 2019, "--output", out]) == 0
+            outputs.append((out.read_bytes(), (tmp_path / f"{name}.labels.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_scores_without_any_head_is_one_error(self, tmp_path, capsys):
         graph = tmp_path / "tails.dhg"
         graph.write_text("|0,1\n|1,2\n", encoding="utf-8")

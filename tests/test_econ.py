@@ -7,8 +7,10 @@ standardization, dual-initialization Fitness runs, closed-form GENEPY on a
 block proximity matrix, and a direct mask recount for the trade hypergraph.
 """
 
+import csv
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -22,7 +24,6 @@ from hypernull.econ import (
     Biadjacency,
     ComplexityScores,
     CountryMeta,
-    TradeRecord,
     TradeTable,
     complexity_scores,
     eci_pci,
@@ -44,13 +45,9 @@ TRADE_CSV = (
 )
 
 
-def export_table(matrix, countries, products, year=2019, metadata=None):
-    records = []
-    for i, c in enumerate(countries):
-        for j, p in enumerate(products):
-            if matrix[i][j]:
-                records.append(TradeRecord(year, c, p, float(matrix[i][j]), 0.0))
-    return TradeTable(tuple(records), metadata or {})
+def column_table(rows, metadata=None):
+    """The trade table of (year, country, product, export, import) rows."""
+    return TradeTable(*zip(*rows), metadata or {})
 
 
 def random_bool_matrix(rng, rows, cols, density=0.3):
@@ -99,12 +96,13 @@ BLOCK_M = Biadjacency(
 
 class TestTradeTable:
     def test_negative_value_rejected(self):
-        with pytest.raises(ValueError):
-            TradeTable((TradeRecord(2019, "A", "x", -1.0, 0.0),), {})
+        with pytest.raises(ValueError, match=r"^trade table line 4, column export_value: '-1\.0' is not"):
+            parse_trade_table(TRADE_CSV + "2019,C,x,-1.0,0.0\n")
 
     def test_negative_metadata_rejected(self):
-        with pytest.raises(ValueError):
-            TradeTable((), {"A": CountryMeta(-5.0, 1.0)})
+        meta = "country,population,avg_trade\nA,-5,1\n"
+        with pytest.raises(ValueError, match=r"^metadata table line 2, column population: '-5' is not"):
+            parse_trade_table(TRADE_CSV, meta)
 
     def test_csv_round_trip(self, tmp_path):
         trade = tmp_path / "trade.csv"
@@ -116,10 +114,11 @@ class TestTradeTable:
             "B,500000,2000000000\n"
         )
         table = read_trade_table(trade, meta)
-        assert table.records == (
-            TradeRecord(2019, "A", "x", 5.0, 1.0),
-            TradeRecord(2019, "B", "x", 0.0, 2.5),
-        )
+        assert table.years == (2019, 2019)
+        assert table.countries == ("A", "B")
+        assert table.products == ("x", "x")
+        assert table.exports == (5.0, 0.0)
+        assert table.imports == (1.0, 2.5)
         assert table.metadata == {
             "A": CountryMeta(2_000_000.0, 3_000_000_000.0),
             "B": CountryMeta(500_000.0, 2_000_000_000.0),
@@ -141,10 +140,63 @@ class TestTradeTable:
         trade.write_bytes(text.encode())
         table = parse_trade_table(text)
         assert table == read_trade_table(trade)
-        assert table.records == (
-            TradeRecord(2019, "A", "x\r\ny", 5.0, 1.0),
-            TradeRecord(2019, "B", "x", 0.0, 2.5),
-        )
+        assert table == TradeTable(
+            (2019, 2019), ("A", "B"), ("x\r\ny", "x"), (5.0, 0.0), (1.0, 2.5), {})
+
+    @pytest.mark.parametrize("row, fields", [("2019,B,x,0.0", 4), ("2019,B,x,0.0,2.5,7", 6)])
+    def test_row_with_another_field_count_rejected(self, row, fields):
+        with pytest.raises(ValueError, match=rf"^trade table line 3: {fields} fields, the header has 5$"):
+            parse_trade_table(TRADE_CSV.replace("2019,B,x,0.0,2.5", row))
+
+    @pytest.mark.parametrize("row, fields", [("B,500000", 2), ("B,500000,2000000000,x", 4)])
+    def test_metadata_row_with_another_field_count_rejected(self, row, fields):
+        meta = f"country,population,avg_trade\nA,2000000,3000000000\n{row}\n"
+        with pytest.raises(ValueError, match=rf"^metadata table line 3: {fields} fields, the header has 3$"):
+            parse_trade_table(TRADE_CSV, meta)
+
+    @pytest.mark.parametrize("column, value", [
+        ("export_value", "nan"),
+        ("export_value", "inf"),
+        ("import_value", "-inf"),
+        ("import_value", "abc"),
+        ("export_value", ""),
+        ("year", "2019.0"),
+        ("year", "-2019"),
+    ])
+    def test_value_not_a_finite_number_at_least_zero_rejected(self, column, value):
+        fields = {"year": "2019", "country": "B", "product": "x", "export_value": "0.0", "import_value": "2.5"}
+        row = ",".join({**fields, column: value}.values())
+        message = f"trade table line 3, column {column}: {value!r} is not a finite number >= 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_trade_table(TRADE_CSV.replace("2019,B,x,0.0,2.5", row))
+
+    @pytest.mark.parametrize("column, row", [
+        ("population", "A,nan,3000000000"),
+        ("avg_trade", "A,2000000,inf"),
+        ("population", "A,many,3000000000"),
+    ])
+    def test_metadata_value_not_a_finite_number_rejected(self, column, row):
+        meta = f"country,population,avg_trade\n{row}\n"
+        with pytest.raises(ValueError, match=rf"^metadata table line 2, column {column}: '"):
+            parse_trade_table(TRADE_CSV, meta)
+
+    def test_field_past_the_csv_size_limit_rejected(self):
+        text = TRADE_CSV.replace("2019,B,x", "2019,B," + "x" * (csv.field_size_limit() + 1))
+        with pytest.raises(ValueError, match=r"^trade table line 3: field larger than field limit"):
+            parse_trade_table(text)
+        with pytest.raises(ValueError, match=r"^trade table line 1: field larger than field limit"):
+            parse_trade_table(text.replace("year,", "x" * (csv.field_size_limit() + 1) + ","))
+
+    def test_blank_lines_are_skipped_and_counted(self):
+        # A row's line is the last it spans; blank lines hold no row but
+        # still count.
+        text = TRADE_CSV.replace("2019,A,x", '\n2019,"A","x\ny"')
+        assert parse_trade_table(text + "\n\n") == TradeTable(
+            (2019, 2019), ("A", "B"), ("x\ny", "x"), (5.0, 0.0), (1.0, 2.5), {})
+        with pytest.raises(ValueError, match=r"^trade table line 5, column export_value: 'nan'"):
+            parse_trade_table(text.replace("2019,B,x,0.0", "2019,B,x,nan"))
+        with pytest.raises(ValueError, match=r"^trade table line 5: 4 fields"):
+            parse_trade_table(text.replace("2019,B,x,0.0,2.5", "2019,B,x,0.0"))
 
 
 class TestRca:
@@ -170,11 +222,9 @@ class TestRca:
         # are the countries whose import RCA, the hand toy's, exceeds 1.
         imports = {("A", "x"): 2.0, ("A", "y"): 1.0, ("B", "y"): 1.0, ("B", "z"): 1.0,
                    ("C", "x"): 1.0, ("C", "z"): 3.0}
-        records = tuple(
-            TradeRecord(2019, c, p, 1.0, imports.get((c, p), 0.0))
-            for c in "ABC" for p in "xyz"
-        )
-        H = trade_to_hypergraph(TradeTable(records, {}), 2019)
+        table = column_table(
+            [(2019, c, p, 1.0, imports.get((c, p), 0.0)) for c in "ABC" for p in "xyz"])
+        H = trade_to_hypergraph(table, 2019)
         assert [(set(e.head), set(e.tail)) for e in H.edges] == [
             (set(), {0}), (set(), {0, 1}), (set(), {1, 2})]
 
@@ -184,7 +234,7 @@ class TestRca:
         assert result[1] == pytest.approx([0.0])
 
     def test_missing_year_rejected(self):
-        table = export_table([[1]], ["A"], ["x"])
+        table = column_table([(2019, "A", "x", 1.0, 0.0)])
         with pytest.raises(ValueError, match="year 1995 is not present"):
             trade_to_hypergraph(table, 1995)
 
@@ -396,29 +446,38 @@ class TestGenepy:
 # ---------------------------------------------------------------------------
 
 
-def two_country_table():
-    records = (
-        TradeRecord(2019, "A", "x", 4.0, 0.0),
-        TradeRecord(2019, "A", "y", 1.0, 4.0),
-        TradeRecord(2019, "B", "y", 4.0, 1.0),
-        TradeRecord(2019, "B", "x", 0.0, 4.0),
+def two_country_table(metadata=None):
+    return column_table(
+        [
+            (2019, "A", "x", 4.0, 0.0),
+            (2019, "A", "y", 1.0, 4.0),
+            (2019, "B", "y", 4.0, 1.0),
+            (2019, "B", "x", 0.0, 4.0),
+        ],
+        metadata,
     )
-    return TradeTable(records, {})
 
 
 def three_country_table(metadata):
     """Each country exports one product and imports the next one (cyclically)
     four times more than the others, so each is on one head and one tail."""
     products = ("x", "y", "z")
-    records = tuple(
-        TradeRecord(2019, c, p, 4.0 if i == j else 1.0, 4.0 if (i + 1) % 3 == j else 1.0)
-        for i, c in enumerate(("A", "B", "C"))
-        for j, p in enumerate(products)
+    return column_table(
+        [
+            (2019, c, p, 4.0 if i == j else 1.0, 4.0 if (i + 1) % 3 == j else 1.0)
+            for i, c in enumerate(("A", "B", "C"))
+            for j, p in enumerate(products)
+        ],
+        metadata,
     )
-    return TradeTable(records, metadata)
 
 
 class TestTradeToHypergraph:
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_threshold_must_be_finite(self, threshold):
+        with pytest.raises(ValueError, match="^threshold must be finite"):
+            trade_to_hypergraph(parse_trade_table(TRADE_CSV), 2019, threshold=threshold)
+
     def test_single_exporter_importer_products(self):
         H = trade_to_hypergraph(two_country_table(), 2019)
         assert H.num_nodes == 2
@@ -427,12 +486,7 @@ class TestTradeToHypergraph:
         assert pairs == {((0,), (1,)), ((1,), (0,))}
 
     def test_uniform_trade_gives_no_edges(self):
-        records = tuple(
-            TradeRecord(2019, c, p, 2.0, 2.0)
-            for c in ("A", "B")
-            for p in ("x", "y")
-        )
-        table = TradeTable(records, {})
+        table = column_table([(2019, c, p, 2.0, 2.0) for c in ("A", "B") for p in ("x", "y")])
         # RCA is exactly 1 everywhere, so strictly-greater heads and tails
         # stay empty; just below 1, every country is on both sides of both.
         assert np.all(rca(np.full((2, 2), 2.0)) == 1.0)
@@ -444,9 +498,7 @@ class TestTradeToHypergraph:
         assert [(e.head, e.tail) for e in H.edges] == [(both, both)] * 2
 
     def test_metadata_filter_drops_country(self):
-        table = two_country_table()
-        filtered = TradeTable(
-            table.records,
+        filtered = two_country_table(
             {
                 "A": CountryMeta(2_000_000.0, 2_000_000_000.0),
                 "B": CountryMeta(500_000.0, 2_000_000_000.0),
@@ -484,24 +536,17 @@ class TestTradeToHypergraph:
         for _ in range(20):
             countries = ["c%d" % i for i in range(rng.randint(3, 6))]
             products = ["p%d" % j for j in range(rng.randint(4, 8))]
-            records = []
-            for c in countries:
-                for p in products:
-                    records.append(
-                        TradeRecord(
-                            2019, c, p,
-                            float(rng.randint(0, 5)),
-                            float(rng.randint(0, 5)),
-                        )
-                    )
-            table = TradeTable(tuple(records), {})
+            table = column_table([
+                (2019, c, p, float(rng.randint(0, 5)), float(rng.randint(0, 5)))
+                for c in countries for p in products
+            ])
             try:
                 H = trade_to_hypergraph(table, 2019)
             except ValueError:
                 continue
-            # One record per (country, product), in sorted row-major order.
-            exports = rca(np.array([r.export_value for r in records]).reshape(len(countries), -1))
-            imports = rca(np.array([r.import_value for r in records]).reshape(len(countries), -1))
+            # One row per (country, product), in sorted row-major order.
+            exports = rca(np.array(table.exports).reshape(len(countries), -1))
+            imports = rca(np.array(table.imports).reshape(len(countries), -1))
             labels = H.labels
             expected = Counter()
             for j, _ in enumerate(products):
